@@ -12,9 +12,9 @@
 //     --memory-mb) → PartitionedTrace::Open → RunStreaming — generation
 //     and analysis walk the data as two sequential phases.
 //   * "concurrent" (threads=1 and 4): RunConcurrent — generation spills
-//     sealed slices straight into the bounded queue and the fused passes
-//     consume them while the generator keeps producing; one overlapped
-//     walk at the same memory budget.
+//     sealed slices straight into the bounded queue and the streaming
+//     passes consume them while the generator keeps producing; one
+//     overlapped walk at the same memory budget.
 //
 // Each child prints one JSON object: records, FullReport fingerprint,
 // phase wall times, the fit-stage time from StageTimings, the report's

@@ -1,41 +1,78 @@
-// Streaming (partition-at-a-time) analysis cores.
+// Streaming analysis cores: the one implementation of the §3 stages that
+// touch every record.
 //
-// These two classes are the fused engine's row-order walks (see
-// analysis/fused_engine.h) factored into incremental consumers of
-// TraceRowBlock slices. Per-user state lives in dense arrays keyed by the
-// *global* uint32 user remap and survives across blocks and calendar-day
-// partitions, so feeding the blocks of an out-of-core PartitionedTrace::Scan
-// produces bit-identical results to feeding one resident TraceStore whole —
-// the resident FusedRowPass/FusedPerUserPass are now thin wrappers that do
-// exactly that. The only requirement is that blocks arrive in global row
-// (= time) order, which both sources guarantee.
+// Two incremental consumers of TraceRowBlock slices replace the method's
+// per-stage scans:
+//
+//   * StreamingRowPass — Fig 1 hourly series, the Fig 3 inter-op interval
+//     sketch (via a dense per-user last-op array instead of a hash map) and
+//     the §2.2 record counts.
+//   * StreamingPerUserPass — both sessionizations (full trace and mobile
+//     rows), both per-user usage tables and the distinct-device count, from
+//     dense per-user cursor arrays.
+//
+// Per-user state is keyed by the *global* uint32 user remap and survives
+// across blocks and calendar-day partitions, so feeding the blocks of an
+// out-of-core PartitionedTrace::Scan gives bit-identical results to feeding
+// a resident TraceStore's day partitions. The only requirement is that
+// blocks arrive in global row (= time) order, which every source
+// guarantees. Within one user, row order is that user's time order, so
+// every cursor folds the exact record sequence Sessionizer::Sessionize and
+// BuildUserUsage see; a final sort by (user, begin) over unique keys
+// restores their canonical order, so downstream consumers receive
+// bit-identical inputs at every thread count. core/pipeline.cc's block
+// walk is the one driver.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "analysis/fused_engine.h"
+#include "analysis/interval_model.h"
 #include "analysis/sessionizer.h"
 #include "analysis/usage_patterns.h"
+#include "analysis/workload_timeseries.h"
 #include "trace/partitioned_trace.h"
 #include "util/parallel.h"
 
 namespace mcloud::analysis {
 
-/// Per-user mobility classes, accumulated as rows stream by.
-inline constexpr std::uint8_t kMobileBit = 1;
-inline constexpr std::uint8_t kPcBit = 2;
-inline constexpr std::uint8_t kMixedMobility = kMobileBit | kPcBit;
+/// Row-order (time-order) results: Fig 1 series, Fig 3 sketch, §2.2 counts.
+struct FusedRowPassResult {
+  WorkloadTimeseries timeseries;
+  /// Inter-file-operation gaps of mobile users as the jitter-binned log10
+  /// sketch, mergeable across trace slices (the jitter is a stateless hash
+  /// of (user, timestamp) and per-bin sums are integer-exact).
+  LogBins intervals = MakeIntervalSketch();
+  std::size_t mobile_records = 0;
+  std::size_t android_records = 0;
+};
 
-/// Walk 1: hourly series, inter-op interval sample, overview counts — and,
-/// as a free by-product, each user's mobility class (the out-of-core path
-/// cannot afford the resident engine's dedicated mobility pre-pass, so this
-/// walk collects it for walk 2).
+/// Per-user results: sessions, usage tables, device/user counts.
+struct FusedPerUserResult {
+  /// Sessions over the full trace, in (user_id, begin) order.
+  std::vector<Session> sessions;
+  /// Sessions over the mobile rows only, in (user_id, begin) order.
+  std::vector<Session> mobile_sessions;
+  /// Per-user usage over the full trace, ascending user_id (one entry per
+  /// user — every user has at least one record).
+  std::vector<UserUsage> usage;
+  /// Per-user usage over the mobile rows only, ascending user_id (users
+  /// with no mobile record are absent).
+  std::vector<UserUsage> mobile_usage;
+  std::size_t mobile_users = 0;    ///< users with >= 1 mobile record
+  std::size_t mobile_devices = 0;  ///< distinct mobile device ids
+  /// The distinct mobile device ids themselves, sorted ascending — lets the
+  /// concurrent pipeline union device sets across independently analyzed
+  /// trace slices (a count alone cannot be merged).
+  std::vector<std::uint64_t> mobile_device_ids;
+};
+
+/// Hourly series, inter-op interval sketch, overview counts.
 class StreamingRowPass {
  public:
   /// `user_ids` maps global dense index -> original id (the interval
-  /// sketch's jitter is keyed by original user ids so every engine and
+  /// sketch's jitter is keyed by original user ids so every source and
   /// slicing computes identical jitter) and must outlive the pass;
   /// `trace_start`/`days` bound the Fig 1 hourly window; `day_base` anchors
   /// the calendar-day keys passed to Consume (same epoch as the trace).
@@ -46,10 +83,8 @@ class StreamingRowPass {
   /// blocks must arrive in global time order.
   void Consume(std::int64_t day, const TraceRowBlock& block);
 
-  /// The fused row-pass result (call once, after the last block).
+  /// The row-pass result (call once, after the last block).
   [[nodiscard]] FusedRowPassResult TakeResult();
-  /// Per-user mobility classes (kMobileBit/kPcBit), for StreamingPerUserPass.
-  [[nodiscard]] std::vector<std::uint8_t> TakeMobility();
 
  private:
   std::span<const std::uint64_t> user_ids_;
@@ -60,27 +95,20 @@ class StreamingRowPass {
   FusedRowPassResult out_;
   std::vector<std::int64_t> last_op_;
   std::vector<std::uint8_t> seen_;
-  std::vector<std::uint8_t> mobility_;
 };
 
-/// Walk 2: both sessionizations (full trace and mobile slice), both
-/// per-user usage tables, distinct-device counts. Needs the session gap
-/// threshold `tau` — fitted from walk 1's interval sample — and the
-/// mobility classes, so it necessarily runs as a second pass.
+/// Both sessionizations (full trace and mobile rows), both per-user usage
+/// tables, distinct-device counts. Needs the session gap threshold `tau`.
+///
+/// Every mobile row feeds a mobile-filtered fold next to the full fold, so
+/// the pass never needs a user's mobile/PC class up front: for a user
+/// without PC rows the two folds see the same rows and agree, for a mixed
+/// user the filtered fold is the mobile result, and a PC-only user has
+/// none.
 class StreamingPerUserPass {
  public:
   /// `user_ids` maps global dense index -> original id and must outlive the
-  /// pass; `mobility` is TakeMobility()'s output (or any per-user class
-  /// table of the same semantics).
-  StreamingPerUserPass(std::span<const std::uint64_t> user_ids, Seconds tau,
-                       std::vector<std::uint8_t> mobility);
-
-  /// Inline-mobility mode for single-walk pipelines that have no mobility
-  /// table yet: the pass accumulates mobility as rows stream by and runs
-  /// the mobile-filtered fold for *every* user's mobile rows. At Finish the
-  /// classes are known, and the speculative mobile results of users that
-  /// turned out mobile-only are discarded (their full fold IS the mobile
-  /// fold), producing output identical to the two-walk form.
+  /// pass.
   StreamingPerUserPass(std::span<const std::uint64_t> user_ids, Seconds tau);
 
   /// Feed the next block (global time order; day boundaries irrelevant —
@@ -92,8 +120,7 @@ class StreamingPerUserPass {
   [[nodiscard]] FusedPerUserResult Finish(ThreadPool& pool);
 
  private:
-  /// Open-session state for one user — the columnar twin of
-  /// Sessionizer::SessionizeRange's OpenSession.
+  /// Open-session state for one user.
   struct SessionCursor {
     Session s;
     std::int64_t last_file_op = 0;
@@ -107,15 +134,13 @@ class StreamingPerUserPass {
 
   std::span<const std::uint64_t> user_ids_;
   Seconds tau_;
-  bool inline_mobility_ = false;
-  std::vector<std::uint8_t> mobility_;
   std::vector<SessionCursor> cur_;
   std::vector<SessionCursor> mob_cur_;
   std::vector<UserUsage> usage_;
   std::vector<UserUsage> mob_usage_;
   std::vector<std::vector<std::uint64_t>> devs_;
   std::vector<Session> sessions_;
-  std::vector<Session> mixed_mobile_;  ///< mobile sessions of mixed users
+  std::vector<Session> mobile_sessions_;
 };
 
 }  // namespace mcloud::analysis

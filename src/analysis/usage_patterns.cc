@@ -1,6 +1,8 @@
 #include "analysis/usage_patterns.h"
 
+#include <algorithm>
 #include <cmath>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "util/error.h"
@@ -49,7 +51,43 @@ paper::UserClass UserUsage::Classify() const {
 }
 
 std::vector<UserUsage> BuildUserUsage(std::span<const LogRecord> trace) {
-  return BuildUserUsageFrom(trace);
+  std::unordered_map<std::uint64_t, UserUsage> by_user;
+  std::unordered_map<std::uint64_t, std::unordered_set<std::uint64_t>>
+      mobile_devices;
+
+  for (const LogRecord& r : trace) {
+    UserUsage& u = by_user[r.user_id];
+    u.user_id = r.user_id;
+    if (r.IsMobile()) {
+      mobile_devices[r.user_id].insert(r.device_id);
+    } else {
+      u.uses_pc = true;
+    }
+    if (r.request_type == RequestType::kFileOperation) {
+      (r.direction == Direction::kStore ? u.stored_files
+                                        : u.retrieved_files)++;
+    } else {
+      (r.direction == Direction::kStore ? u.store_volume
+                                        : u.retrieve_volume) += r.data_volume;
+    }
+  }
+
+  std::vector<UserUsage> out;
+  out.reserve(by_user.size());
+  for (auto& [id, usage] : by_user) {
+    if (const auto it = mobile_devices.find(id); it != mobile_devices.end())
+      usage.mobile_devices = it->second.size();
+    out.push_back(usage);
+  }
+  // Canonical ascending-user order: downstream consumers sum in vector
+  // order, and the streaming per-user pass emits this order natively —
+  // sorting here makes both bit-identical (and the result hash-order
+  // independent).
+  std::sort(out.begin(), out.end(),
+            [](const UserUsage& a, const UserUsage& b) {
+              return a.user_id < b.user_id;
+            });
+  return out;
 }
 
 std::vector<double> RatioSample(std::span<const UserUsage> usage,

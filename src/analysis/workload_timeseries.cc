@@ -46,7 +46,26 @@ int WorkloadTimeseries::PeakHourOfDay() const {
 
 WorkloadTimeseries BuildTimeseries(std::span<const LogRecord> trace,
                                    UnixSeconds trace_start, int days) {
-  return BuildTimeseriesFrom(trace, trace_start, days);
+  MCLOUD_REQUIRE(days >= 1, "need at least one day");
+  WorkloadTimeseries ts;
+  ts.hours.resize(static_cast<std::size_t>(days) * 24);
+  for (std::size_t i = 0; i < ts.hours.size(); ++i)
+    ts.hours[i].hour = static_cast<int>(i);
+
+  for (const LogRecord& r : trace) {
+    const int hour = HourIndex(r.timestamp, trace_start);
+    if (hour < 0 || hour >= static_cast<int>(ts.hours.size())) continue;
+    HourBin& bin = ts.hours[static_cast<std::size_t>(hour)];
+    if (r.request_type == RequestType::kFileOperation) {
+      (r.direction == Direction::kStore ? bin.stored_files
+                                        : bin.retrieved_files)++;
+    } else {
+      (r.direction == Direction::kStore ? bin.store_volume_bytes
+                                        : bin.retrieve_volume_bytes) +=
+          r.data_volume;
+    }
+  }
+  return ts;
 }
 
 }  // namespace mcloud::analysis

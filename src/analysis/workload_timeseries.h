@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "trace/log_record.h"
-#include "util/error.h"
 #include "util/timeutil.h"
 
 namespace mcloud::analysis {
@@ -44,34 +43,7 @@ struct WorkloadTimeseries {
   [[nodiscard]] int PeakHourOfDay() const;
 };
 
-/// Build the hourly series from any forward range of LogRecord — a trace
-/// vector/span or an index-based TraceView (no record copies).
-template <typename Range>
-[[nodiscard]] WorkloadTimeseries BuildTimeseriesFrom(const Range& records,
-                                                     UnixSeconds trace_start,
-                                                     int days) {
-  MCLOUD_REQUIRE(days >= 1, "need at least one day");
-  WorkloadTimeseries ts;
-  ts.hours.resize(static_cast<std::size_t>(days) * 24);
-  for (std::size_t i = 0; i < ts.hours.size(); ++i)
-    ts.hours[i].hour = static_cast<int>(i);
-
-  for (const LogRecord& r : records) {
-    const int hour = HourIndex(r.timestamp, trace_start);
-    if (hour < 0 || hour >= static_cast<int>(ts.hours.size())) continue;
-    HourBin& bin = ts.hours[static_cast<std::size_t>(hour)];
-    if (r.request_type == RequestType::kFileOperation) {
-      (r.direction == Direction::kStore ? bin.stored_files
-                                        : bin.retrieved_files)++;
-    } else {
-      (r.direction == Direction::kStore ? bin.store_volume_bytes
-                                        : bin.retrieve_volume_bytes) +=
-          r.data_volume;
-    }
-  }
-  return ts;
-}
-
+/// Build the hourly series of a trace over `days` days from `trace_start`.
 [[nodiscard]] WorkloadTimeseries BuildTimeseries(
     std::span<const LogRecord> trace, UnixSeconds trace_start = kTraceStart,
     int days = 7);

@@ -7,14 +7,11 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
-#include "analysis/fused_engine.h"
-#include "analysis/sessionizer.h"
 #include "analysis/stream_engine.h"
-#include "trace/filters.h"
 #include "util/error.h"
 #include "util/parallel.h"
 #include "util/units.h"
@@ -28,10 +25,10 @@ double Since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// The stages both engines share once the sessions and usage tables exist.
-/// Every input is read-only and every stage writes disjoint report fields,
-/// so the stages run concurrently; inputs are canonical (ascending user /
-/// (user, begin) order), making the outputs engine-independent bit for bit.
+/// The stages that run once the sessions and usage tables exist. Every
+/// input is read-only and every stage writes disjoint report fields, so the
+/// stages run concurrently; inputs are canonical (ascending user /
+/// (user, begin) order), making the outputs source-independent bit for bit.
 void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
                      const std::vector<analysis::UserUsage>& usage,
                      const std::vector<analysis::UserUsage>& mobile_usage,
@@ -57,7 +54,7 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
                 usage, analysis::DeviceProfile::kPcOnly);
             // Fig 7a counters: RatioSample's membership tests, without
             // materializing the sample (usage is canonical, so the counts
-            // are engine- and thread-count-independent).
+            // are source- and thread-count-independent).
             for (const analysis::UserUsage& u : usage) {
               if (!u.MobileOnly()) continue;
               if (u.store_volume == 0 && u.retrieve_volume == 0) continue;
@@ -135,6 +132,162 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
   fits_s += t_store_fit + t_retrieve_fit + t_activity;
 }
 
+/// Streams a trace's analysis-column blocks into a sink, in global time
+/// order, one calendar day (or part of one) per block.
+using Scan = std::function<void(const PartitionedTrace::BlockSink&)>;
+
+Scan StoreScan(const TraceStore& store) {
+  return [&store](const PartitionedTrace::BlockSink& sink) {
+    for (const TraceStore::DayPartition& part : store.day_partitions())
+      sink(part.day, BlockOf(store, part.begin, part.end));
+  };
+}
+
+/// What one walk produces, before the report tail.
+struct WalkResult {
+  analysis::FusedRowPassResult row;
+  analysis::FusedPerUserResult per_user;
+  /// The Fig 3 interval fit, when the walk needed it to pick τ.
+  std::optional<analysis::IntervalModel> interval_model;
+};
+
+/// The one block walk behind every entry point. With a fixed τ one scan
+/// feeds both streaming cores. With τ = auto the per-user core needs the
+/// valley τ, which needs the complete interval sketch: a first scan feeds
+/// the row-order core, the sketch is fitted, and a second scan feeds the
+/// per-user core.
+WalkResult Walk(const PipelineOptions& options,
+                std::span<const std::uint64_t> user_ids, UnixSeconds day_base,
+                const Scan& scan, ThreadPool& pool, StageTimings& t) {
+  WalkResult w;
+  analysis::StreamingRowPass row_pass(user_ids, options.trace_start,
+                                      options.days, day_base);
+  std::optional<analysis::StreamingPerUserPass> per_user_pass;
+  if (options.session_tau > 0)
+    per_user_pass.emplace(user_ids, options.session_tau);
+
+  auto t0 = Clock::now();
+  scan([&](std::int64_t day, const TraceRowBlock& block) {
+    row_pass.Consume(day, block);
+    if (per_user_pass) per_user_pass->Consume(block);
+  });
+  w.row = row_pass.TakeResult();
+  t.scan_s += Since(t0);
+
+  if (!per_user_pass) {
+    t0 = Clock::now();
+    w.interval_model = analysis::FitIntervalModel(w.row.intervals);
+    t.fits_s += Since(t0);
+    t0 = Clock::now();
+    per_user_pass.emplace(user_ids, w.interval_model->valley_tau);
+    scan([&](std::int64_t, const TraceRowBlock& block) {
+      per_user_pass->Consume(block);
+    });
+    t.sessionize_s += Since(t0);
+  }
+  t0 = Clock::now();
+  w.per_user = per_user_pass->Finish(pool);
+  t.sessionize_s += Since(t0);
+  return w;
+}
+
+/// The report tail every entry point shares: the Fig 1 series, the §2.2
+/// counts, the Fig 3 interval fit, then the shared stages.
+FullReport Assemble(ThreadPool& pool, const PipelineOptions& options,
+                    std::size_t records, WalkResult&& w, StageTimings& t) {
+  FullReport report;
+  report.records = records;
+  report.timeseries = std::move(w.row.timeseries);
+  report.android_access_share =
+      w.row.mobile_records == 0
+          ? 0
+          : static_cast<double>(w.row.android_records) /
+                static_cast<double>(w.row.mobile_records);
+  if (w.interval_model) {
+    report.interval_model = std::move(*w.interval_model);
+  } else {
+    const auto t0 = Clock::now();
+    report.interval_model = analysis::FitIntervalModel(w.row.intervals);
+    t.fits_s += Since(t0);
+  }
+  report.sketches.intervals = std::move(w.row.intervals);
+  report.mobile_users = w.per_user.mobile_users;
+  report.mobile_devices = w.per_user.mobile_devices;
+
+  const analysis::FusedPerUserResult& p = w.per_user;
+  RunSharedStages(pool, options, p.usage, p.mobile_usage, p.sessions,
+                  p.mobile_sessions, report, t.per_user_s, t.fits_s);
+  return report;
+}
+
+/// Walk one whole trace and assemble its report.
+FullReport Analyze(const PipelineOptions& options, std::size_t records,
+                   std::span<const std::uint64_t> user_ids,
+                   UnixSeconds day_base, const Scan& scan,
+                   StageTimings* timings) {
+  const auto t_total = Clock::now();
+  StageTimings t;
+  ThreadPool pool(ClampThreadsToHardware(options.threads));
+  WalkResult w = Walk(options, user_ids, day_base, scan, pool, t);
+  FullReport report = Assemble(pool, options, records, std::move(w), t);
+  t.total_s = Since(t_total);
+  if (timings) *timings = t;
+  return report;
+}
+
+/// Fold one slice's walk into the running total. Slices cover contiguous
+/// ascending user ranges, so concatenating sessions and usage keeps the
+/// canonical order; hour bins, the interval sketch and the counts sum
+/// exactly.
+void MergeSlice(WalkResult& total, WalkResult&& slice) {
+  auto& hours = total.row.timeseries.hours;
+  auto& slice_hours = slice.row.timeseries.hours;
+  if (hours.empty()) {
+    hours = std::move(slice_hours);
+  } else {
+    MCLOUD_REQUIRE(hours.size() == slice_hours.size(),
+                   "slice hour windows disagree");
+    for (std::size_t i = 0; i < hours.size(); ++i) {
+      hours[i].store_volume_bytes += slice_hours[i].store_volume_bytes;
+      hours[i].retrieve_volume_bytes += slice_hours[i].retrieve_volume_bytes;
+      hours[i].stored_files += slice_hours[i].stored_files;
+      hours[i].retrieved_files += slice_hours[i].retrieved_files;
+    }
+  }
+  total.row.intervals.Merge(slice.row.intervals);
+  total.row.mobile_records += slice.row.mobile_records;
+  total.row.android_records += slice.row.android_records;
+
+  auto append = [](auto& dst, auto& src) {
+    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
+               std::make_move_iterator(src.end()));
+  };
+  analysis::FusedPerUserResult& p = total.per_user;
+  append(p.sessions, slice.per_user.sessions);
+  append(p.mobile_sessions, slice.per_user.mobile_sessions);
+  append(p.usage, slice.per_user.usage);
+  append(p.mobile_usage, slice.per_user.mobile_usage);
+  append(p.mobile_device_ids, slice.per_user.mobile_device_ids);
+  p.mobile_users += slice.per_user.mobile_users;
+}
+
+/// A producer slice as a store of the analysis columns, built as
+/// GenerateColumnar builds its store: the columns move, nothing is copied.
+TraceStore SliceStore(RecordColumns&& slice, UnixSeconds day_base) {
+  TraceStore::Builder b;
+  b.present = kAnalysisColumns;
+  b.day_base = day_base;
+  b.timestamps = std::move(slice.timestamps);
+  b.device_types = std::move(slice.device_types);
+  b.device_ids = std::move(slice.device_ids);
+  b.raw_users = std::move(slice.user_ids);
+  b.request_types = std::move(slice.request_types);
+  b.directions = std::move(slice.directions);
+  b.data_volumes = std::move(slice.data_volumes);
+  slice = RecordColumns();  // the columns analysis never reads
+  return std::move(b).Build();
+}
+
 }  // namespace
 
 AnalysisPipeline::AnalysisPipeline(const PipelineOptions& options)
@@ -145,76 +298,19 @@ AnalysisPipeline::AnalysisPipeline(const PipelineOptions& options)
 FullReport AnalysisPipeline::Run(std::span<const LogRecord> trace,
                                  StageTimings* timings) const {
   MCLOUD_REQUIRE(!trace.empty(), "empty trace");
-  const TraceStore store = TraceStore::FromRecords(trace, options_.trace_start);
-  return Run(store, timings);
+  return Run(TraceStore::FromRecords(trace, options_.trace_start), timings);
 }
 
-// The columnar engine: two fused passes over the store's indexes replace
-// the AoS engine's six first-touch scans, then the shared stages run on
-// the pool. See analysis/fused_engine.h for why each pass reproduces the
-// AoS accumulation order exactly.
 FullReport AnalysisPipeline::Run(const TraceStore& store,
                                  StageTimings* timings) const {
   MCLOUD_REQUIRE(!store.empty(), "empty trace");
-  const auto t_total = Clock::now();
-  StageTimings t;
-  ThreadPool pool(ClampThreadsToHardware(options_.threads));
-  FullReport report;
-  report.records = store.rows();
-
-  // Row-order pass: Fig 1 series, Fig 3 sample, §2.2 record counts.
-  auto t0 = Clock::now();
-  analysis::FusedRowPassResult row =
-      analysis::FusedRowPass(store, options_.trace_start, options_.days);
-  t.scan_s += Since(t0);
-  report.timeseries = std::move(row.timeseries);
-  report.android_access_share =
-      row.mobile_records == 0
-          ? 0
-          : static_cast<double>(row.android_records) /
-                static_cast<double>(row.mobile_records);
-
-  t0 = Clock::now();
-  report.interval_model = analysis::FitIntervalModel(row.intervals);
-  report.sketches.intervals = std::move(row.intervals);
-  t.fits_s += Since(t0);
-  const Seconds tau = options_.session_tau > 0
-                          ? options_.session_tau
-                          : report.interval_model.valley_tau;
-
-  // Per-user-run pass: both sessionizations + both usage tables, fused.
-  t0 = Clock::now();
-  analysis::FusedPerUserResult per_user =
-      analysis::FusedPerUserPass(store, tau, pool);
-  t.sessionize_s += Since(t0);
-  report.mobile_users = per_user.mobile_users;
-  report.mobile_devices = per_user.mobile_devices;
-
-  RunSharedStages(pool, options_, per_user.usage, per_user.mobile_usage,
-                  per_user.sessions, per_user.mobile_sessions, report,
-                  t.per_user_s, t.fits_s);
-  t.total_s = Since(t_total);
-  if (timings) *timings = t;
-  return report;
+  return Analyze(options_, store.rows(), store.user_ids(), store.day_base(),
+                 StoreScan(store), timings);
 }
 
-// The out-of-core engine: the same two fused walks as Run(const
-// TraceStore&), but each walk is a PartitionedTrace::Scan that streams one
-// calendar-day partition at a time through the shared streaming cores —
-// only the bounded staging block and the dense per-user state are resident.
-// Walk 1 additionally collects per-user mobility (the resident engine's
-// dedicated pre-pass would cost a third full disk scan here), walk 2 runs
-// once τ is fitted. Block boundaries never change any accumulation order,
-// so the report is bit-identical to the resident engines.
-FullReport AnalysisPipeline::RunOutOfCore(const PartitionedTrace& trace,
+FullReport AnalysisPipeline::RunStreaming(const PartitionedTrace& trace,
                                           StageTimings* timings) const {
   MCLOUD_REQUIRE(trace.rows() > 0, "empty trace");
-  const auto t_total = Clock::now();
-  StageTimings t;
-  ThreadPool pool(ClampThreadsToHardware(options_.threads));
-  FullReport report;
-  report.records = static_cast<std::size_t>(trace.rows());
-
   // Staging budget in rows: a staged row costs ~31 bytes across the seven
   // analysis columns; give the scan an eighth of the budget so the dense
   // per-user state and the session output stay the dominant terms.
@@ -222,242 +318,19 @@ FullReport AnalysisPipeline::RunOutOfCore(const PartitionedTrace& trace,
       options_.max_memory_mb ? options_.max_memory_mb : 1024;
   const std::size_t staging_rows = std::max<std::size_t>(
       std::size_t{64} * 1024, budget_mb * (1024 * 1024 / 8) / 32);
-
-  // Walk 1 (row order): Fig 1 series, Fig 3 sample, §2.2 counts, mobility.
-  auto t0 = Clock::now();
-  analysis::StreamingRowPass row_pass(trace.user_ids(), options_.trace_start,
-                                      options_.days, trace.day_base());
-  trace.Scan(staging_rows, [&](std::int64_t day, const TraceRowBlock& block) {
-    row_pass.Consume(day, block);
-  });
-  analysis::FusedRowPassResult row = row_pass.TakeResult();
-  std::vector<std::uint8_t> mobility = row_pass.TakeMobility();
-  t.scan_s += Since(t0);
-  report.timeseries = std::move(row.timeseries);
-  report.android_access_share =
-      row.mobile_records == 0
-          ? 0
-          : static_cast<double>(row.android_records) /
-                static_cast<double>(row.mobile_records);
-
-  t0 = Clock::now();
-  report.interval_model = analysis::FitIntervalModel(row.intervals);
-  report.sketches.intervals = std::move(row.intervals);
-  t.fits_s += Since(t0);
-  const Seconds tau = options_.session_tau > 0
-                          ? options_.session_tau
-                          : report.interval_model.valley_tau;
-
-  // Walk 2 (row order, needs τ): both sessionizations + both usage tables.
-  t0 = Clock::now();
-  analysis::StreamingPerUserPass per_user_pass(trace.user_ids(), tau,
-                                               std::move(mobility));
-  trace.Scan(staging_rows, [&](std::int64_t, const TraceRowBlock& block) {
-    per_user_pass.Consume(block);
-  });
-  analysis::FusedPerUserResult per_user = per_user_pass.Finish(pool);
-  t.sessionize_s += Since(t0);
-  report.mobile_users = per_user.mobile_users;
-  report.mobile_devices = per_user.mobile_devices;
-
-  RunSharedStages(pool, options_, per_user.usage, per_user.mobile_usage,
-                  per_user.sessions, per_user.mobile_sessions, report,
-                  t.per_user_s, t.fits_s);
-  t.total_s = Since(t_total);
-  if (timings) *timings = t;
-  return report;
+  return Analyze(options_, static_cast<std::size_t>(trace.rows()),
+                 trace.user_ids(), trace.day_base(),
+                 [&](const PartitionedTrace::BlockSink& sink) {
+                   trace.Scan(staging_rows, sink);
+                 },
+                 timings);
 }
 
-// The legacy AoS engine. The §3 analyses form a small dependency DAG:
-// everything below reads the trace (or its mobile slice) and writes
-// disjoint FullReport fields, so the independent stages of each phase run
-// concurrently on the pool. Only two order edges exist: τ (phase 1,
-// interval model) gates both sessionizations, and the shared stages need
-// the usage tables and sessions. Every stage is a pure function of
-// read-only inputs, so the report is identical for every thread count.
-FullReport AnalysisPipeline::RunAos(std::span<const LogRecord> trace,
-                                    StageTimings* timings) const {
-  MCLOUD_REQUIRE(!trace.empty(), "empty trace");
-  const auto t_total = Clock::now();
-  StageTimings t;
-  ThreadPool pool(ClampThreadsToHardware(options_.threads));
-  FullReport report;
-
-  // Mobile slice as an index view: 4 bytes per record instead of a full
-  // LogRecord copy — the §3.1 stages only ever stream over it.
-  const TraceView mobile = MobileOnlyView(trace);
-
-  // Cross-phase intermediates.
-  Seconds tau = 0;
-  std::vector<analysis::UserUsage> usage;
-  std::vector<analysis::UserUsage> mobile_usage;
-  double t_overview = 0;
-  double t_interval_scan = 0;
-  double t_interval_fit = 0;
-  double t_usage = 0;
-  double t_mobile_usage = 0;
-
-  // --- Phase 1: stages that depend only on the trace / mobile slice.
-  ParallelInvoke(
-      pool,
-      {
-          [&] {
-            // Dataset overview (§2.2; mobile figures count mobile records
-            // only) and the Fig 1 workload pattern (§2.4), in one pass each.
-            const auto t0 = Clock::now();
-            report.records = trace.size();
-            std::unordered_set<std::uint64_t> users;
-            std::unordered_set<std::uint64_t> devices;
-            std::size_t android = 0;
-            for (const LogRecord& r : mobile) {
-              users.insert(r.user_id);
-              devices.insert(r.device_id);
-              if (r.device_type == DeviceType::kAndroid) ++android;
-            }
-            report.mobile_users = users.size();
-            report.mobile_devices = devices.size();
-            report.android_access_share =
-                mobile.empty() ? 0
-                               : static_cast<double>(android) /
-                                     static_cast<double>(mobile.size());
-            report.timeseries = analysis::BuildTimeseriesFrom(
-                mobile, options_.trace_start, options_.days);
-            t_overview = Since(t0);
-          },
-          [&] {
-            // Interval model (§3.1.1) and the τ every sessionization uses.
-            auto t0 = Clock::now();
-            LogBins intervals = analysis::MakeIntervalSketch();
-            analysis::AddInterOpIntervalsToSketch(mobile, intervals);
-            t_interval_scan = Since(t0);
-            t0 = Clock::now();
-            report.interval_model = analysis::FitIntervalModel(intervals);
-            report.sketches.intervals = std::move(intervals);
-            t_interval_fit = Since(t0);
-            tau = options_.session_tau > 0 ? options_.session_tau
-                                           : report.interval_model.valley_tau;
-          },
-          [&] {
-            // Usage patterns (§3.2) need the full mobile+PC view.
-            const auto t0 = Clock::now();
-            usage = analysis::BuildUserUsage(trace);
-            t_usage = Since(t0);
-          },
-          [&] {
-            // Per-user activity counts (§3.2.3) over mobile records only.
-            const auto t0 = Clock::now();
-            mobile_usage = analysis::BuildUserUsageFrom(mobile);
-            t_mobile_usage = Since(t0);
-          },
-      });
-  t.scan_s += t_overview + t_interval_scan;
-  t.fits_s += t_interval_fit;
-  t.per_user_s += t_usage + t_mobile_usage;
-
-  // --- Phase 2: session identification (needs τ).
-  const analysis::Sessionizer sessionizer(tau);
-  std::vector<analysis::Session> mobile_sessions;
-  std::vector<analysis::Session> all_sessions;
-  double t_sessionize_mobile = 0;
-  double t_sessionize_all = 0;
-  ParallelInvoke(pool,
-                 {
-                     [&] {
-                       const auto t0 = Clock::now();
-                       mobile_sessions = sessionizer.SessionizeRange(mobile);
-                       t_sessionize_mobile = Since(t0);
-                     },
-                     [&] {
-                       // Engagement counts PC sessions as activity too.
-                       const auto t0 = Clock::now();
-                       all_sessions = sessionizer.Sessionize(trace);
-                       t_sessionize_all = Since(t0);
-                     },
-                 });
-  t.sessionize_s += t_sessionize_mobile + t_sessionize_all;
-
-  // --- Phase 3: per-session figures, return curves, and the fits. The two
-  // file-size EM fits are the heaviest stages of the whole pipeline; they
-  // run concurrently with each other and with everything else here.
-  RunSharedStages(pool, options_, usage, mobile_usage, all_sessions,
-                  mobile_sessions, report, t.per_user_s, t.fits_s);
-  t.total_s = Since(t_total);
-  if (timings) *timings = t;
-  return report;
-}
-
-// The single-walk out-of-core engine: both streaming passes ride the same
-// Scan. The per-user pass runs in inline-mobility mode — it speculatively
-// folds every user's mobile rows and discards the mobile-only users'
-// speculative results at Finish, which is provably the same output as the
-// two-walk form (see stream_engine.h) — so nothing gates walk 2 on walk 1
-// and one disk pass suffices.
-FullReport AnalysisPipeline::RunStreaming(const PartitionedTrace& trace,
-                                          StageTimings* timings) const {
-  MCLOUD_REQUIRE(trace.rows() > 0, "empty trace");
-  MCLOUD_REQUIRE(options_.session_tau > 0,
-                 "the single-walk engine needs a fixed session tau: the "
-                 "valley-derived tau would gate sessionization on the "
-                 "completed interval sketch");
-  const auto t_total = Clock::now();
-  StageTimings t;
-  ThreadPool pool(ClampThreadsToHardware(options_.threads));
-  FullReport report;
-  report.records = static_cast<std::size_t>(trace.rows());
-
-  const std::size_t budget_mb =
-      options_.max_memory_mb ? options_.max_memory_mb : 1024;
-  const std::size_t staging_rows = std::max<std::size_t>(
-      std::size_t{64} * 1024, budget_mb * (1024 * 1024 / 8) / 32);
-
-  auto t0 = Clock::now();
-  analysis::StreamingRowPass row_pass(trace.user_ids(), options_.trace_start,
-                                      options_.days, trace.day_base());
-  analysis::StreamingPerUserPass per_user_pass(trace.user_ids(),
-                                               options_.session_tau);
-  trace.Scan(staging_rows, [&](std::int64_t day, const TraceRowBlock& block) {
-    row_pass.Consume(day, block);
-    per_user_pass.Consume(block);
-  });
-  analysis::FusedRowPassResult row = row_pass.TakeResult();
-  t.scan_s += Since(t0);
-  report.timeseries = std::move(row.timeseries);
-  report.android_access_share =
-      row.mobile_records == 0
-          ? 0
-          : static_cast<double>(row.android_records) /
-                static_cast<double>(row.mobile_records);
-
-  t0 = Clock::now();
-  report.interval_model = analysis::FitIntervalModel(row.intervals);
-  report.sketches.intervals = std::move(row.intervals);
-  t.fits_s += Since(t0);
-
-  t0 = Clock::now();
-  analysis::FusedPerUserResult per_user = per_user_pass.Finish(pool);
-  t.sessionize_s += Since(t0);
-  report.mobile_users = per_user.mobile_users;
-  report.mobile_devices = per_user.mobile_devices;
-
-  RunSharedStages(pool, options_, per_user.usage, per_user.mobile_usage,
-                  per_user.sessions, per_user.mobile_sessions, report,
-                  t.per_user_s, t.fits_s);
-  t.total_s = Since(t_total);
-  if (timings) *timings = t;
-  return report;
-}
-
-// The analyze-while-generate engine. The producer (typically
-// GenerateToPartitions' spill path) hands over sealed columnar slices
-// through a depth-1 bounded queue; a consumer thread drives the same
-// streaming cores RunStreaming uses directly over the slice's columns
-// (no transpose — the producer already emits SoA) while the producer
-// builds the next one. Because every
+// The producer hands over sealed slices through a depth-1 bounded queue; a
+// consumer thread walks each one while the producer builds the next. Every
 // slice is time-sorted and carries a contiguous ascending user range's
-// complete history, per-slice results are already in canonical order and
-// concatenate (sessions/usage) or sum (hour bins, interval sketch, counts)
-// into exactly the inputs the resident engine hands RunSharedStages — so
-// the report is bit-identical to Run on the concatenated trace.
+// complete history, so the per-slice walks merge (MergeSlice) into exactly
+// the walk result of the concatenated trace.
 FullReport AnalysisPipeline::RunConcurrent(
     const std::function<void(const SliceConsumer&)>& produce,
     StageTimings* timings) const {
@@ -465,15 +338,11 @@ FullReport AnalysisPipeline::RunConcurrent(
                  "analyze-while-generate needs a fixed session tau: the "
                  "valley-derived tau is only known after the last slice");
   const auto t_total = Clock::now();
-  StageTimings t;
-  FullReport report;
 
   // State below the line is owned by the consumer thread until join().
-  analysis::FusedRowPassResult row;
-  analysis::FusedPerUserResult per_user;
+  WalkResult total;
+  StageTimings t;
   std::size_t records = 0;
-  double slice_scan_s = 0;
-  double slice_sessionize_s = 0;
   std::exception_ptr consumer_error;
 
   // Depth-1 queue: one slice being analyzed, one being generated. The
@@ -489,11 +358,6 @@ FullReport AnalysisPipeline::RunConcurrent(
     // Finish's canonical sorts run inline here: ThreadPool::Run must not be
     // entered from two threads, and the caller owns the real pool.
     ThreadPool slice_pool(1);
-    // The slice already is structure-of-arrays — its columns feed the
-    // streaming cores directly. The only per-slice staging is the dense
-    // user remap (reused across slices).
-    std::vector<std::uint32_t> users;
-    std::vector<std::uint64_t> user_ids;
     for (;;) {
       RecordColumns slice;
       {
@@ -508,94 +372,13 @@ FullReport AnalysisPipeline::RunConcurrent(
       // After a failure, keep draining so the producer never deadlocks.
       if (slice.empty() || consumer_error) continue;
       try {
-        auto t0 = Clock::now();
-        const std::size_t n = slice.size();
-        // Slice-local dense user remap (ascending original ids) — the same
-        // remap TraceStore would build, scoped to this slice's users.
-        user_ids = slice.user_ids;
-        std::sort(user_ids.begin(), user_ids.end());
-        user_ids.erase(std::unique(user_ids.begin(), user_ids.end()),
-                       user_ids.end());
-        users.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          users[i] = static_cast<std::uint32_t>(
-              std::lower_bound(user_ids.begin(), user_ids.end(),
-                               slice.user_ids[i]) -
-              user_ids.begin());
-        }
-
-        analysis::StreamingRowPass row_pass(user_ids, options_.trace_start,
-                                            options_.days,
-                                            options_.trace_start);
-        analysis::StreamingPerUserPass per_user_pass(user_ids,
-                                                     options_.session_tau);
-        // Feed calendar-day segments (StreamingRowPass's Consume contract;
-        // the per-user pass ignores day boundaries).
-        const auto day_of = [&](std::int64_t t) {
-          const std::int64_t rel = t - options_.trace_start;
-          return rel >= 0 ? rel / kDay : -((-rel + kDay - 1) / kDay);
-        };
-        const std::span<const std::int64_t> ts = slice.timestamps;
-        std::size_t begin = 0;
-        while (begin < n) {
-          const std::int64_t day = day_of(ts[begin]);
-          std::size_t end = begin + 1;
-          while (end < n && day_of(ts[end]) == day) ++end;
-          const std::size_t len = end - begin;
-          const TraceRowBlock block{
-              ts.subspan(begin, len),
-              std::span<const std::uint8_t>(slice.device_types)
-                  .subspan(begin, len),
-              std::span<const std::uint64_t>(slice.device_ids)
-                  .subspan(begin, len),
-              std::span<const std::uint32_t>(users).subspan(begin, len),
-              std::span<const std::uint8_t>(slice.request_types)
-                  .subspan(begin, len),
-              std::span<const std::uint8_t>(slice.directions)
-                  .subspan(begin, len),
-              std::span<const std::uint64_t>(slice.data_volumes)
-                  .subspan(begin, len)};
-          row_pass.Consume(day, block);
-          per_user_pass.Consume(block);
-          begin = end;
-        }
-        slice = RecordColumns();  // release before Finish's sorts peak
-        analysis::FusedRowPassResult r = row_pass.TakeResult();
-        slice_scan_s += Since(t0);
-        t0 = Clock::now();
-        analysis::FusedPerUserResult p = per_user_pass.Finish(slice_pool);
-        slice_sessionize_s += Since(t0);
-
-        records += n;
-        if (row.timeseries.hours.empty()) {
-          row.timeseries = std::move(r.timeseries);
-        } else {
-          MCLOUD_REQUIRE(
-              row.timeseries.hours.size() == r.timeseries.hours.size(),
-              "slice hour windows disagree");
-          for (std::size_t i = 0; i < row.timeseries.hours.size(); ++i) {
-            auto& dst = row.timeseries.hours[i];
-            const auto& src = r.timeseries.hours[i];
-            dst.store_volume_bytes += src.store_volume_bytes;
-            dst.retrieve_volume_bytes += src.retrieve_volume_bytes;
-            dst.stored_files += src.stored_files;
-            dst.retrieved_files += src.retrieved_files;
-          }
-        }
-        row.intervals.Merge(r.intervals);
-        row.mobile_records += r.mobile_records;
-        row.android_records += r.android_records;
-
-        auto append = [](auto& dst, auto& src) {
-          dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-                     std::make_move_iterator(src.end()));
-        };
-        append(per_user.sessions, p.sessions);
-        append(per_user.mobile_sessions, p.mobile_sessions);
-        append(per_user.usage, p.usage);
-        append(per_user.mobile_usage, p.mobile_usage);
-        append(per_user.mobile_device_ids, p.mobile_device_ids);
-        per_user.mobile_users += p.mobile_users;
+        records += slice.size();
+        const auto t0 = Clock::now();
+        const TraceStore store =
+            SliceStore(std::move(slice), options_.trace_start);
+        t.scan_s += Since(t0);
+        MergeSlice(total, Walk(options_, store.user_ids(), store.day_base(),
+                               StoreScan(store), slice_pool, t));
       } catch (...) {
         consumer_error = std::current_exception();
       }
@@ -629,34 +412,16 @@ FullReport AnalysisPipeline::RunConcurrent(
   consumer.join();
   if (consumer_error) std::rethrow_exception(consumer_error);
   MCLOUD_REQUIRE(records > 0, "empty trace");
-  t.scan_s += slice_scan_s;
-  t.sessionize_s += slice_sessionize_s;
-
-  ThreadPool pool(ClampThreadsToHardware(options_.threads));
-  report.records = records;
-  report.timeseries = std::move(row.timeseries);
-  report.android_access_share =
-      row.mobile_records == 0
-          ? 0
-          : static_cast<double>(row.android_records) /
-                static_cast<double>(row.mobile_records);
-
-  auto t0 = Clock::now();
-  report.interval_model = analysis::FitIntervalModel(row.intervals);
-  report.sketches.intervals = std::move(row.intervals);
-  t.fits_s += Since(t0);
 
   // Device ids can recur across slices (a device id is only distinct per
   // user within a slice): union them for the global distinct count.
-  auto& ids = per_user.mobile_device_ids;
+  auto& ids = total.per_user.mobile_device_ids;
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  report.mobile_users = per_user.mobile_users;
-  report.mobile_devices = ids.size();
+  total.per_user.mobile_devices = ids.size();
 
-  RunSharedStages(pool, options_, per_user.usage, per_user.mobile_usage,
-                  per_user.sessions, per_user.mobile_sessions, report,
-                  t.per_user_s, t.fits_s);
+  ThreadPool pool(ClampThreadsToHardware(options_.threads));
+  FullReport report = Assemble(pool, options_, records, std::move(total), t);
   t.total_s = Since(t_total);
   if (timings) *timings = t;
   return report;

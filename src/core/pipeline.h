@@ -2,15 +2,22 @@
 // FullReport out. This is the primary public entry point of the library for
 // log-analysis consumers (see examples/quickstart.cpp).
 //
-// Two engines produce the same FullReport, bit for bit:
-//   * Run(const TraceStore&) — the columnar engine: fused row-order and
-//     per-user-run passes over the structure-of-arrays store (see
-//     analysis/fused_engine.h), then the shared fit/aggregation stages.
-//   * RunAos(span) — the legacy engine: per-stage scans over the AoS
-//     LogRecord array. Kept as the equivalence baseline and for callers
-//     that cannot build a store.
-// Run(span) is a thin adapter: it builds a TraceStore and runs the columnar
-// engine.
+// One engine serves every data source. A private block walk streams the
+// trace's analysis columns, in time order, through the two streaming cores
+// of analysis/stream_engine.h; the report tail then fits the Fig 3 interval
+// model and runs the shared fit/aggregation stages. The entry points differ
+// only in where the blocks come from:
+//   * Run(const TraceStore&) — a resident store, one calendar day per block.
+//     Run(span) builds the store first.
+//   * RunStreaming(const PartitionedTrace&) — a partitioned on-disk trace,
+//     read under the `max_memory_mb` staging budget.
+//   * RunConcurrent(produce) — slices a producer hands over while it
+//     generates the next one.
+// With a fixed session τ one walk feeds both cores. With τ = auto
+// (session_tau == 0) the per-user core needs the valley τ of the complete
+// interval sketch, so the walk reads the trace twice. Every entry point
+// produces the same FullReport, bit for bit, at every thread count and
+// staging budget.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +45,8 @@ struct PipelineOptions {
   /// Results are identical for every thread count — stages compute disjoint
   /// report fields from read-only inputs.
   int threads = 0;
-  /// Approximate resident budget (MB) for the streaming engines' staging
-  /// buffers; 0 = a 1 GiB default. Only a tuning knob — the report is
+  /// Approximate resident budget (MB) for RunStreaming's staging buffers;
+  /// 0 = a 1 GiB default. Only a tuning knob — the report is
   /// bit-identical at every budget.
   std::size_t max_memory_mb = 0;
 };
@@ -47,13 +54,14 @@ struct PipelineOptions {
 /// Wall-clock seconds spent per stage family, for the bench breakdowns.
 /// Stages run concurrently, so the fields can sum to more than `total_s`.
 struct StageTimings {
-  /// Row-order scans: hourly series, interval sample, overview counts.
+  /// The block walk that feeds both streaming cores (with τ = auto, the
+  /// first walk, which feeds only the row-order core).
   double scan_s = 0;
-  /// Session identification (the columnar engine's fused per-user pass also
-  /// builds the usage tables inside this number).
+  /// The per-user core's finish: canonical session sorts, usage tables,
+  /// device counts (with τ = auto, also the second walk that feeds it).
   double sessionize_s = 0;
-  /// Per-user aggregations: usage tables (AoS), Table 3 columns,
-  /// engagement curves, session statistics.
+  /// Per-user aggregations: Table 3 columns, engagement curves, session
+  /// statistics.
   double per_user_s = 0;
   /// Numeric fits: interval GMM, activity models, file-size EM mixtures.
   double fits_s = 0;
@@ -64,33 +72,20 @@ class AnalysisPipeline {
  public:
   explicit AnalysisPipeline(const PipelineOptions& options = {});
 
-  /// Run every §3 analysis over a time-sorted trace (mobile + PC records).
-  /// Converts to a TraceStore and runs the columnar engine.
+  /// Run every §3 analysis over a time-sorted trace (mobile + PC records):
+  /// builds a TraceStore and runs Run(const TraceStore&).
   [[nodiscard]] FullReport Run(std::span<const LogRecord> trace,
                                StageTimings* timings = nullptr) const;
 
-  /// Columnar engine over a prebuilt store (needs kAnalysisColumns).
+  /// Walk a resident store (needs kAnalysisColumns) one calendar day at a
+  /// time.
   [[nodiscard]] FullReport Run(const TraceStore& store,
                                StageTimings* timings = nullptr) const;
 
-  /// Legacy AoS engine; FullReport is bit-identical to the columnar paths.
-  [[nodiscard]] FullReport RunAos(std::span<const LogRecord> trace,
-                                  StageTimings* timings = nullptr) const;
-
-  /// Out-of-core engine: two streaming walks over a partitioned on-disk
-  /// trace, one calendar-day partition at a time, under the
-  /// `max_memory_mb` staging budget. The FullReport is bit-identical to
-  /// Run(const TraceStore&) on the merged resident trace, at every thread
-  /// count and every budget (see analysis/stream_engine.h).
-  [[nodiscard]] FullReport RunOutOfCore(const PartitionedTrace& trace,
-                                        StageTimings* timings = nullptr) const;
-
-  /// Single-walk out-of-core engine: ONE disk scan feeds both streaming
-  /// passes at once — the per-user pass runs in inline-mobility mode (see
-  /// stream_engine.h), so it needs no mobility table from walk 1. Requires
-  /// a fixed `session_tau` (> 0): the valley-derived τ would gate
-  /// sessionization on the completed interval sketch. Bit-identical to
-  /// RunOutOfCore at half the disk traffic.
+  /// Walk a partitioned on-disk trace one calendar day at a time under the
+  /// `max_memory_mb` staging budget: one Scan with a fixed τ, two with
+  /// τ = auto. The FullReport is bit-identical to Run on the merged
+  /// resident trace.
   [[nodiscard]] FullReport RunStreaming(const PartitionedTrace& trace,
                                         StageTimings* timings = nullptr) const;
 
@@ -101,10 +96,10 @@ class AnalysisPipeline {
   /// generation to the analysis rate.
   using SliceConsumer = std::function<void(RecordColumns&&)>;
 
-  /// Analyze-while-generate engine: `produce` emits sealed trace slices into
-  /// a bounded queue; a consumer thread analyzes each slice with the fused
-  /// columnar passes while the producer builds the next one, and the merged
-  /// results feed the same shared fit stages. Requires a fixed
+  /// Analyze-while-generate: `produce` emits sealed trace slices into a
+  /// bounded queue; a consumer thread moves each slice into a TraceStore and
+  /// walks it while the producer builds the next one, and the merged
+  /// results feed the same report tail. Requires a fixed
   /// `session_tau` (> 0) and slices that (a) are time-sorted internally,
   /// (b) partition the user space into contiguous ascending ranges — every
   /// user's full history in exactly one slice — as

@@ -86,7 +86,7 @@ struct FullReport {
 
 /// Order-sensitive FNV-1a hash over every field of the report (doubles by
 /// bit pattern). Two reports fingerprint equal iff they are bit-identical —
-/// the equivalence oracle for the columnar vs AoS engines and for thread
+/// the equivalence oracle across data sources, memory budgets and thread
 /// sweeps.
 [[nodiscard]] std::uint64_t FingerprintReport(const FullReport& report);
 

@@ -4,10 +4,6 @@
 
 namespace mcloud {
 
-TraceView MobileOnlyView(std::span<const LogRecord> trace) {
-  return TraceView::Of(trace, [](const LogRecord& r) { return r.IsMobile(); });
-}
-
 std::vector<LogRecord> MobileOnly(std::span<const LogRecord> trace) {
   return Filter(trace, [](const LogRecord& r) { return r.IsMobile(); });
 }

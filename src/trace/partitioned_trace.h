@@ -52,9 +52,9 @@ struct TraceRowBlock {
   [[nodiscard]] std::size_t rows() const { return timestamps.size(); }
 };
 
-/// View of rows [begin, end) of a resident store as a TraceRowBlock — how
-/// the resident engine feeds the same streaming cores the out-of-core path
-/// uses. Requires kAnalysisColumns.
+/// View of rows [begin, end) of a resident store as a TraceRowBlock — how a
+/// resident store feeds the same streaming cores a partitioned trace feeds.
+/// Requires kAnalysisColumns.
 [[nodiscard]] TraceRowBlock BlockOf(const TraceStore& store, std::size_t begin,
                                     std::size_t end);
 

@@ -195,7 +195,7 @@ ValidationInputs BuildValidationInputs(const ValidateOptions& options,
     }
   } else if (options.out_of_core) {
     // Bounded-memory path: spill the generation into a partitioned on-disk
-    // trace, then stream it back through the out-of-core engine. Both
+    // trace, then stream it back through RunStreaming. Both
     // phases share options.max_memory_mb; generation gets a third of it as
     // the AoS emission buffer (records cost ~80 B buffered vs ~31 B
     // staged, and the analysis walks also carry dense per-user state).
@@ -219,7 +219,7 @@ ValidationInputs BuildValidationInputs(const ValidateOptions& options,
     t0 = Clock::now();
     popts.max_memory_mb = options.max_memory_mb;
     const PartitionedTrace part = PartitionedTrace::Open(dir);
-    in.report = core::AnalysisPipeline(popts).RunOutOfCore(part);
+    in.report = core::AnalysisPipeline(popts).RunStreaming(part);
     if (timings) timings->analyze_s = Since(t0);
     if (owned) {
       std::error_code ec;

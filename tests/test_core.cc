@@ -53,8 +53,11 @@ TEST(Pipeline, RenderFindingsMentionsKeyResults) {
 TEST(Pipeline, RejectsEmptyTrace) {
   const AnalysisPipeline pipeline;
   EXPECT_THROW((void)pipeline.Run(std::span<const LogRecord>{}), Error);
-  EXPECT_THROW((void)pipeline.RunAos(std::span<const LogRecord>{}), Error);
   EXPECT_THROW((void)pipeline.Run(TraceStore{}), Error);
+  // A producer that never hands over a slice.
+  EXPECT_THROW((void)pipeline.RunConcurrent(
+                   [](const AnalysisPipeline::SliceConsumer&) {}),
+               Error);
 }
 
 TEST(Pipeline, DataDerivedTauWorks) {

@@ -1,7 +1,8 @@
 // The out-of-core pipeline's determinism contract: spill-generate +
-// RunOutOfCore must produce the bit-identical FullReport of the resident
+// RunStreaming must produce the bit-identical FullReport of the resident
 // GenerateColumnar + Run path, at every thread count and every spill-buffer
-// size (DESIGN.md, "Out-of-core pipeline").
+// size, with a fixed τ (one walk) and with τ = auto (two walks; DESIGN.md,
+// "Out-of-core pipeline").
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,12 +33,18 @@ std::filesystem::path SpillDir(const char* name) {
   return dir;
 }
 
+core::PipelineOptions ValleyTau() {
+  core::PipelineOptions opts;
+  opts.session_tau = 0;  // τ = auto: row walk, valley fit, per-user walk
+  return opts;
+}
+
 TEST(OutOfCore, SpilledGenerationMatchesResidentReport) {
   const workload::WorkloadConfig cfg = SmallConfig();
   const workload::ColumnarWorkload resident =
       workload::WorkloadGenerator(cfg).GenerateColumnar();
   const core::FullReport want =
-      core::AnalysisPipeline(core::PipelineOptions{}).Run(resident.trace);
+      core::AnalysisPipeline(ValleyTau()).Run(resident.trace);
   const std::uint64_t want_fp = core::FingerprintReport(want);
 
   // Small chunks + the minimum buffer budget force several spills at this
@@ -59,11 +66,11 @@ TEST(OutOfCore, SpilledGenerationMatchesResidentReport) {
     EXPECT_EQ(trace.rows(), resident.trace.rows());
     EXPECT_EQ(trace.users(), resident.trace.users());
 
-    core::PipelineOptions opts;
+    core::PipelineOptions opts = ValleyTau();
     opts.threads = threads;
     opts.max_memory_mb = 1;  // minimum staging: many refills per day
     const core::FullReport got =
-        core::AnalysisPipeline(opts).RunOutOfCore(trace);
+        core::AnalysisPipeline(opts).RunStreaming(trace);
     EXPECT_EQ(core::FingerprintReport(got), want_fp)
         << "threads=" << threads;
     std::filesystem::remove_all(dir);
@@ -86,9 +93,9 @@ TEST(OutOfCore, RunStreamingMatchesResidentReport) {
   (void)workload::WorkloadGenerator(cfg).GenerateToPartitions(spill);
   const PartitionedTrace trace = PartitionedTrace::Open(dir);
 
-  // The single-walk engine (one Scan feeding the row pass and the
-  // inline-mobility per-user pass together) must be bit-identical to the
-  // resident two-pass engine at every thread count and staging budget.
+  // With a fixed τ one Scan feeds both streaming passes; the report must
+  // be bit-identical to the resident walk at every thread count and
+  // staging budget.
   for (const int threads : {1, 3}) {
     core::PipelineOptions opts;
     opts.threads = threads;
@@ -182,8 +189,8 @@ TEST(OutOfCore, GenerateToPartitionsIsIdenticalAcrossThreadCounts) {
     spill.max_buffer_bytes = 1;  // clamped to the 64k-record floor
     spill.users_per_chunk = 64;
     (void)workload::WorkloadGenerator(cfg).GenerateToPartitions(spill);
-    const core::FullReport report =
-        core::AnalysisPipeline(core::PipelineOptions{}).RunOutOfCore(PartitionedTrace::Open(dir));
+    const core::FullReport report = core::AnalysisPipeline(ValleyTau())
+                                        .RunStreaming(PartitionedTrace::Open(dir));
     std::filesystem::remove_all(dir);
     return core::FingerprintReport(report);
   };

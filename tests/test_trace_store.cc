@@ -1,21 +1,26 @@
 // Tests for the columnar TraceStore and the v2 columnar binary format:
-// dense user remapping, run/day indexes, AoS round-trips, selective column
-// reads, corrupt-file handling, and golden equivalence of the AoS and
-// columnar analysis engines.
+// dense user remapping, day partitions, AoS round-trips, selective column
+// reads, corrupt-file handling, and the streaming analysis passes checked
+// stage by stage against the plain per-stage functions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <vector>
 
-#include "core/pipeline.h"
-#include "core/report.h"
+#include "analysis/sessionizer.h"
+#include "analysis/stream_engine.h"
+#include "analysis/usage_patterns.h"
+#include "analysis/workload_timeseries.h"
+#include "trace/filters.h"
 #include "trace/log_io.h"
 #include "trace/log_record.h"
+#include "trace/partitioned_trace.h"
 #include "trace/trace_store.h"
+#include "util/parallel.h"
 #include "util/timeutil.h"
 #include "workload/generator.h"
 
@@ -78,24 +83,6 @@ TEST(TraceStore, DenseRemapIsAscendingOriginalOrder) {
     EXPECT_EQ(store.user_ids()[store.user_index()[row]],
               records[row].user_id);
   }
-}
-
-TEST(TraceStore, UserRunsAreTimeOrderedAndCoverAllRows) {
-  const auto records = MixedTrace();
-  const auto store = TraceStore::FromRecords(records);
-
-  std::vector<int> visits(store.rows(), 0);
-  for (std::size_t u = 0; u < store.users(); ++u) {
-    const auto run = store.UserRun(u);
-    std::int64_t prev = std::numeric_limits<std::int64_t>::min();
-    for (const std::uint32_t row : run) {
-      EXPECT_EQ(store.user_index()[row], u);
-      EXPECT_GE(store.timestamps()[row], prev);
-      prev = store.timestamps()[row];
-      ++visits[row];
-    }
-  }
-  for (const int v : visits) EXPECT_EQ(v, 1);  // a partition of the rows
 }
 
 TEST(TraceStore, DayPartitionsTileTheTraceByCalendarDay) {
@@ -222,30 +209,100 @@ TEST(ColumnarIo, RejectsWrongFormatAndTruncation) {
   std::filesystem::remove(v2);
 }
 
-/// Golden equivalence: the columnar engine must reproduce the AoS engine's
-/// FullReport bit for bit, whatever the entry point and thread count.
-TEST(EngineEquivalence, ColumnarReportIsBitIdenticalToAos) {
+void ExpectSameSessions(const std::vector<analysis::Session>& got,
+                        const std::vector<analysis::Session>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].user_id, want[i].user_id) << i;
+    EXPECT_EQ(got[i].begin, want[i].begin) << i;
+    EXPECT_EQ(got[i].end, want[i].end) << i;
+    EXPECT_EQ(got[i].first_op, want[i].first_op) << i;
+    EXPECT_EQ(got[i].last_op, want[i].last_op) << i;
+    EXPECT_EQ(got[i].store_ops, want[i].store_ops) << i;
+    EXPECT_EQ(got[i].retrieve_ops, want[i].retrieve_ops) << i;
+    EXPECT_EQ(got[i].chunk_requests, want[i].chunk_requests) << i;
+    EXPECT_EQ(got[i].store_volume, want[i].store_volume) << i;
+    EXPECT_EQ(got[i].retrieve_volume, want[i].retrieve_volume) << i;
+    EXPECT_EQ(got[i].mobile, want[i].mobile) << i;
+  }
+}
+
+void ExpectSameUsage(const std::vector<analysis::UserUsage>& got,
+                     const std::vector<analysis::UserUsage>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].user_id, want[i].user_id) << i;
+    EXPECT_EQ(got[i].store_volume, want[i].store_volume) << i;
+    EXPECT_EQ(got[i].retrieve_volume, want[i].retrieve_volume) << i;
+    EXPECT_EQ(got[i].stored_files, want[i].stored_files) << i;
+    EXPECT_EQ(got[i].retrieved_files, want[i].retrieved_files) << i;
+    EXPECT_EQ(got[i].mobile_devices, want[i].mobile_devices) << i;
+    EXPECT_EQ(got[i].uses_pc, want[i].uses_pc) << i;
+  }
+}
+
+/// Stage-level reference check: the streaming passes, fed a store's day
+/// partitions as the pipeline feeds them, against the plain per-stage
+/// functions on the AoS trace and on its mobile slice.
+void ExpectPassesMatchReference(const std::vector<LogRecord>& records) {
+  constexpr Seconds kTau = 3600;
+  constexpr int kDays = 7;
+  const TraceStore store = TraceStore::FromRecords(records);
+  analysis::StreamingRowPass row_pass(store.user_ids(), kTraceStart, kDays,
+                                      store.day_base());
+  analysis::StreamingPerUserPass per_user_pass(store.user_ids(), kTau);
+  for (const TraceStore::DayPartition& part : store.day_partitions()) {
+    const TraceRowBlock block = BlockOf(store, part.begin, part.end);
+    row_pass.Consume(part.day, block);
+    per_user_pass.Consume(block);
+  }
+  ThreadPool pool(1);
+  const analysis::FusedRowPassResult row = row_pass.TakeResult();
+  const analysis::FusedPerUserResult per_user = per_user_pass.Finish(pool);
+
+  const std::vector<LogRecord> mobile = MobileOnly(records);
+  const analysis::Sessionizer sessionizer(kTau);
+  ExpectSameSessions(per_user.sessions, sessionizer.Sessionize(records));
+  ExpectSameSessions(per_user.mobile_sessions, sessionizer.Sessionize(mobile));
+  ExpectSameUsage(per_user.usage, analysis::BuildUserUsage(records));
+  const auto mobile_usage = analysis::BuildUserUsage(mobile);
+  ExpectSameUsage(per_user.mobile_usage, mobile_usage);
+  EXPECT_EQ(per_user.mobile_users, mobile_usage.size());
+  EXPECT_EQ(per_user.mobile_devices, CountDistinctDevices(mobile));
+
+  const analysis::WorkloadTimeseries ts =
+      analysis::BuildTimeseries(mobile, kTraceStart, kDays);
+  ASSERT_EQ(row.timeseries.hours.size(), ts.hours.size());
+  for (std::size_t h = 0; h < ts.hours.size(); ++h) {
+    const analysis::HourBin& got = row.timeseries.hours[h];
+    const analysis::HourBin& want = ts.hours[h];
+    EXPECT_EQ(got.hour, want.hour);
+    EXPECT_EQ(got.store_volume_bytes, want.store_volume_bytes) << h;
+    EXPECT_EQ(got.retrieve_volume_bytes, want.retrieve_volume_bytes) << h;
+    EXPECT_EQ(got.stored_files, want.stored_files) << h;
+    EXPECT_EQ(got.retrieved_files, want.retrieved_files) << h;
+  }
+  EXPECT_EQ(row.intervals.Total(), analysis::InterOpIntervals(mobile).size());
+  EXPECT_EQ(row.mobile_records, mobile.size());
+  EXPECT_EQ(row.android_records,
+            static_cast<std::size_t>(std::count_if(
+                mobile.begin(), mobile.end(), [](const LogRecord& r) {
+                  return r.device_type == DeviceType::kAndroid;
+                })));
+}
+
+TEST(StreamingPasses, MatchReferenceStagesOnMixedTrace) {
+  ExpectPassesMatchReference(MixedTrace());
+}
+
+TEST(StreamingPasses, MatchReferenceStagesOnGeneratedTrace) {
   workload::WorkloadConfig cfg;
   cfg.population.mobile_users = 200;
   cfg.population.pc_only_users = 60;
   cfg.seed = 7;
   const auto w = workload::WorkloadGenerator(cfg).Generate();
   ASSERT_FALSE(w.trace.empty());
-
-  core::PipelineOptions opts;
-  opts.threads = 1;
-  const auto golden =
-      core::FingerprintReport(core::AnalysisPipeline(opts).RunAos(w.trace));
-
-  for (const int threads : {1, 4}) {
-    core::PipelineOptions o;
-    o.threads = threads;
-    const core::AnalysisPipeline pipeline(o);
-    EXPECT_EQ(core::FingerprintReport(pipeline.RunAos(w.trace)), golden);
-    EXPECT_EQ(core::FingerprintReport(pipeline.Run(w.trace)), golden);
-    const auto store = TraceStore::FromRecords(w.trace);
-    EXPECT_EQ(core::FingerprintReport(pipeline.Run(store)), golden);
-  }
+  ExpectPassesMatchReference(w.trace);
 }
 
 TEST(EngineEquivalence, GenerateColumnarEmitsTheSameTrace) {

@@ -7,7 +7,7 @@
 //   mcloudctl grow      --users N [--pc N] [--seed S] [--threads N]
 //                       [--max-memory-mb M] [--analyze-while-generate] OUT
 //   mcloudctl analyze   TRACE [--tau SECONDS|auto] [--threads N]
-//                       [--max-memory-mb M] [--streaming]
+//                       [--max-memory-mb M]
 //   mcloudctl sessions  TRACE [--tau SECONDS] [--top N]
 //   mcloudctl convert   IN OUT
 //   mcloudctl anonymize IN OUT --key KEY
@@ -40,8 +40,8 @@
 // row-wise v1 binary format (anything else); writes pick the format by
 // extension, reads additionally sniff the v2 magic so a columnar file is
 // recognized under any name. `analyze` runs the full §3 pipeline and prints
-// the findings report — on a columnar trace it loads only the analysis
-// columns and never materializes row structs; `simulate` runs one chunked
+// the findings report followed by its stage timings — on a columnar trace it
+// loads only the analysis columns and never materializes row structs; `simulate` runs one chunked
 // transfer through the TCP substrate and prints its per-chunk timeline, or —
 // when any fault knob is given — a whole session fleet against the
 // fault-injected service, printing the availability report.
@@ -49,18 +49,16 @@
 // Out-of-core mode: `generate --out-of-core OUT` writes a *partitioned
 // trace directory* (per-day sorted run files + MANIFEST, see
 // trace/partitioned_trace.h) under a bounded emission buffer, and `analyze`
-// and `validate` stream such a directory through the out-of-core engine —
-// same reports/fingerprints as the resident paths, at any --max-memory-mb.
+// and `validate` stream such a directory through RunStreaming — same
+// reports/fingerprints as the resident paths, at any --max-memory-mb.
 //
 // Online mode: `grow OUT` generates a partitioned trace *and* produces the
-// findings report in one command — two-phase by default (spill, then the
-// single-walk streaming engine), or fully overlapped with
-// --analyze-while-generate (each sealed spill slice is analyzed while the
-// next one is generated; see AnalysisPipeline::RunConcurrent). `analyze
-// --streaming` runs the single-walk engine on an existing partition
-// directory and prints the stage timing block with the sketch footprint;
-// `validate --concurrent` validates through the overlapped pipeline and
-// fingerprints identically to the resident run.
+// findings report in one command — two-phase by default (spill, then
+// RunStreaming), or fully overlapped with --analyze-while-generate (each
+// sealed spill slice is analyzed while the next one is generated; see
+// AnalysisPipeline::RunConcurrent). `validate --concurrent` validates
+// through the overlapped pipeline and fingerprints identically to the
+// resident run.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -132,8 +130,7 @@ Args Parse(int argc, char** argv, int first) {
   // output path after `--faults`) is not swallowed as their argument.
   static const std::set<std::string> kBooleanFlags = {
       "no-ssai", "pace",      "faults",    "hedge",
-      "no-retry", "out-of-core", "streaming", "analyze-while-generate",
-      "concurrent"};
+      "no-retry", "out-of-core", "analyze-while-generate", "concurrent"};
   Args args;
   for (int i = first; i < argc; ++i) {
     const std::string_view a = argv[i];
@@ -197,7 +194,7 @@ int Usage() {
       "  grow      --users N [--pc N] [--seed S] [--threads N]\n"
       "            [--max-memory-mb M] [--analyze-while-generate] OUT\n"
       "  analyze   TRACE [--tau SECONDS|auto] [--threads N]\n"
-      "            [--max-memory-mb M] [--streaming]\n"
+      "            [--max-memory-mb M]\n"
       "  sessions  TRACE [--tau SECONDS] [--top N]\n"
       "  convert   IN OUT\n"
       "  anonymize IN OUT --key KEY\n"
@@ -230,11 +227,10 @@ int Usage() {
       "TRACE) is a partitioned trace *directory*; --max-memory-mb bounds\n"
       "the resident footprint. grow writes a partitioned directory AND\n"
       "prints the findings report — two disk phases by default, one\n"
-      "overlapped walk with --analyze-while-generate. analyze --streaming\n"
-      "runs the single-walk engine on a partition directory and prints the\n"
-      "stage timings with the sketch footprint; validate --concurrent\n"
-      "validates through the overlapped pipeline. --threads 0 (the\n"
-      "default) uses all hardware threads; output is identical for every\n"
+      "overlapped walk with --analyze-while-generate. analyze and grow\n"
+      "print the stage timings with the sketch footprint; validate\n"
+      "--concurrent validates through the overlapped pipeline. --threads 0\n"
+      "(the default) uses all hardware threads; output is identical for every\n"
       "thread count, memory budget, and execution strategy.\n",
       stderr);
   return 2;
@@ -352,31 +348,20 @@ void PrintStageTimings(const core::StageTimings& st,
 
 int CmdAnalyze(const Args& args) {
   if (args.positional.size() != 1) return Usage();
-  const bool streaming = args.Has("streaming");
   core::PipelineOptions opts;
   const std::string tau = args.Get("tau", "3600");
   opts.session_tau = tau == "auto" ? 0 : std::strtod(tau.c_str(), nullptr);
   opts.threads = static_cast<int>(args.GetU64("threads", 0));
-  if (streaming && opts.session_tau <= 0) {
-    std::fprintf(stderr, "mcloudctl: --streaming needs a fixed --tau (the "
-                         "single-walk engine cannot derive it)\n");
-    return 2;
-  }
+  opts.max_memory_mb =
+      static_cast<std::size_t>(args.GetU64("max-memory-mb", 0));
   const core::AnalysisPipeline pipeline(opts);
 
   const std::filesystem::path path = args.positional[0];
   core::FullReport report;
   core::StageTimings st;
   if (std::filesystem::is_directory(path)) {
-    // Partitioned trace directory: stream it through the out-of-core
-    // engine under the requested budget — one walk with --streaming, two
-    // without.
-    opts.max_memory_mb =
-        static_cast<std::size_t>(args.GetU64("max-memory-mb", 0));
-    const core::AnalysisPipeline streamer(opts);
-    const PartitionedTrace part = PartitionedTrace::Open(path);
-    report = streaming ? streamer.RunStreaming(part, &st)
-                       : streamer.RunOutOfCore(part, &st);
+    // Partitioned trace directory: stream it under the requested budget.
+    report = pipeline.RunStreaming(PartitionedTrace::Open(path), &st);
   } else if (!IsCsv(path) && IsColumnarTrace(path)) {
     // Columnar fast path: load only the columns the pipeline touches and
     // feed the store directly — no LogRecord vector is ever built.
@@ -385,13 +370,13 @@ int CmdAnalyze(const Args& args) {
     report = pipeline.Run(ReadTrace(path), &st);
   }
   std::fputs(core::RenderFindings(report).c_str(), stdout);
-  if (streaming) PrintStageTimings(st, report);
+  PrintStageTimings(st, report);
   return 0;
 }
 
 /// Generate a partitioned trace directory AND produce its findings report.
-/// Two-phase by default (spill everything, then the single-walk streaming
-/// engine); with --analyze-while-generate each sealed spill slice feeds the
+/// Two-phase by default (spill everything, then RunStreaming); with
+/// --analyze-while-generate each sealed spill slice feeds the
 /// concurrent pipeline while the next slice is generated, so the report is
 /// ready moments after the last record is written.
 int CmdGrow(const Args& args) {
