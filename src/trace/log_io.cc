@@ -44,6 +44,13 @@ std::ifstream OpenV1(const std::filesystem::path& path, std::uint64_t* count) {
     throw ParseError("not a mcloud binary trace: " + path.string());
   in.read(reinterpret_cast<char*>(count), sizeof(*count));
   if (!in) throw ParseError("truncated binary trace: " + path.string());
+  // Callers size buffers from the count, so it must fit the file.
+  std::error_code ec;
+  const std::uint64_t size = std::filesystem::file_size(path, ec);
+  const std::uint64_t header = kMagic.size() + sizeof(*count);
+  if (ec || size < header ||
+      *count > (size - header) / sizeof(detail::PackedRecord))
+    throw ParseError("truncated binary trace: " + path.string());
   return in;
 }
 

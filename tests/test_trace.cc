@@ -147,6 +147,16 @@ TEST(LogIo, BinaryRejectsGarbage) {
     std::fclose(f);
   }
   EXPECT_THROW((void)ReadBinaryTrace(path), ParseError);
+
+  // A valid magic whose header claims 2^60 records in a 16-byte file: the
+  // count is checked against the file size before anything is reserved.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const std::uint64_t count = std::uint64_t{1} << 60;
+    out.write("MCLOGv01", 8);
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  }
+  EXPECT_THROW((void)ReadBinaryTrace(path), ParseError);
   std::filesystem::remove(path);
 }
 
