@@ -2,20 +2,27 @@
 //
 // Most determinism tests are relative (threads 1 == threads 4, out-of-core
 // == resident) and still pass when every path moves together. This table
-// pins absolute values instead: the generated trace, the §3 FullReport
-// through every AnalysisPipeline entry point at a fixed and at the
-// data-derived τ, and the `validate` manifest in every execution mode. A
-// refactor keeps every value; an intentional output change updates the
-// table and says why in CHANGES.md.
+// pins absolute values instead: the generated trace through every generator
+// entry point, the session plans, the bytes of a spilled partitioned trace,
+// the §3 FullReport through every AnalysisPipeline entry point at a fixed
+// and at the data-derived τ, and the `validate` manifest in every execution
+// mode. A refactor keeps every value; an intentional output change updates
+// the table and says why in CHANGES.md.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "scenario/workload_spec.h"
+#include "trace/log_io.h"
 #include "trace/partitioned_trace.h"
 #include "trace/record_columns.h"
 #include "validate/validator.h"
@@ -27,6 +34,15 @@ namespace {
 // Population: 2,000 mobile + 666 PC-only users, seed 42.
 constexpr std::size_t kRecords = 770'053;
 constexpr std::uint64_t kTraceFingerprint = 0x5665cd260cca60acULL;
+// GeneratePlansOnly(): session and op counts, and PlanHash over the plans.
+constexpr std::size_t kSessions = 6'924;
+constexpr std::size_t kOps = 61'464;
+constexpr std::uint64_t kPlanHash = 0x5e26c430ed4515d6ULL;
+// GenerateToPartitions(GoldenSpill): spills, run files, and FNV-1a over the
+// MANIFEST bytes followed by each run file's bytes in manifest order.
+constexpr std::size_t kSpills = 12;
+constexpr std::size_t kRunFiles = 96;
+constexpr std::uint64_t kSpillBytes = 0xc9affc8183d6433dULL;
 // FingerprintReport at τ = 3600 s and at the Fig 3 valley τ (τ = auto).
 constexpr std::uint64_t kReportFixedTau = 0x554fad1b9ebfb5e9ULL;
 constexpr std::uint64_t kReportValleyTau = 0xde48c77813d0c3dcULL;
@@ -60,6 +76,64 @@ std::filesystem::path FreshDir(const char* name) {
   return dir;
 }
 
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+std::uint64_t FnvByte(std::uint64_t h, unsigned char byte) {
+  return (h ^ byte) * kFnvPrime;
+}
+
+/// FNV-1a over the 8 little-endian bytes of `v` (TraceFingerprint's fold).
+std::uint64_t FnvU64(std::uint64_t h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b)
+    h = FnvByte(h, static_cast<unsigned char>(v >> (8 * b)));
+  return h;
+}
+
+std::uint64_t FnvFile(std::uint64_t h, const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it)
+    h = FnvByte(h, static_cast<unsigned char>(*it));
+  return h;
+}
+
+/// Each plan's user, device, device type, start and op count, then each
+/// op's direction, size and offset in microseconds.
+std::uint64_t PlanHash(std::span<const workload::SessionPlan> plans) {
+  std::uint64_t h = kFnvOffset;
+  for (const workload::SessionPlan& p : plans) {
+    h = FnvU64(h, p.user_id);
+    h = FnvU64(h, p.device_id);
+    h = FnvU64(h, static_cast<std::uint64_t>(p.device_type));
+    h = FnvU64(h, static_cast<std::uint64_t>(p.start));
+    h = FnvU64(h, p.ops.size());
+    for (const workload::FileOp& op : p.ops) {
+      h = FnvU64(h, static_cast<std::uint64_t>(op.direction));
+      h = FnvU64(h, op.size);
+      h = FnvU64(h, static_cast<std::uint64_t>(detail::ToMicros(op.offset)));
+    }
+  }
+  return h;
+}
+
+/// FNV-1a over a partitioned trace's MANIFEST, then its run files in
+/// manifest order.
+std::uint64_t SpillBytesHash(const std::filesystem::path& dir) {
+  std::uint64_t h = FnvFile(kFnvOffset, dir / "MANIFEST");
+  std::ifstream manifest(dir / "MANIFEST");
+  std::string line;
+  while (std::getline(manifest, line)) {
+    std::istringstream ls(line);
+    std::string key, file;
+    std::uint64_t seq = 0, rows = 0;
+    std::int64_t day = 0;
+    if (ls >> key >> seq >> day >> rows >> file && key == "run")
+      h = FnvFile(h, dir / file);
+  }
+  return h;
+}
+
 core::AnalysisPipeline Pipeline(int threads, Seconds tau) {
   core::PipelineOptions o;
   o.threads = threads;
@@ -75,8 +149,8 @@ class Goldens : public ::testing::Test {
         workload::WorkloadGenerator(GoldenConfig(0)).GenerateColumnar());
     records_ = new std::vector<LogRecord>(resident_->trace.ToRecords());
     dir_ = new std::filesystem::path(FreshDir("mcloud_goldens_spill"));
-    (void)workload::WorkloadGenerator(GoldenConfig(0))
-        .GenerateToPartitions(GoldenSpill(*dir_));
+    spill_ = workload::WorkloadGenerator(GoldenConfig(0))
+                 .GenerateToPartitions(GoldenSpill(*dir_));
   }
   static void TearDownTestSuite() {
     std::filesystem::remove_all(*dir_);
@@ -88,16 +162,48 @@ class Goldens : public ::testing::Test {
   static workload::ColumnarWorkload* resident_;
   static std::vector<LogRecord>* records_;
   static std::filesystem::path* dir_;
+  static workload::SpillSummary spill_;
 };
 
 workload::ColumnarWorkload* Goldens::resident_ = nullptr;
 std::vector<LogRecord>* Goldens::records_ = nullptr;
 std::filesystem::path* Goldens::dir_ = nullptr;
+workload::SpillSummary Goldens::spill_;
 
 TEST_F(Goldens, Trace) {
   EXPECT_EQ(resident_->trace.rows(), kRecords);
   EXPECT_EQ(TraceFingerprint(resident_->trace), kTraceFingerprint);
   EXPECT_EQ(PartitionedTrace::Open(*dir_).rows(), kRecords);
+}
+
+TEST_F(Goldens, SpillLayout) {
+  EXPECT_EQ(spill_.records, kRecords);
+  EXPECT_EQ(spill_.spills, kSpills);
+  EXPECT_EQ(spill_.run_files, kRunFiles);
+  EXPECT_EQ(SpillBytesHash(*dir_), kSpillBytes);
+}
+
+TEST(GoldenGenerator, Generate) {
+  for (const int threads : {1, 4}) {
+    const workload::Workload w =
+        workload::WorkloadGenerator(GoldenConfig(threads)).Generate();
+    EXPECT_EQ(w.trace.size(), kRecords) << "threads=" << threads;
+    EXPECT_EQ(TraceFingerprint(std::span<const LogRecord>(w.trace)),
+              kTraceFingerprint)
+        << "threads=" << threads;
+  }
+}
+
+TEST(GoldenGenerator, PlansOnly) {
+  for (const int threads : {1, 4}) {
+    const workload::Workload w =
+        workload::WorkloadGenerator(GoldenConfig(threads)).GeneratePlansOnly();
+    std::size_t ops = 0;
+    for (const workload::SessionPlan& p : w.sessions) ops += p.ops.size();
+    EXPECT_EQ(w.sessions.size(), kSessions) << "threads=" << threads;
+    EXPECT_EQ(ops, kOps) << "threads=" << threads;
+    EXPECT_EQ(PlanHash(w.sessions), kPlanHash) << "threads=" << threads;
+  }
 }
 
 TEST_F(Goldens, ReportAtFixedTau) {
