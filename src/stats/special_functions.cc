@@ -12,6 +12,14 @@ namespace {
 constexpr int kMaxIterations = 500;
 constexpr double kEpsilon = 1e-14;
 
+/// ln Γ(a) through the reentrant glibc routine: std::lgamma writes the
+/// global `signgam`, a data race when two fits run concurrently. Same
+/// routine, same values.
+double LogGamma(double a) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+}
+
 // Series expansion of P(a, x), accurate for x < a + 1.
 double GammaPSeries(double a, double x) {
   double term = 1.0 / a;
@@ -23,7 +31,7 @@ double GammaPSeries(double a, double x) {
     sum += term;
     if (std::abs(term) < std::abs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 // Lentz continued fraction for Q(a, x), accurate for x >= a + 1.
@@ -45,7 +53,7 @@ double GammaQContinuedFraction(double a, double x) {
     h *= delta;
     if (std::abs(delta - 1.0) < kEpsilon) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - LogGamma(a));
 }
 
 }  // namespace
