@@ -45,10 +45,10 @@ double Since(Clock::time_point t0) {
 }
 
 // ---- the pre-PR generate path, embedded verbatim ------------------------
-// This is WorkloadGenerator::PlanAndEmit + Generate as of the previous
-// commit (allocating per-user planning, scalar emission, per-shard
-// stable_sort, stable k-way merge), with only the Workload bookkeeping the
-// bench does not need removed.
+// This is WorkloadGenerator's resident plan-and-emit loop + Generate as they
+// were before the fast path (allocating per-user planning, scalar emission,
+// per-shard stable_sort, stable k-way merge), with only the Workload
+// bookkeeping the bench does not need removed.
 
 bool SessionStartOrder(const workload::SessionPlan& a,
                        const workload::SessionPlan& b) {

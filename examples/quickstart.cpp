@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
 
   const workload::WorkloadGenerator generator(config);
   const workload::Workload w = generator.Generate();
-  std::printf("  users=%zu sessions=%zu log records=%zu\n\n", w.users.size(),
-              w.sessions.size(), w.trace.size());
+  std::printf("  users=%zu log records=%zu\n\n", w.users.size(),
+              w.trace.size());
 
   const core::AnalysisPipeline pipeline;
   const core::FullReport report = pipeline.Run(w.trace);

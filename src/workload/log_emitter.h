@@ -14,7 +14,6 @@
 //     whole session and fields are stored straight into SoA columns.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "trace/log_record.h"
@@ -43,11 +42,6 @@ class FastLogEmitter {
   /// normals as one batch.
   void EmitSessionColumnar(const SessionPlan& session, Rng& rng,
                            RecordColumns& out, EmitScratch& scratch) const;
-
-  /// Emit records for many sessions; the result is NOT time-sorted (callers
-  /// sort once after all sessions are emitted).
-  [[nodiscard]] std::vector<LogRecord> Emit(
-      std::span<const SessionPlan> sessions, Rng& rng) const;
 
   /// Effective application-level throughput (bytes/s) of a device for a
   /// direction, before per-session jitter.

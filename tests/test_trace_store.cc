@@ -314,7 +314,6 @@ TEST(EngineEquivalence, GenerateColumnarEmitsTheSameTrace) {
   const auto columnar = workload::WorkloadGenerator(cfg).GenerateColumnar();
 
   EXPECT_EQ(columnar.users.size(), aos.users.size());
-  EXPECT_EQ(columnar.sessions.size(), aos.sessions.size());
   EXPECT_EQ(columnar.trace.ToRecords(), aos.trace);
 }
 

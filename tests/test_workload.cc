@@ -2,6 +2,7 @@
 // diurnal pattern, and the fast log emitter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <unordered_set>
 #include <vector>
@@ -499,10 +500,18 @@ TEST(Generator, TraceSortedAndConsistent) {
   ASSERT_FALSE(w.trace.empty());
   for (std::size_t i = 1; i < w.trace.size(); ++i)
     EXPECT_LE(w.trace[i - 1].timestamp, w.trace[i].timestamp);
-  // Plans-only mode produces the same sessions and no logs.
+  // Plans-only mode produces the plans and no logs; the trace carries one
+  // file-operation record per planned op.
   const auto plans = WorkloadGenerator(cfg).GeneratePlansOnly();
-  EXPECT_EQ(plans.sessions.size(), w.sessions.size());
   EXPECT_TRUE(plans.trace.empty());
+  EXPECT_TRUE(w.sessions.empty());
+  std::size_t ops = 0;
+  for (const auto& s : plans.sessions) ops += s.ops.size();
+  const auto file_ops = std::count_if(
+      w.trace.begin(), w.trace.end(), [](const LogRecord& r) {
+        return r.request_type == RequestType::kFileOperation;
+      });
+  EXPECT_EQ(static_cast<std::size_t>(file_ops), ops);
 }
 
 // Property sweep over seeds: structural invariants of generated workloads.
@@ -526,7 +535,8 @@ TEST_P(GeneratorSeedSweep, StructuralInvariants) {
     EXPECT_GT(r.avg_rtt, 0.0);
     EXPECT_GE(r.processing_time, r.server_time);
   }
-  for (const auto& s : w.sessions) EXPECT_FALSE(s.ops.empty());
+  for (const auto& s : WorkloadGenerator(cfg).GeneratePlansOnly().sessions)
+    EXPECT_FALSE(s.ops.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorSeedSweep,
