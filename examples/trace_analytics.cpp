@@ -2,7 +2,7 @@
 //
 // Demonstrates the trace toolchain end to end: generate a week of logs,
 // anonymize them (as the paper's released dataset was), write them to CSV
-// and to the compact binary format, read them back, and run the full
+// and to the compact columnar v2 format, read them back, and run the full
 // analysis pipeline on the reloaded trace. Point the reader at FromCsvLine /
 // ReadCsvTrace to run the pipeline on real front-end logs instead.
 //
@@ -35,10 +35,10 @@ int main(int argc, char** argv) {
   const auto anonymized = anonymizer.Apply(w.trace);
 
   const auto csv_path = dir / "mcloud_trace.csv";
-  const auto bin_path = dir / "mcloud_trace.bin";
-  WriteCsvTrace(csv_path, anonymized);
-  WriteBinaryTrace(bin_path, anonymized);
-  std::printf("Wrote %zu records:\n  CSV    %s (%.1f MB)\n  binary %s "
+  const auto bin_path = dir / "mcloud_trace.v2";
+  WriteTrace(csv_path, anonymized);
+  WriteTrace(bin_path, anonymized);
+  std::printf("Wrote %zu records:\n  CSV %s (%.1f MB)\n  v2  %s "
               "(%.1f MB)\n",
               anonymized.size(), csv_path.c_str(),
               ToMB(std::filesystem::file_size(csv_path)),
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
               ToMB(std::filesystem::file_size(bin_path)));
 
   // Reload from disk and analyze, as an external consumer would.
-  const auto reloaded = ReadBinaryTrace(bin_path);
+  const auto reloaded = ReadTrace(bin_path);
   std::printf("\nReloaded %zu records; running the analysis pipeline...\n\n",
               reloaded.size());
   const core::FullReport report = core::AnalysisPipeline().Run(reloaded);

@@ -589,8 +589,7 @@ std::vector<LogRecord> LoadTraceForReplay(const std::filesystem::path& path) {
     });
     return records;
   }
-  if (path.extension() == ".csv") return ReadCsvTrace(path);
-  return ReadBinaryTrace(path);
+  return ReadTrace(path);
 }
 
 }  // namespace mcloud::net

@@ -129,8 +129,8 @@ struct ReplayReport {
     std::span<const LogRecord> trace, std::span<const LogRecord> live);
 
 /// Load a trace for replay: a directory is opened as a partitioned
-/// MCLOGv02 trace (out-of-core pipeline output), a `.csv` file as CSV,
-/// anything else as a v1 binary trace.
+/// MCLOGv02 trace (out-of-core pipeline output), any file through
+/// ReadTrace (v2, CSV or v1).
 [[nodiscard]] std::vector<LogRecord> LoadTraceForReplay(
     const std::filesystem::path& path);
 

@@ -18,8 +18,8 @@ constexpr std::array<char, 8> kMagic = {'M', 'C', 'L', 'O',
 constexpr std::array<char, 8> kMagicV2 = {'M', 'C', 'L', 'O',
                                           'G', 'v', '0', '2'};
 
-/// Records per I/O block when streaming the v1 format (256 KiB buffers).
-constexpr std::size_t kScanBlockRecords = 4096;
+/// Records per I/O block of the v1 format (256 KiB buffers).
+constexpr std::size_t kV1BlockRecords = 4096;
 
 std::ofstream OpenForWrite(const std::filesystem::path& path, bool binary) {
   std::ofstream out(path, binary ? std::ios::binary | std::ios::trunc
@@ -34,24 +34,60 @@ std::ifstream OpenForRead(const std::filesystem::path& path, bool binary) {
   return in;
 }
 
-/// Open a v1 binary trace and return (stream positioned at the first
-/// record, record count).
-std::ifstream OpenV1(const std::filesystem::path& path, std::uint64_t* count) {
-  std::ifstream in = OpenForRead(path, /*binary=*/true);
-  std::array<char, 8> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic)
-    throw ParseError("not a mcloud binary trace: " + path.string());
-  in.read(reinterpret_cast<char*>(count), sizeof(*count));
-  if (!in) throw ParseError("truncated binary trace: " + path.string());
-  // Callers size buffers from the count, so it must fit the file.
-  std::error_code ec;
-  const std::uint64_t size = std::filesystem::file_size(path, ec);
-  const std::uint64_t header = kMagic.size() + sizeof(*count);
-  if (ec || size < header ||
-      *count > (size - header) / sizeof(detail::PackedRecord))
-    throw ParseError("truncated binary trace: " + path.string());
-  return in;
+bool IsCsvPath(const std::filesystem::path& path) {
+  return path.extension() == ".csv";
+}
+
+/// Fixed-width on-disk layout of one v1 binary record (little-endian).
+struct PackedRecord {
+  std::int64_t timestamp;
+  std::uint64_t device_id;
+  std::uint64_t user_id;
+  std::uint64_t data_volume;
+  std::int64_t processing_us;
+  std::int64_t server_us;
+  std::int64_t rtt_us;
+  std::uint8_t device_type;
+  std::uint8_t request_type;
+  std::uint8_t direction;
+  std::uint8_t proxied;
+  std::uint8_t pad[4];
+};
+static_assert(sizeof(PackedRecord) == 64, "unexpected record layout");
+
+PackedRecord Pack(const LogRecord& r) {
+  PackedRecord p{};
+  p.timestamp = r.timestamp;
+  p.device_id = r.device_id;
+  p.user_id = r.user_id;
+  p.data_volume = r.data_volume;
+  p.processing_us = detail::ToMicros(r.processing_time);
+  p.server_us = detail::ToMicros(r.server_time);
+  p.rtt_us = detail::ToMicros(r.avg_rtt);
+  p.device_type = static_cast<std::uint8_t>(r.device_type);
+  p.request_type = static_cast<std::uint8_t>(r.request_type);
+  p.direction = static_cast<std::uint8_t>(r.direction);
+  p.proxied = r.proxied ? 1 : 0;
+  return p;
+}
+
+LogRecord Unpack(const PackedRecord& p) {
+  LogRecord r;
+  r.timestamp = p.timestamp;
+  r.device_id = p.device_id;
+  r.user_id = p.user_id;
+  r.data_volume = p.data_volume;
+  r.processing_time = detail::FromMicros(p.processing_us);
+  r.server_time = detail::FromMicros(p.server_us);
+  r.avg_rtt = detail::FromMicros(p.rtt_us);
+  if (p.device_type > 2) throw ParseError("bad device type in binary trace");
+  if (p.request_type > 1) throw ParseError("bad request type in binary trace");
+  if (p.direction > 1) throw ParseError("bad direction in binary trace");
+  r.device_type = static_cast<DeviceType>(p.device_type);
+  r.request_type = static_cast<RequestType>(p.request_type);
+  r.direction = static_cast<Direction>(p.direction);
+  r.proxied = p.proxied != 0;
+  return r;
 }
 
 }  // namespace
@@ -132,6 +168,31 @@ std::vector<LogRecord> ReadCsvTrace(const std::filesystem::path& path) {
   return records;
 }
 
+std::vector<LogRecord> ReadTrace(const std::filesystem::path& path) {
+  if (std::filesystem::is_directory(path))
+    throw Error("not a trace file (a directory): " + path.string());
+  if (IsColumnarTrace(path)) return ReadColumnarTrace(path).ToRecords();
+  if (IsCsvPath(path)) return ReadCsvTrace(path);
+  return ReadBinaryTrace(path);
+}
+
+void WriteTrace(const std::filesystem::path& path,
+                std::span<const LogRecord> records) {
+  if (IsCsvPath(path)) {
+    WriteCsvTrace(path, records);
+  } else {
+    WriteColumnarTrace(path, TraceStore::FromRecords(records));
+  }
+}
+
+void WriteTrace(const std::filesystem::path& path, const TraceStore& store) {
+  if (IsCsvPath(path)) {
+    WriteCsvTrace(path, store.ToRecords());
+  } else {
+    WriteColumnarTrace(path, store);
+  }
+}
+
 void WriteBinaryTrace(const std::filesystem::path& path,
                       std::span<const LogRecord> records) {
   std::ofstream out = OpenForWrite(path, /*binary=*/true);
@@ -139,72 +200,54 @@ void WriteBinaryTrace(const std::filesystem::path& path,
   const std::uint64_t count = records.size();
   out.write(reinterpret_cast<const char*>(&count), sizeof(count));
   // Pack and flush blockwise rather than one 64-byte write per record.
-  std::vector<detail::PackedRecord> block;
-  block.reserve(kScanBlockRecords);
+  std::vector<PackedRecord> block;
+  block.reserve(kV1BlockRecords);
   for (const auto& r : records) {
-    block.push_back(detail::Pack(r));
-    if (block.size() == kScanBlockRecords) {
+    block.push_back(Pack(r));
+    if (block.size() == kV1BlockRecords) {
       out.write(reinterpret_cast<const char*>(block.data()),
                 static_cast<std::streamsize>(block.size() *
-                                             sizeof(detail::PackedRecord)));
+                                             sizeof(PackedRecord)));
       block.clear();
     }
   }
   if (!block.empty()) {
     out.write(reinterpret_cast<const char*>(block.data()),
               static_cast<std::streamsize>(block.size() *
-                                           sizeof(detail::PackedRecord)));
+                                           sizeof(PackedRecord)));
   }
   if (!out) throw Error("write failed: " + path.string());
 }
 
-std::uint64_t BinaryTraceCount(const std::filesystem::path& path) {
-  std::uint64_t count = 0;
-  OpenV1(path, &count);
-  return count;
-}
-
 std::vector<LogRecord> ReadBinaryTrace(const std::filesystem::path& path) {
-  std::vector<LogRecord> records;
-  records.reserve(BinaryTraceCount(path));
-  ScanBinaryTraceWith(path, [&records](const LogRecord& r) {
-    records.push_back(r);
-    return true;
-  });
-  return records;
-}
-
-namespace detail {
-
-std::size_t ScanPackedBlocks(
-    const std::filesystem::path& path,
-    const std::function<bool(std::span<const PackedRecord>)>& sink) {
+  std::ifstream in = OpenForRead(path, /*binary=*/true);
+  std::array<char, 8> magic{};
+  in.read(magic.data(), magic.size());
+  if (!in || magic != kMagic)
+    throw ParseError("not a mcloud binary trace: " + path.string());
   std::uint64_t count = 0;
-  std::ifstream in = OpenV1(path, &count);
+  in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  if (!in) throw ParseError("truncated binary trace: " + path.string());
+  // The count sizes the result, so it must fit the file.
+  std::error_code ec;
+  const std::uint64_t size = std::filesystem::file_size(path, ec);
+  const std::uint64_t header = kMagic.size() + sizeof(count);
+  if (ec || size < header || count > (size - header) / sizeof(PackedRecord))
+    throw ParseError("truncated binary trace: " + path.string());
 
-  std::size_t delivered = 0;
-  std::vector<PackedRecord> block(
-      static_cast<std::size_t>(std::min<std::uint64_t>(count,
-                                                       kScanBlockRecords)));
-  while (delivered < count) {
+  std::vector<LogRecord> records;
+  records.reserve(static_cast<std::size_t>(count));
+  std::vector<PackedRecord> block(static_cast<std::size_t>(
+      std::min<std::uint64_t>(count, kV1BlockRecords)));
+  while (records.size() < count) {
     const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(count - delivered, block.size()));
+        std::min<std::uint64_t>(count - records.size(), block.size()));
     in.read(reinterpret_cast<char*>(block.data()),
             static_cast<std::streamsize>(n * sizeof(PackedRecord)));
     if (!in) throw ParseError("truncated binary trace: " + path.string());
-    delivered += n;
-    if (!sink(std::span<const PackedRecord>(block.data(), n))) break;
+    for (std::size_t i = 0; i < n; ++i) records.push_back(Unpack(block[i]));
   }
-  return delivered;
-}
-
-}  // namespace detail
-
-std::size_t ScanBinaryTrace(const std::filesystem::path& path,
-                            const std::function<bool(const LogRecord&)>& fn) {
-  return ScanBinaryTraceWith(path, [&fn](const LogRecord& r) {
-    return fn(r);
-  });
+  return records;
 }
 
 namespace {
@@ -293,14 +336,21 @@ V2FileInfo ReadV2FileInfo(const std::filesystem::path& path) {
                            sizeof(reserved);
 
   // Validate the full payload length up front: seeks past EOF would not
-  // fail, so even columns a reader skips must be accounted for here.
-  std::uint64_t expected =
-      info.user_table_offset + info.users * sizeof(std::uint64_t);
+  // fail, so even columns a reader skips must be accounted for here. Each
+  // header count is checked against the bytes left before it is multiplied,
+  // so no product can wrap.
+  std::size_t row_width = 0;
   for (const auto& col : kV2Columns)
-    if (info.mask & col.mask) expected += info.rows * col.width;
+    if (info.mask & col.mask) row_width += col.width;
   std::error_code ec;
-  const std::uint64_t actual = std::filesystem::file_size(path, ec);
-  if (ec || actual < expected)
+  const std::uint64_t size = std::filesystem::file_size(path, ec);
+  if (ec || size < info.user_table_offset)
+    throw ParseError("truncated columnar trace: " + path.string());
+  std::uint64_t left = size - info.user_table_offset;
+  if (info.users > left / sizeof(std::uint64_t))
+    throw ParseError("truncated columnar trace: " + path.string());
+  left -= info.users * sizeof(std::uint64_t);
+  if (info.rows > left / row_width)
     throw ParseError("truncated columnar trace: " + path.string());
   return info;
 }

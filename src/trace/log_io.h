@@ -3,19 +3,23 @@
 // Three on-disk formats:
 //   * CSV — human-inspectable, one record per line, with a header naming the
 //     Table 1 fields. This is the interchange format of examples/.
-//   * Binary v1 — fixed-width little-endian records behind a small
-//     magic+version header; ~6× faster to scan, used by benches that replay
-//     multi-million record traces.
 //   * Binary v2 (columnar) — one contiguous column per Table 1 field plus the
 //     TraceStore user table, so readers can load a column subset (see
 //     ColumnMask) with one seek per skipped column and analyze paper-scale
-//     traces without ever materializing the AoS vector.
+//     traces without ever materializing the AoS vector. Every binary trace
+//     the tools write is v2.
+//   * Binary v1 — fixed-width little-endian records behind a small
+//     magic+version header. Still read everywhere; only the library writes
+//     it (WriteBinaryTrace).
 // All formats round-trip LogRecord exactly (times are stored in microseconds).
+//
+// ReadTrace and WriteTrace are the one reader and the one writer of trace
+// files: the format follows from the name (CSV for `.csv`) and, on read,
+// from the v2 magic.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -45,37 +49,30 @@ void WriteCsvTrace(const std::filesystem::path& path,
 [[nodiscard]] std::vector<LogRecord> ReadCsvTrace(
     const std::filesystem::path& path);
 
+/// Read any trace file: v2 when it starts with the v2 magic, CSV when its
+/// name ends in `.csv`, v1 otherwise. Throws Error for a directory (a
+/// partitioned trace is streamed, not read whole) and ParseError on
+/// malformed bytes.
+[[nodiscard]] std::vector<LogRecord> ReadTrace(
+    const std::filesystem::path& path);
+
+/// Write a trace file: CSV when `path` ends in `.csv`, v2 for every other
+/// name. Overwrites `path`.
+void WriteTrace(const std::filesystem::path& path,
+                std::span<const LogRecord> records);
+void WriteTrace(const std::filesystem::path& path, const TraceStore& store);
+
 /// Write a trace in the v1 binary format. Overwrites `path`.
 void WriteBinaryTrace(const std::filesystem::path& path,
                       std::span<const LogRecord> records);
 
-/// Record count from a v1 binary trace header (no record reads). Throws
-/// ParseError on a bad magic/version.
-[[nodiscard]] std::uint64_t BinaryTraceCount(const std::filesystem::path& path);
-
 /// Read an entire v1 binary trace into memory. Throws ParseError on a bad
-/// magic/version or a truncated file.
+/// magic/version, a header count the file cannot hold, a truncated file, or
+/// an out-of-range enum field.
 [[nodiscard]] std::vector<LogRecord> ReadBinaryTrace(
     const std::filesystem::path& path);
 
 namespace detail {
-
-/// Fixed-width on-disk layout of one v1 binary record (little-endian).
-struct PackedRecord {
-  std::int64_t timestamp;
-  std::uint64_t device_id;
-  std::uint64_t user_id;
-  std::uint64_t data_volume;
-  std::int64_t processing_us;
-  std::int64_t server_us;
-  std::int64_t rtt_us;
-  std::uint8_t device_type;
-  std::uint8_t request_type;
-  std::uint8_t direction;
-  std::uint8_t proxied;
-  std::uint8_t pad[4];
-};
-static_assert(sizeof(PackedRecord) == 64, "unexpected record layout");
 
 [[nodiscard]] inline std::int64_t ToMicros(Seconds s) {
   return static_cast<std::int64_t>(s * 1e6 + (s >= 0 ? 0.5 : -0.5));
@@ -84,78 +81,10 @@ static_assert(sizeof(PackedRecord) == 64, "unexpected record layout");
   return static_cast<Seconds>(us) * 1e-6;
 }
 
-[[nodiscard]] inline PackedRecord Pack(const LogRecord& r) {
-  PackedRecord p{};
-  p.timestamp = r.timestamp;
-  p.device_id = r.device_id;
-  p.user_id = r.user_id;
-  p.data_volume = r.data_volume;
-  p.processing_us = ToMicros(r.processing_time);
-  p.server_us = ToMicros(r.server_time);
-  p.rtt_us = ToMicros(r.avg_rtt);
-  p.device_type = static_cast<std::uint8_t>(r.device_type);
-  p.request_type = static_cast<std::uint8_t>(r.request_type);
-  p.direction = static_cast<std::uint8_t>(r.direction);
-  p.proxied = r.proxied ? 1 : 0;
-  return p;
-}
-
-[[nodiscard]] inline LogRecord Unpack(const PackedRecord& p) {
-  LogRecord r;
-  r.timestamp = p.timestamp;
-  r.device_id = p.device_id;
-  r.user_id = p.user_id;
-  r.data_volume = p.data_volume;
-  r.processing_time = FromMicros(p.processing_us);
-  r.server_time = FromMicros(p.server_us);
-  r.avg_rtt = FromMicros(p.rtt_us);
-  if (p.device_type > 2) throw ParseError("bad device type in binary trace");
-  if (p.request_type > 1) throw ParseError("bad request type in binary trace");
-  if (p.direction > 1) throw ParseError("bad direction in binary trace");
-  r.device_type = static_cast<DeviceType>(p.device_type);
-  r.request_type = static_cast<RequestType>(p.request_type);
-  r.direction = static_cast<Direction>(p.direction);
-  r.proxied = p.proxied != 0;
-  return r;
-}
-
-/// Stream a v1 binary trace as blocks of packed records; `sink` returning
-/// false stops the scan after that block. Throws ParseError on bad
-/// magic/truncation. The per-block std::function costs nothing per record —
-/// visitors inline inside ScanBinaryTraceWith's block loop.
-std::size_t ScanPackedBlocks(
-    const std::filesystem::path& path,
-    const std::function<bool(std::span<const PackedRecord>)>& sink);
-
 }  // namespace detail
 
-/// Stream a v1 binary trace record-by-record without materializing the
-/// vector. `visit(const LogRecord&)` is invoked through an inlined template
-/// call (no type erasure per record); returning false stops the scan early.
-/// Returns records visited (including the one that stopped the scan).
-template <typename Visitor>
-std::size_t ScanBinaryTraceWith(const std::filesystem::path& path,
-                                Visitor&& visit) {
-  std::size_t visited = 0;
-  detail::ScanPackedBlocks(
-      path, [&](std::span<const detail::PackedRecord> block) {
-        for (const auto& p : block) {
-          ++visited;
-          if (!visit(detail::Unpack(p))) return false;
-        }
-        return true;
-      });
-  return visited;
-}
-
-/// Type-erased wrapper over ScanBinaryTraceWith for ABI users; prefer the
-/// template when scanning multi-million record traces.
-std::size_t ScanBinaryTrace(const std::filesystem::path& path,
-                            const std::function<bool(const LogRecord&)>& fn);
-
 /// True when `path` starts with the v2 columnar magic — the format sniff
-/// used by tools that accept any trace format. Returns false (never throws)
-/// for missing or short files.
+/// of ReadTrace. Returns false (never throws) for missing or short files.
 [[nodiscard]] bool IsColumnarTrace(const std::filesystem::path& path);
 
 /// Write a trace in the v2 columnar format (all columns the store carries).
@@ -213,10 +142,12 @@ struct V2FileInfo {
 [[nodiscard]] std::size_t V2ColumnWidth(std::uint32_t col);
 
 /// Read and validate a v2 columnar header: magic, column mask, and the full
-/// expected byte length (header + user table + every present column). A
-/// missing, short, or truncated file throws ParseError here — this is the
-/// single truncation gate shared by ReadColumnarTrace and the partitioned
-/// multi-file reader, so a partition can never silently drop rows.
+/// expected byte length (header + user table + every present column). The
+/// header's user and row counts are checked against the file size before
+/// any arithmetic with them. A missing, short, or truncated file throws
+/// ParseError here — this is the single truncation gate shared by
+/// ReadColumnarTrace and the partitioned multi-file reader, so a partition
+/// can never silently drop rows.
 [[nodiscard]] V2FileInfo ReadV2FileInfo(const std::filesystem::path& path);
 
 }  // namespace detail

@@ -50,31 +50,6 @@ PartitionedTraceWriter::PartitionedTraceWriter(std::filesystem::path dir,
     throw Error("spill target is not a directory: " + dir_.string());
 }
 
-void PartitionedTraceWriter::WriteSortedSlice(
-    std::span<const LogRecord> slice) {
-  if (finished_)
-    throw Error("partitioned trace already sealed: " + dir_.string());
-  // Timestamps are non-decreasing within the slice, so equal-day segments
-  // are contiguous; each becomes one run file.
-  std::size_t begin = 0;
-  while (begin < slice.size()) {
-    const std::int64_t day =
-        FloorDayIndex(slice[begin].timestamp - day_base_);
-    std::size_t end = begin + 1;
-    while (end < slice.size() &&
-           FloorDayIndex(slice[end].timestamp - day_base_) == day)
-      ++end;
-    char name[32];
-    std::snprintf(name, sizeof(name), "run-%06zu.v2", runs_.size());
-    WriteColumnarTrace(
-        dir_ / name,
-        TraceStore::FromRecords(slice.subspan(begin, end - begin), day_base_));
-    runs_.push_back({day, static_cast<std::uint64_t>(end - begin), name});
-    records_ += end - begin;
-    begin = end;
-  }
-}
-
 void PartitionedTraceWriter::WriteSortedSlice(const RecordColumns& slice) {
   if (finished_)
     throw Error("partitioned trace already sealed: " + dir_.string());
@@ -153,7 +128,8 @@ PartitionedTrace PartitionedTrace::Open(const std::filesystem::path& dir) {
     std::string key;
     if (!(ls >> key >> n_runs) || key != "runs") throw bad("runs");
   }
-  t.runs_.reserve(n_runs);
+  // No reserve from n_runs: the count is untrusted until every entry it
+  // declares has been read.
   std::uint64_t declared_rows = 0;
   for (std::uint64_t i = 0; i < n_runs; ++i) {
     std::istringstream ls(next_line());

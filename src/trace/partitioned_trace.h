@@ -68,12 +68,8 @@ class PartitionedTraceWriter {
 
   /// Spill one slice sorted by LogRecordTimeOrder: splits it into
   /// contiguous calendar-day segments and writes each segment as its own
-  /// MCLOGv02 run file. Empty slices are no-ops.
-  void WriteSortedSlice(std::span<const LogRecord> slice);
-
-  /// Columnar twin: identical run files from a time-sorted SoA slice (the
-  /// generator fast path), without materializing records or per-run
-  /// TraceStores.
+  /// MCLOGv02 run file, without materializing records or per-run
+  /// TraceStores. Empty slices are no-ops.
   void WriteSortedSlice(const RecordColumns& slice);
 
   /// Write the MANIFEST. No further WriteSortedSlice calls afterwards.

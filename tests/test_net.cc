@@ -1,10 +1,12 @@
 // Tests for the live service mode (src/net): the HTTP parser under
 // adversarial framing, the chunked response round-trip, port-0 binding,
-// the chunk protocol against a real loopback server, and the in-process
-// replay integration (generated trace → live server → matching log).
+// the chunk protocol against a real loopback server, the replay input
+// formats, and the in-process replay integration (generated trace → live
+// server → matching log).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <thread>
 
 #include "net/epoll_server.h"
@@ -12,6 +14,8 @@
 #include "net/live_protocol.h"
 #include "net/live_service.h"
 #include "net/replay.h"
+#include "trace/log_io.h"
+#include "trace/trace_store.h"
 #include "util/md5.h"
 #include "workload/generator.h"
 
@@ -156,6 +160,29 @@ TEST(LiveProtocol, ChunkBodiesAreDeterministic) {
   EXPECT_EQ(parsed, md5);
   EXPECT_FALSE(ParseHexMd5("not-a-hash", parsed));
   EXPECT_FALSE(ParseHexMd5(std::string(32, 'g'), parsed));
+}
+
+// --- replay input -----------------------------------------------------------
+
+TEST(ReplayInput, LoadsColumnarTraceFile) {
+  workload::WorkloadConfig wc;
+  wc.seed = 11;
+  wc.population.mobile_users = 12;
+  wc.population.pc_only_users = 0;
+  wc.threads = 1;
+  std::vector<LogRecord> trace =
+      workload::WorkloadGenerator(wc).Generate().trace;
+  ASSERT_FALSE(trace.empty());
+  // Trace files keep times in microseconds.
+  for (LogRecord& r : trace) {
+    for (Seconds* t : {&r.processing_time, &r.server_time, &r.avg_rtt})
+      *t = mcloud::detail::FromMicros(mcloud::detail::ToMicros(*t));
+  }
+  const auto path =
+      std::filesystem::temp_directory_path() / "mcloud_replay_input.v2";
+  WriteColumnarTrace(path, TraceStore::FromRecords(trace));
+  EXPECT_EQ(LoadTraceForReplay(path), trace);
+  std::filesystem::remove(path);
 }
 
 // --- loopback server integration ------------------------------------------

@@ -1,11 +1,15 @@
 // Tests for the trace layer: record serialization, CSV/binary IO, filters,
-// anonymization, and the CSV tokenizer.
+// anonymization, the CSV tokenizer, and partitioned traces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/anonymizer.h"
@@ -13,6 +17,8 @@
 #include "trace/log_io.h"
 #include "trace/log_record.h"
 #include "trace/partitioned_trace.h"
+#include "trace/record_columns.h"
+#include "trace/trace_store.h"
 #include "util/csv.h"
 #include "util/rng.h"
 #include "util/timeutil.h"
@@ -160,20 +166,47 @@ TEST(LogIo, BinaryRejectsGarbage) {
   std::filesystem::remove(path);
 }
 
-TEST(LogIo, ScanStopsEarly) {
+TEST(LogIo, ReadTraceReadsEveryFormat) {
+  // Times are exact in microseconds, so every format round-trips them.
   std::vector<LogRecord> records;
-  for (int i = 0; i < 50; ++i)
-    records.push_back(MakeRecord(kTraceStart + i, 1, Direction::kStore));
-  const auto path = TempPath("mcloud_scan.bin");
-  WriteBinaryTrace(path, records);
-  std::size_t seen = 0;
-  const std::size_t visited = ScanBinaryTrace(path, [&](const LogRecord&) {
-    ++seen;
-    return seen < 10;
-  });
-  EXPECT_EQ(seen, 10u);
-  EXPECT_EQ(visited, 10u);
-  std::filesystem::remove(path);
+  for (int i = 0; i < 200; ++i) {
+    LogRecord r = MakeRecord(kTraceStart + i, i % 5 + 1,
+                             i % 3 ? Direction::kStore : Direction::kRetrieve);
+    r.processing_time = 1.5;
+    r.server_time = 0.25;
+    r.avg_rtt = 0.125;
+    r.proxied = i % 4 == 0;
+    records.push_back(r);
+  }
+  const auto csv = TempPath("mcloud_read_trace.csv");
+  const auto v1 = TempPath("mcloud_read_trace.v1");
+  const auto v2 = TempPath("mcloud_read_trace.v2");
+  const auto bin = TempPath("mcloud_read_trace.bin");
+  WriteCsvTrace(csv, records);
+  WriteBinaryTrace(v1, records);
+  WriteColumnarTrace(v2, TraceStore::FromRecords(records));
+  WriteTrace(bin, records);
+  EXPECT_EQ(ReadTrace(csv), records);
+  EXPECT_EQ(ReadTrace(v1), records);
+  EXPECT_EQ(ReadTrace(v2), records);
+
+  // WriteTrace writes v2 for any name but .csv.
+  EXPECT_TRUE(IsColumnarTrace(bin));
+  std::ifstream a(v2, std::ios::binary), b(bin, std::ios::binary);
+  EXPECT_TRUE(std::equal(std::istreambuf_iterator<char>(a), {},
+                         std::istreambuf_iterator<char>(b), {}));
+
+  // A directory is not a trace file; the error names it.
+  const auto dir = TempPath("mcloud_read_trace_dir");
+  std::filesystem::create_directories(dir);
+  try {
+    (void)ReadTrace(dir);
+    ADD_FAILURE() << "ReadTrace accepted a directory";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir.string()), std::string::npos)
+        << e.what();
+  }
+  for (const auto& p : {csv, v1, v2, bin, dir}) std::filesystem::remove(p);
 }
 
 TEST(Filters, SliceByDeviceProxyAndType) {
@@ -295,8 +328,9 @@ void WritePartitioned(const std::filesystem::path& dir,
     std::stable_sort(all.begin() + static_cast<std::ptrdiff_t>(begin),
                      all.begin() + static_cast<std::ptrdiff_t>(end),
                      LogRecordTimeOrder);
-    writer.WriteSortedSlice(
-        std::span<const LogRecord>(all.data() + begin, end - begin));
+    RecordColumns slice;
+    for (std::size_t i = begin; i < end; ++i) slice.Append(all[i]);
+    writer.WriteSortedSlice(slice);
   }
   writer.Finish();
 }
@@ -387,6 +421,20 @@ TEST(PartitionedTrace, OpenRejectsManifestWithoutEndSentinel) {
   }
   std::ofstream(dir / "MANIFEST", std::ios::trunc) << manifest;
   EXPECT_THROW((void)PartitionedTrace::Open(dir), ParseError);
+
+  // A run count the entries do not back: the list ends early, and nothing
+  // is sized from the declared count.
+  for (const char* runs : {"4000000000000000000", "100000000000"}) {
+    std::string crafted;
+    std::istringstream lines(manifest + "end\n");
+    std::string line;
+    while (std::getline(lines, line))
+      crafted += (line.rfind("runs ", 0) == 0 ? "runs " + std::string(runs)
+                                              : line) +
+                 "\n";
+    std::ofstream(dir / "MANIFEST", std::ios::trunc) << crafted;
+    EXPECT_THROW((void)PartitionedTrace::Open(dir), ParseError) << runs;
+  }
   std::filesystem::remove_all(dir);
 }
 
@@ -435,6 +483,29 @@ TEST(LogIo, V2FileInfoValidatesFullExpectedLength) {
 
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
   EXPECT_THROW((void)detail::ReadV2FileInfo(path), ParseError);
+
+  // A bare 40-byte header whose counts would wrap the expected length to
+  // the header size: 2^61 users (x 8 bytes), then 2^61 rows (x 56 bytes
+  // per all-columns row).
+  for (const auto& [rows, users] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, std::uint64_t{1} << 61},
+        {std::uint64_t{1} << 61, 0}}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      const std::int64_t day_base = kTraceStart;
+      const std::uint32_t mask = kAllColumns;
+      const std::uint32_t reserved = 0;
+      out.write("MCLOGv02", 8);
+      out.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
+      out.write(reinterpret_cast<const char*>(&users), sizeof(users));
+      out.write(reinterpret_cast<const char*>(&day_base), sizeof(day_base));
+      out.write(reinterpret_cast<const char*>(&mask), sizeof(mask));
+      out.write(reinterpret_cast<const char*>(&reserved), sizeof(reserved));
+    }
+    ASSERT_EQ(std::filesystem::file_size(path), 40u);
+    EXPECT_THROW((void)detail::ReadV2FileInfo(path), ParseError);
+    EXPECT_THROW((void)ReadColumnarTrace(path), ParseError);
+  }
   std::filesystem::remove(path);
 }
 

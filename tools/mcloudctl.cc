@@ -36,15 +36,16 @@
 // sharded fleet and emits one JSON report whose per-cell fingerprints are
 // byte-identical at every --threads.
 //
-// Trace files are CSV (.csv), the columnar v2 binary format (.v2), or the
-// row-wise v1 binary format (anything else); writes pick the format by
-// extension, reads additionally sniff the v2 magic so a columnar file is
-// recognized under any name. `analyze` runs the full §3 pipeline and prints
-// the findings report followed by its stage timings — on a columnar trace it
-// loads only the analysis columns and never materializes row structs; `simulate` runs one chunked
-// transfer through the TCP substrate and prints its per-chunk timeline, or —
-// when any fault knob is given — a whole session fleet against the
-// fault-injected service, printing the availability report.
+// Trace files go through ReadTrace/WriteTrace (trace/log_io.h): every
+// command writes CSV for a `.csv` name and the columnar v2 format for any
+// other name, and reads v2 (by its magic), CSV (by `.csv`) or the legacy
+// row-wise v1 format. `analyze` runs the full §3 pipeline and prints the
+// findings report followed by its stage timings — on a columnar trace it
+// loads only the analysis columns and never materializes row structs;
+// `simulate` runs one chunked transfer through the TCP substrate and prints
+// its per-chunk timeline, or — when any fault knob is given — a whole
+// session fleet against the fault-injected service, printing the
+// availability report.
 //
 // Out-of-core mode: `generate --out-of-core OUT` writes a *partitioned
 // trace directory* (per-day sorted run files + MANIFEST, see
@@ -163,26 +164,6 @@ std::vector<std::string> SplitList(const std::string& csv) {
   return out;
 }
 
-bool IsCsv(const std::filesystem::path& p) { return p.extension() == ".csv"; }
-bool IsV2(const std::filesystem::path& p) { return p.extension() == ".v2"; }
-
-std::vector<LogRecord> ReadTrace(const std::filesystem::path& p) {
-  if (IsCsv(p)) return ReadCsvTrace(p);
-  if (IsColumnarTrace(p)) return ReadColumnarTrace(p).ToRecords();
-  return ReadBinaryTrace(p);
-}
-
-void WriteTrace(const std::filesystem::path& p,
-                std::span<const LogRecord> records) {
-  if (IsCsv(p)) {
-    WriteCsvTrace(p, records);
-  } else if (IsV2(p)) {
-    WriteColumnarTrace(p, TraceStore::FromRecords(records));
-  } else {
-    WriteBinaryTrace(p, records);
-  }
-}
-
 int Usage() {
   std::fputs(
       "usage: mcloudctl COMMAND ...\n"
@@ -221,11 +202,12 @@ int Usage() {
       "spec x fault grid x connection strategy x chunk policy through the\n"
       "sharded fleet and writes one JSON report whose fingerprints are\n"
       "byte-identical at every --threads.\n"
-      "Trace format: .csv is CSV, .v2 is the columnar binary format,\n"
-      "anything else is the row-wise v1 binary format (reads also sniff\n"
-      "the v2 magic). With --out-of-core, generate's OUT (and analyze's\n"
-      "TRACE) is a partitioned trace *directory*; --max-memory-mb bounds\n"
-      "the resident footprint. grow writes a partitioned directory AND\n"
+      "Trace format: every command writes CSV for a .csv name and the\n"
+      "columnar v2 format for any other name; reads take v2, CSV or the\n"
+      "row-wise v1 format. With --out-of-core, generate's OUT (and\n"
+      "analyze's TRACE) is a partitioned trace *directory*;\n"
+      "--max-memory-mb bounds the resident footprint. Only analyze reads\n"
+      "a directory. grow writes a partitioned directory AND\n"
       "prints the findings report — two disk phases by default, one\n"
       "overlapped walk with --analyze-while-generate. analyze and grow\n"
       "print the stage timings with the sketch footprint; validate\n"
@@ -301,7 +283,7 @@ int CmdGenerate(const Args& args) {
     PrintGenTimings(gt);
     return 0;
   }
-  workload::Workload w;
+  TraceStore store;
   if (args.Has("faults")) {
     // Route the plans through the full storage service under fault
     // injection: the emitted trace is what the measurement pipeline would
@@ -311,28 +293,29 @@ int CmdGenerate(const Args& args) {
     svc.faults = FaultsFrom(args);
     if (!svc.faults.Any()) svc.faults.frontend_fail_rate = 0.01;
     if (args.Has("hedge")) svc.retry.hedge = true;
-    w = workload::WorkloadGenerator(cfg).GeneratePlansOnly();
+    const workload::Workload w =
+        workload::WorkloadGenerator(cfg).GeneratePlansOnly();
     cloud::StorageService service(svc);
-    auto result = service.Execute(w.sessions);
+    const auto result = service.Execute(w.sessions);
     std::fputs(
         analysis::RenderAvailability(analysis::Availability(result)).c_str(),
         stderr);
-    w.trace = std::move(result.logs);
+    store = TraceStore::FromRecords(result.logs);
   } else {
     workload::GenTimings gt;
-    w = workload::WorkloadGenerator(cfg).Generate(&gt);
+    store = workload::WorkloadGenerator(cfg).GenerateColumnar(&gt).trace;
     PrintGenTimings(gt);
   }
   if (args.Has("anonymize")) {
-    w.trace = Anonymizer(args.Get("anonymize")).Apply(w.trace);
+    store = TraceStore::FromRecords(
+        Anonymizer(args.Get("anonymize")).Apply(store.ToRecords()));
   }
-  WriteTrace(args.positional[0], w.trace);
-  std::fprintf(stderr, "wrote %zu records to %s\n", w.trace.size(),
+  WriteTrace(args.positional[0], store);
+  std::fprintf(stderr, "wrote %zu records to %s\n", store.rows(),
                args.positional[0].c_str());
   // The fleet-determinism CI check diffs this line across thread counts.
   std::fprintf(stderr, "trace fingerprint: %016llx\n",
-               static_cast<unsigned long long>(
-                   TraceFingerprint(std::span<const LogRecord>(w.trace))));
+               static_cast<unsigned long long>(TraceFingerprint(store)));
   return 0;
 }
 
@@ -362,7 +345,7 @@ int CmdAnalyze(const Args& args) {
   if (std::filesystem::is_directory(path)) {
     // Partitioned trace directory: stream it under the requested budget.
     report = pipeline.RunStreaming(PartitionedTrace::Open(path), &st);
-  } else if (!IsCsv(path) && IsColumnarTrace(path)) {
+  } else if (IsColumnarTrace(path)) {
     // Columnar fast path: load only the columns the pipeline touches and
     // feed the store directly — no LogRecord vector is ever built.
     report = pipeline.Run(ReadColumnarTrace(path, kAnalysisColumns), &st);

@@ -9,9 +9,9 @@
 //
 // to stdout, then serves the chunk protocol of src/net/live_protocol.h
 // until SIGINT/SIGTERM. On shutdown it drains in-flight requests, writes
-// the live request log (Table 1 schema; --log picks CSV or v1 binary by
-// extension) and the service counters (--stats-json, also printed), so a
-// live run feeds the exact same analysis pipeline as a simulated trace.
+// the live request log (Table 1 schema; --log writes CSV for a `.csv` name
+// and v2 otherwise) and the service counters (--stats-json, also printed),
+// so a live run feeds the exact same analysis pipeline as a simulated trace.
 //
 // --self-check binds, prints the port, and immediately drains — the ctest
 // probe that port-0 startup and clean shutdown work.
@@ -145,14 +145,7 @@ int main(int argc, char** argv) {
     std::vector<LogRecord> log = service.TakeLog();
     std::stable_sort(log.begin(), log.end(), LogRecordTimeOrder);
     const std::string log_path = args.Get("log");
-    if (!log_path.empty()) {
-      if (log_path.size() > 4 &&
-          log_path.compare(log_path.size() - 4, 4, ".csv") == 0) {
-        WriteCsvTrace(log_path, log);
-      } else {
-        WriteBinaryTrace(log_path, log);
-      }
-    }
+    if (!log_path.empty()) WriteTrace(log_path, log);
     const std::string stats_path = args.Get("stats-json");
     if (!stats_path.empty()) {
       std::ofstream out(stats_path);

@@ -6,10 +6,10 @@
 //              [--max-chunk-kb K] [--no-verify] [--host ADDR]
 //              [--json FILE] [--server-log FILE]
 //
-// The trace source is either an on-disk trace (--trace: CSV, v1 binary, or
-// a partitioned MCLOGv02 directory) or a freshly generated workload
-// (--users, same generator as `mcloudctl generate`). Each Table 1 record
-// becomes exactly one wire request, scheduled open-loop at its trace
+// The trace source is either an on-disk trace (--trace: a v2, CSV or v1
+// file, or a partitioned MCLOGv02 directory) or a freshly generated
+// workload (--users, same generator as `mcloudctl generate`). Each Table 1
+// record becomes exactly one wire request, scheduled open-loop at its trace
 // timestamp rescaled to the target rate (--qps, or --duration to fix the
 // replay length regardless of record count).
 //
@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
                      server_status);
         failed = true;
       }
-      const std::vector<LogRecord> live = ReadBinaryTrace(server_log);
+      const std::vector<LogRecord> live = ReadTrace(server_log);
       if (const auto mismatch = net::LiveLogMatchesTrace(trace, live)) {
         std::fprintf(stderr, "mcloudload: live log check FAILED: %s\n",
                      mismatch->c_str());
