@@ -66,13 +66,6 @@ LogRecord RecordColumns::RecordAt(std::size_t i) const {
   return r;
 }
 
-std::vector<LogRecord> RecordColumns::ToRecords() const {
-  std::vector<LogRecord> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back(RecordAt(i));
-  return out;
-}
-
 std::vector<LogRecord> RecordColumns::ToRecords(
     std::span<const std::uint32_t> perm) const {
   std::vector<LogRecord> out;
@@ -176,18 +169,6 @@ inline std::uint64_t FoldRecord(std::uint64_t h, std::int64_t ts,
 }
 
 }  // namespace
-
-std::uint64_t TraceFingerprint(const RecordColumns& cols) {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    h = FoldRecord(h, cols.timestamps[i], cols.device_types[i],
-                   cols.device_ids[i], cols.user_ids[i],
-                   cols.request_types[i], cols.directions[i],
-                   cols.data_volumes[i], cols.processing_times[i],
-                   cols.server_times[i], cols.avg_rtts[i], cols.proxied[i]);
-  }
-  return h;
-}
 
 std::uint64_t TraceFingerprint(std::span<const LogRecord> records) {
   std::uint64_t h = kFnvOffset;

@@ -63,9 +63,6 @@ struct RecordColumns {
   void Append(const LogRecord& r);
   /// Materialize row i as a LogRecord (resilience tags at defaults).
   [[nodiscard]] LogRecord RecordAt(std::size_t i) const;
-  /// Materialize the whole buffer (byte-identical to appending RecordAt(i)
-  /// for every row).
-  [[nodiscard]] std::vector<LogRecord> ToRecords() const;
   /// Materialize rows in permutation order — RecordAt(perm[0]),
   /// RecordAt(perm[1]), ... The resident Generate path fuses its final
   /// time-order sort with the AoS transpose this way, skipping the
@@ -92,8 +89,7 @@ struct RecordColumns {
 
 /// Canonical FNV-1a fingerprint of a trace's Table 1 content, independent
 /// of representation (times folded as the on-disk microsecond integers).
-/// The three overloads agree for the same record sequence.
-[[nodiscard]] std::uint64_t TraceFingerprint(const RecordColumns& cols);
+/// The two overloads agree for the same record sequence.
 [[nodiscard]] std::uint64_t TraceFingerprint(
     std::span<const LogRecord> records);
 class TraceStore;
