@@ -184,13 +184,40 @@ TEST_F(Goldens, SpillLayout) {
 }
 
 TEST(GoldenGenerator, Generate) {
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 3, 4}) {
     const workload::Workload w =
         workload::WorkloadGenerator(GoldenConfig(threads)).Generate();
     EXPECT_EQ(w.trace.size(), kRecords) << "threads=" << threads;
     EXPECT_EQ(TraceFingerprint(std::span<const LogRecord>(w.trace)),
               kTraceFingerprint)
         << "threads=" << threads;
+  }
+}
+
+// The fixture generates at the host's thread count. The time-order sort
+// splits its rows into one shard per pool thread, and at 3 threads the MSD
+// pass's per-shard histograms cover uneven shards; no value may move.
+TEST(GoldenGenerator, ColumnarAtThreadCounts) {
+  for (const int threads : {1, 3, 4}) {
+    const workload::ColumnarWorkload w =
+        workload::WorkloadGenerator(GoldenConfig(threads)).GenerateColumnar();
+    EXPECT_EQ(w.trace.rows(), kRecords) << "threads=" << threads;
+    EXPECT_EQ(TraceFingerprint(w.trace), kTraceFingerprint)
+        << "threads=" << threads;
+  }
+}
+
+TEST(GoldenGenerator, SpillLayoutAtThreadCounts) {
+  for (const int threads : {1, 3, 4}) {
+    const auto dir = FreshDir("mcloud_goldens_spill_threads");
+    const workload::SpillSummary spill =
+        workload::WorkloadGenerator(GoldenConfig(threads))
+            .GenerateToPartitions(GoldenSpill(dir));
+    EXPECT_EQ(spill.records, kRecords) << "threads=" << threads;
+    EXPECT_EQ(spill.spills, kSpills) << "threads=" << threads;
+    EXPECT_EQ(spill.run_files, kRunFiles) << "threads=" << threads;
+    EXPECT_EQ(SpillBytesHash(dir), kSpillBytes) << "threads=" << threads;
+    std::filesystem::remove_all(dir);
   }
 }
 
