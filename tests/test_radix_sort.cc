@@ -1,6 +1,7 @@
 // Property tests for the stable radix permutation sort (util/radix_sort.h):
-// every case asserts the exact std::stable_sort order, since the generator
-// fast path's byte-identity guarantee rests on that equivalence.
+// every case asserts the exact std::stable_sort order, inline and on pools
+// of 1 to 4 threads, since the generator fast path's byte-identity
+// guarantee rests on that equivalence at every thread count.
 #include "util/radix_sort.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,10 @@
 #include <span>
 #include <vector>
 
+#include "trace/record_columns.h"
+#include "util/parallel.h"
 #include "util/rng.h"
+#include "workload/generator.h"
 
 namespace mcloud {
 namespace {
@@ -34,23 +38,43 @@ std::vector<std::uint32_t> StableSortReference(
   return perm;
 }
 
+/// The inline (null) pool, then pools of 1, 2, 3 and 4 threads: Pools()[t]
+/// has t threads. Three threads split the rows into uneven shards.
+std::vector<ThreadPool*> Pools() {
+  static ThreadPool pools[4] = {ThreadPool(1), ThreadPool(2), ThreadPool(3),
+                                ThreadPool(4)};
+  return {nullptr, &pools[0], &pools[1], &pools[2], &pools[3]};
+}
+
+int Threads(const ThreadPool* pool) { return pool ? pool->threads() : 0; }
+
+void ExpectPerm(std::span<const std::uint32_t> got,
+                const std::vector<std::uint32_t>& want,
+                const ThreadPool* pool) {
+  ASSERT_EQ(got.size(), want.size()) << "threads " << Threads(pool);
+  for (std::size_t j = 0; j < want.size(); ++j)
+    ASSERT_EQ(got[j], want[j])
+        << "threads " << Threads(pool) << " rank " << j;
+}
+
 void ExpectMatchesStableSort(std::span<const RadixKey> keys, std::size_t n) {
-  StableRadixSorter sorter;
-  const std::span<const std::uint32_t> got = sorter.Sort(n, keys);
   const std::vector<std::uint32_t> want = StableSortReference(n, keys);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t j = 0; j < n; ++j)
-    ASSERT_EQ(got[j], want[j]) << "rank " << j;
+  for (ThreadPool* pool : Pools()) {
+    StableRadixSorter sorter;
+    ExpectPerm(sorter.Sort(n, keys, pool), want, pool);
+  }
 }
 
 TEST(RadixSort, EmptyAndSingle) {
-  StableRadixSorter sorter;
   const std::vector<std::int64_t> one = {42};
   const RadixKey keys[1] = {RadixKey::I64(one)};
-  EXPECT_TRUE(sorter.Sort(0, keys).empty());
-  const auto perm = sorter.Sort(1, keys);
-  ASSERT_EQ(perm.size(), 1u);
-  EXPECT_EQ(perm[0], 0u);
+  for (ThreadPool* pool : Pools()) {
+    StableRadixSorter sorter;
+    EXPECT_TRUE(sorter.Sort(0, keys, pool).empty());
+    const auto perm = sorter.Sort(1, keys, pool);
+    ASSERT_EQ(perm.size(), 1u);
+    EXPECT_EQ(perm[0], 0u);
+  }
 }
 
 TEST(RadixSort, AllEqualKeysIsIdentity) {
@@ -59,9 +83,7 @@ TEST(RadixSort, AllEqualKeysIsIdentity) {
   const std::size_t n = 4 * StableRadixSorter::kSmallN;
   const std::vector<std::int64_t> ts(n, 1404172800);
   const RadixKey keys[1] = {RadixKey::I64(ts)};
-  StableRadixSorter sorter;
-  const auto perm = sorter.Sort(n, keys);
-  for (std::size_t j = 0; j < n; ++j) ASSERT_EQ(perm[j], j);
+  ExpectMatchesStableSort(keys, n);
 }
 
 TEST(RadixSort, NegativeAndCrossMidnightKeys) {
@@ -79,6 +101,8 @@ TEST(RadixSort, NegativeAndCrossMidnightKeys) {
   ts.push_back(0);
   ts.push_back(-1);
   ts.push_back(1);
+  ts.push_back(INT64_MIN);
+  ts.push_back(INT64_MAX);
   const RadixKey keys[1] = {RadixKey::I64(ts)};
   ExpectMatchesStableSort(keys, ts.size());
 }
@@ -121,6 +145,44 @@ TEST(RadixSort, MultiComponentMatchesLexicographicOrder) {
   ExpectMatchesStableSort(keys, n);
 }
 
+TEST(RadixSort, AllButOneRowInOneMsdBucket) {
+  // Compression keeps the fused key's top bit varying, so the most skewed
+  // MSD split is every row but one in a single bucket: here bits 20..27
+  // vary only because of the last row, so the rest share MSD digit 0 and
+  // one bucket task sorts 20 low bits (plus a user tie-breaker) alone.
+  Rng rng(19);
+  const std::size_t n = 60000;
+  std::vector<std::uint64_t> ts;
+  std::vector<std::uint64_t> users;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    ts.push_back(rng.UniformInt(1u << 20));
+    users.push_back(rng.UniformInt(4));
+  }
+  ts.push_back(0xFFULL << 20);
+  users.push_back(0);
+  const RadixKey keys[2] = {RadixKey::U64(ts), RadixKey::U64(users)};
+  ExpectMatchesStableSort(keys, n);
+}
+
+TEST(RadixSort, KeyWiderThan64BitsMatchesStableSort) {
+  // Two components of ~40 varying bits each: 80 bits do not fuse, so the
+  // sorter falls back to one LSD pass sequence per component. The first
+  // component draws from a few wide values, so the second breaks ties.
+  Rng rng(23);
+  const std::size_t n = 20000;
+  std::vector<std::uint64_t> wide;
+  for (int i = 0; i < 16; ++i) wide.push_back(rng.NextU64() >> 24);
+  std::vector<std::uint64_t> first;
+  std::vector<std::int64_t> second;
+  for (std::size_t i = 0; i < n; ++i) {
+    first.push_back(wide[rng.UniformInt(wide.size())]);
+    second.push_back(static_cast<std::int64_t>(rng.NextU64() >> 24) -
+                     (std::int64_t{1} << 39));
+  }
+  const RadixKey keys[2] = {RadixKey::U64(first), RadixKey::I64(second)};
+  ExpectMatchesStableSort(keys, n);
+}
+
 TEST(RadixSort, MillionRowShuffleMatchesStableSort) {
   // Paper-scale single-component stress: 1M rows, many duplicates, full
   // shuffle. Also exercises scratch reuse by sorting twice with one sorter.
@@ -133,12 +195,66 @@ TEST(RadixSort, MillionRowShuffleMatchesStableSort) {
                  static_cast<std::int64_t>(rng.UniformInt(7 * 86400)));
   const RadixKey keys[1] = {RadixKey::I64(ts)};
   const std::vector<std::uint32_t> want = StableSortReference(n, keys);
+  for (ThreadPool* pool : Pools()) {
+    StableRadixSorter sorter;
+    for (int round = 0; round < 2; ++round)
+      ExpectPerm(sorter.Sort(n, keys, pool), want, pool);
+  }
+}
+
+TEST(RadixSort, OneSorterReusedAcrossPoolSizes) {
+  // The scratch a sorter keeps from one call (permutation capacity, shard
+  // histograms sized for another pool) must not leak into the next, as n
+  // grows and shrinks and the pool changes.
+  Rng rng(29);
   StableRadixSorter sorter;
-  for (int round = 0; round < 2; ++round) {
-    const auto got = sorter.Sort(n, keys);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t j = 0; j < n; ++j)
-      ASSERT_EQ(got[j], want[j]) << "round " << round << " rank " << j;
+  for (const std::size_t n : {std::size_t{5000}, std::size_t{300},
+                              std::size_t{20000}, std::size_t{129}}) {
+    std::vector<std::int64_t> ts;
+    std::vector<std::uint64_t> users;
+    for (std::size_t i = 0; i < n; ++i) {
+      ts.push_back(static_cast<std::int64_t>(rng.UniformInt(5000)));
+      users.push_back(rng.UniformInt(50));
+    }
+    const RadixKey keys[2] = {RadixKey::I64(ts), RadixKey::U64(users)};
+    const std::vector<std::uint32_t> want = StableSortReference(n, keys);
+    for (ThreadPool* pool : {Pools()[4], Pools()[1], Pools()[3], Pools()[0],
+                             Pools()[2]})
+      ExpectPerm(sorter.Sort(n, keys, pool), want, pool);
+  }
+}
+
+TEST(RecordColumnsSort, PooledSortMatchesOneThread) {
+  // A generated trace put back into user order (stable by user, so each
+  // user's records keep their time order, as the emitter writes them):
+  // sorting it on any pool restores the generated trace exactly.
+  workload::WorkloadConfig cfg;
+  cfg.population.mobile_users = 150;
+  cfg.population.pc_only_users = 50;
+  cfg.seed = 5;
+  cfg.threads = 1;
+  const std::vector<LogRecord> trace =
+      workload::WorkloadGenerator(cfg).Generate().trace;
+  std::vector<LogRecord> by_user = trace;
+  std::stable_sort(by_user.begin(), by_user.end(),
+                   [](const LogRecord& a, const LogRecord& b) {
+                     return a.user_id < b.user_id;
+                   });
+  RecordColumns unsorted;
+  for (const LogRecord& r : by_user) unsorted.Append(r);
+  ASSERT_GT(unsorted.size(), 10 * StableRadixSorter::kSmallN);
+
+  RecordColumnsScratch scratch;
+  RecordColumns one = unsorted;
+  one.SortByTimeOrder(scratch, *Pools()[1]);
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    ASSERT_EQ(one.RecordAt(i), trace[i]) << "row " << i;
+  for (const std::size_t p : {2, 3, 4}) {
+    RecordColumns cols = unsorted;
+    cols.SortByTimeOrder(scratch, *Pools()[p]);
+    RecordColumns::ForEachColumn([&](auto column) {
+      EXPECT_TRUE(cols.*column == one.*column) << "threads " << p;
+    });
   }
 }
 
