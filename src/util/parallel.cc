@@ -98,18 +98,45 @@ std::size_t ShardCount(const ThreadPool& pool, std::size_t n) {
   return std::min<std::size_t>(static_cast<std::size_t>(pool.threads()), n);
 }
 
+ShardRange ShardBounds(std::size_t n, std::size_t shards, std::size_t s) {
+  const std::size_t base = n / shards;
+  const std::size_t extra = n % shards;  // first `extra` shards get +1
+  const std::size_t begin = s * base + std::min(s, extra);
+  return {begin, begin + base + (s < extra ? 1 : 0)};
+}
+
 void ParallelForShards(
     ThreadPool& pool, std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
   const std::size_t shards = ShardCount(pool, n);
   if (shards == 0) return;
-  const std::size_t base = n / shards;
-  const std::size_t extra = n % shards;  // first `extra` shards get +1
   pool.Run(shards, [&](std::size_t s) {
-    const std::size_t begin = s * base + std::min(s, extra);
-    const std::size_t end = begin + base + (s < extra ? 1 : 0);
-    body(s, begin, end);
+    const ShardRange r = ShardBounds(n, shards, s);
+    body(s, r.begin, r.end);
   });
+}
+
+void RunTasks(ThreadPool* pool, std::size_t count,
+              const std::function<void(std::size_t)>& body) {
+  if (pool != nullptr) {
+    pool->Run(count, body);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+  }
+}
+
+void ParallelForShards(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+  if (pool != nullptr) {
+    ParallelForShards(*pool, n, body);
+  } else if (n > 0) {
+    body(0, 0, n);
+  }
+}
+
+std::size_t ShardCount(const ThreadPool* pool, std::size_t n) {
+  return pool != nullptr ? ShardCount(*pool, n) : std::min<std::size_t>(1, n);
 }
 
 void ParallelFor(ThreadPool& pool, std::size_t n,

@@ -88,6 +88,34 @@ void ParallelForShards(
 /// per-shard result slots.
 [[nodiscard]] std::size_t ShardCount(const ThreadPool& pool, std::size_t n);
 
+/// Shard `s` of `n` items cut into `shards` contiguous pieces, exactly as
+/// ParallelForShards cuts them (the first n % shards shards get one more
+/// item) — for state that outlives one batch, such as the analysis walk's
+/// per-thread user ranges.
+struct ShardRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+[[nodiscard]] ShardRange ShardBounds(std::size_t n, std::size_t shards,
+                                     std::size_t s);
+
+// Optional-pool forms: a null pool runs the work inline on the calling
+// thread, exactly as a pool of one does. Library entry points that take a
+// `ThreadPool*` defaulting to null use these, so one code path serves both.
+
+/// pool->Run(count, body), or body(0), ..., body(count - 1) inline.
+void RunTasks(ThreadPool* pool, std::size_t count,
+              const std::function<void(std::size_t)>& body);
+
+/// ParallelForShards on `pool`, or one inline shard [0, n).
+void ParallelForShards(
+    ThreadPool* pool, std::size_t n,
+    const std::function<void(std::size_t shard, std::size_t begin,
+                             std::size_t end)>& body);
+
+/// ShardCount(*pool, n), or 1 for a null pool (0 when n is 0).
+[[nodiscard]] std::size_t ShardCount(const ThreadPool* pool, std::size_t n);
+
 /// Elementwise parallel loop: body(i) for i in [0, n), statically sharded.
 /// Each index is processed exactly once; writes to disjoint elements of a
 /// pre-sized output need no further synchronization.

@@ -201,36 +201,10 @@ class StableRadixSorter {
     return pairs_.get();
   }
 
-  /// body(task) for task in [0, count): on the pool, or inline.
-  template <typename Body>
-  static void RunTasks(ThreadPool* pool, std::size_t count,
-                       const Body& body) {
-    if (pool != nullptr) {
-      pool->Run(count, body);
-    } else {
-      for (std::size_t t = 0; t < count; ++t) body(t);
-    }
-  }
-
-  /// Row shards ForShards uses: one per pool thread, or one inline.
-  [[nodiscard]] std::size_t Shards(const ThreadPool* pool) const {
-    return pool != nullptr ? ShardCount(*pool, n_) : 1;
-  }
-
-  /// body(shard, begin, end) over ParallelForShards' contiguous row shards
-  /// of [0, n_), or over one shard inline.
-  template <typename Body>
-  void ForShards(ThreadPool* pool, const Body& body) const {
-    if (pool != nullptr) {
-      ParallelForShards(*pool, n_, body);
-    } else {
-      body(0, 0, n_);
-    }
-  }
-
   void Identity(ThreadPool* pool) {
     std::uint32_t* perm = perm_.get();
-    ForShards(pool, [perm](std::size_t, std::size_t begin, std::size_t end) {
+    ParallelForShards(pool, n_, [perm](std::size_t, std::size_t begin,
+                                       std::size_t end) {
       for (std::size_t i = begin; i < end; ++i)
         perm[i] = static_cast<std::uint32_t>(i);
     });
@@ -240,9 +214,10 @@ class StableRadixSorter {
   /// the varying-bit extraction runs. Returns the compressed width.
   int PlanComponents(std::span<const RadixKey> keys, ThreadPool* pool) {
     const std::size_t k = keys.size();
-    const std::size_t shards = Shards(pool);
+    const std::size_t shards = ShardCount(pool, n_);
     aggregates_.assign(shards * k, Aggregate{});
-    ForShards(pool, [&](std::size_t s, std::size_t begin, std::size_t end) {
+    ParallelForShards(pool, n_, [&](std::size_t s, std::size_t begin,
+                                    std::size_t end) {
       for (std::size_t c = 0; c < k; ++c) {
         Aggregate agg;
         for (std::size_t i = begin; i < end; ++i) {
@@ -318,9 +293,10 @@ class StableRadixSorter {
     Pair* const packed = PairBuffers();
     Pair* const scattered = packed + n_;
 
-    const std::size_t shards = Shards(pool);
+    const std::size_t shards = ShardCount(pool, n_);
     offsets_.assign(shards * buckets, 0);
-    ForShards(pool, [&](std::size_t s, std::size_t begin, std::size_t end) {
+    ParallelForShards(pool, n_, [&](std::size_t s, std::size_t begin,
+                                    std::size_t end) {
       std::uint32_t* const hist = &offsets_[s * buckets];
       for (std::size_t j = begin; j < end; ++j) {
         const auto idx = static_cast<std::uint32_t>(j);
@@ -346,7 +322,8 @@ class StableRadixSorter {
     }
     bucket_begin_[buckets] = sum;
 
-    ForShards(pool, [&](std::size_t s, std::size_t begin, std::size_t end) {
+    ParallelForShards(pool, n_, [&](std::size_t s, std::size_t begin,
+                                    std::size_t end) {
       std::uint32_t* const next = &offsets_[s * buckets];
       for (std::size_t j = begin; j < end; ++j)
         scattered[next[packed[j].key >> low_bits]++] = packed[j];
