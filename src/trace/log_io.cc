@@ -1,7 +1,11 @@
 #include "trace/log_io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -9,6 +13,7 @@
 
 #include "util/csv.h"
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace mcloud {
 namespace {
@@ -463,107 +468,109 @@ void WriteColumnarRun(const std::filesystem::path& path,
 
 namespace {
 
-struct V2Reader {
-  std::ifstream in;
-  std::filesystem::path path;
+/// A read-only file descriptor, closed on scope exit. pread on one shared
+/// descriptor needs no seek position, so concurrent column reads share it.
+class ReadOnlyFd {
+ public:
+  explicit ReadOnlyFd(const std::filesystem::path& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    if (fd_ < 0) throw Error("cannot open for reading: " + path.string());
+  }
+  ~ReadOnlyFd() { ::close(fd_); }
+  ReadOnlyFd(const ReadOnlyFd&) = delete;
+  ReadOnlyFd& operator=(const ReadOnlyFd&) = delete;
 
-  void Read(void* data, std::size_t bytes) {
-    in.read(reinterpret_cast<char*>(data),
-            static_cast<std::streamsize>(bytes));
-    if (!in)
-      throw ParseError("truncated columnar trace: " + path.string());
+  /// Read exactly `bytes` at `offset` into `data`. The header gate has
+  /// already checked the length, so a short read means the file shrank.
+  void ReadAt(void* data, std::size_t bytes, std::uint64_t offset,
+              const std::filesystem::path& path) const {
+    auto* out = static_cast<char*>(data);
+    while (bytes > 0) {
+      const ssize_t got =
+          ::pread(fd_, out, bytes, static_cast<off_t>(offset));
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0)
+        throw ParseError("truncated columnar trace: " + path.string());
+      out += got;
+      bytes -= static_cast<std::size_t>(got);
+      offset += static_cast<std::uint64_t>(got);
+    }
   }
 
-  template <typename T>
-  std::vector<T> ReadColumn(std::uint64_t n) {
-    std::vector<T> column(static_cast<std::size_t>(n));
-    Read(column.data(), column.size() * sizeof(T));
-    return column;
-  }
-
-  std::vector<double> ReadMicrosColumn(std::uint64_t n) {
-    const auto micros = ReadColumn<std::int64_t>(n);
-    std::vector<double> seconds(micros.size());
-    for (std::size_t i = 0; i < micros.size(); ++i)
-      seconds[i] = detail::FromMicros(micros[i]);
-    return seconds;
-  }
-
-  void Skip(std::uint64_t bytes) {
-    in.seekg(static_cast<std::streamoff>(bytes), std::ios::cur);
-    if (!in)
-      throw ParseError("truncated columnar trace: " + path.string());
-  }
+ private:
+  int fd_;
 };
 
 }  // namespace
 
 TraceStore ReadColumnarTrace(const std::filesystem::path& path,
-                             std::uint32_t want) {
+                             std::uint32_t want, ThreadPool* pool) {
   // The probe validates the magic, mask, and full expected byte length.
   const detail::V2FileInfo info = detail::ReadV2FileInfo(path);
   const std::uint64_t n_rows = info.rows;
-  const std::uint64_t n_users = info.users;
-  const std::uint32_t file_mask = info.mask;
   if (n_rows > UINT32_MAX)
     throw ParseError("columnar trace too large: " + path.string());
-
-  V2Reader r{OpenForRead(path, /*binary=*/true), path};
-  r.Skip(info.user_table_offset);
+  const ReadOnlyFd fd(path);
 
   TraceStore::Builder b;
   b.day_base = info.day_base;
-  b.user_ids = r.ReadColumn<std::uint64_t>(n_users);
-
   // The indexes need timestamps and users regardless of the request.
-  const std::uint32_t load = (want | kColTimestamp | kColUser) & file_mask;
+  const std::uint32_t load = (want | kColTimestamp | kColUser) & info.mask;
   b.present = load;
-  for (const auto& col : kV2Columns) {
-    if (!(file_mask & col.mask)) continue;
-    if (!(load & col.mask)) {
-      r.Skip(n_rows * col.width);
-      continue;
+
+  // One task per loaded column plus one for the user table, each read with
+  // one pread at its own offset straight into its final vector. The tasks
+  // go largest first, so the pool's in-order claiming balances them.
+  constexpr std::uint32_t kUserTable = 0;
+  struct Task {
+    std::uint32_t col;
+    std::uint64_t bytes;
+  };
+  std::vector<Task> tasks = {{kUserTable, info.users * sizeof(std::uint64_t)}};
+  for (const auto& col : kV2Columns)
+    if (load & col.mask) tasks.push_back({col.mask, n_rows * col.width});
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const Task& a, const Task& c) { return a.bytes > c.bytes; });
+
+  const auto read = [&](auto& column, std::uint64_t n, std::uint64_t offset) {
+    column.resize(static_cast<std::size_t>(n));
+    fd.ReadAt(column.data(), column.size() * sizeof(column[0]), offset, path);
+  };
+  // Times are int64 microseconds on disk: read into the double column's
+  // own storage (same width), then convert in place.
+  const auto read_micros = [&](std::vector<double>& column,
+                               std::uint64_t offset) {
+    static_assert(sizeof(double) == sizeof(std::int64_t));
+    read(column, n_rows, offset);
+    for (double& x : column) {
+      std::int64_t us = 0;
+      std::memcpy(&us, &x, sizeof(us));
+      x = detail::FromMicros(us);
     }
-    switch (col.mask) {
-      case kColTimestamp:
-        b.timestamps = r.ReadColumn<std::int64_t>(n_rows);
-        break;
-      case kColDeviceType:
-        b.device_types = r.ReadColumn<std::uint8_t>(n_rows);
-        break;
-      case kColDeviceId:
-        b.device_ids = r.ReadColumn<std::uint64_t>(n_rows);
-        break;
-      case kColUser: {
-        const auto dense = r.ReadColumn<std::uint32_t>(n_rows);
-        b.raw_users.assign(dense.begin(), dense.end());
-        break;
-      }
-      case kColRequestType:
-        b.request_types = r.ReadColumn<std::uint8_t>(n_rows);
-        break;
-      case kColDirection:
-        b.directions = r.ReadColumn<std::uint8_t>(n_rows);
-        break;
-      case kColDataVolume:
-        b.data_volumes = r.ReadColumn<std::uint64_t>(n_rows);
-        break;
-      case kColProcessingTime:
-        b.processing_times = r.ReadMicrosColumn(n_rows);
-        break;
-      case kColServerTime:
-        b.server_times = r.ReadMicrosColumn(n_rows);
-        break;
-      case kColAvgRtt:
-        b.avg_rtts = r.ReadMicrosColumn(n_rows);
-        break;
-      case kColProxied:
-        b.proxied = r.ReadColumn<std::uint8_t>(n_rows);
-        break;
+  };
+  RunTasks(pool, tasks.size(), [&](std::size_t t) {
+    const std::uint32_t col = tasks[t].col;
+    if (col == kUserTable) {
+      read(b.user_ids, info.users, info.user_table_offset);
+      return;
     }
-  }
+    const std::uint64_t at = info.ColumnOffset(col);
+    switch (col) {
+      case kColTimestamp: read(b.timestamps, n_rows, at); break;
+      case kColDeviceType: read(b.device_types, n_rows, at); break;
+      case kColDeviceId: read(b.device_ids, n_rows, at); break;
+      case kColUser: read(b.dense_users, n_rows, at); break;
+      case kColRequestType: read(b.request_types, n_rows, at); break;
+      case kColDirection: read(b.directions, n_rows, at); break;
+      case kColDataVolume: read(b.data_volumes, n_rows, at); break;
+      case kColProcessingTime: read_micros(b.processing_times, at); break;
+      case kColServerTime: read_micros(b.server_times, at); break;
+      case kColAvgRtt: read_micros(b.avg_rtts, at); break;
+      case kColProxied: read(b.proxied, n_rows, at); break;
+    }
+  });
   try {
-    return std::move(b).Build();
+    return std::move(b).Build(pool);
   } catch (const Error& e) {
     throw ParseError("invalid columnar trace " + path.string() + ": " +
                      e.what());

@@ -5,9 +5,10 @@
 //     Table 1 fields. This is the interchange format of examples/.
 //   * Binary v2 (columnar) — one contiguous column per Table 1 field plus the
 //     TraceStore user table, so readers can load a column subset (see
-//     ColumnMask) with one seek per skipped column and analyze paper-scale
-//     traces without ever materializing the AoS vector. Every binary trace
-//     the tools write is v2.
+//     ColumnMask) with one pread per loaded column, all columns at once on
+//     a thread pool, and analyze paper-scale traces without ever
+//     materializing the AoS vector. Every binary trace the tools write is
+//     v2.
 //   * Binary v1 — fixed-width little-endian records behind a small
 //     magic+version header. Still read everywhere; only the library writes
 //     it (WriteBinaryTrace).
@@ -112,13 +113,18 @@ void WriteColumnarRun(const std::filesystem::path& path,
                       V2RunScratch& scratch);
 
 /// Read a v2 columnar trace, loading only the columns in `want` (skipped
-/// columns cost one seek each; the timestamp and user columns are always
+/// columns are never read; the timestamp and user columns are always
 /// loaded — the store's indexes need them). Columns in `want` that the file
 /// does not carry are simply absent from the result (check
-/// columns_present()). Throws ParseError on a bad magic/version or a
-/// truncated file.
+/// columns_present()). Each loaded column is one task on `pool` (inline
+/// when null) that preads it at its header-derived offset straight into
+/// the store's vector; TraceStore::Builder::Build then checks the rows on
+/// the same pool. The store and any error are the same for every pool.
+/// Throws ParseError on a bad magic/version, a truncated file or invalid
+/// rows.
 [[nodiscard]] TraceStore ReadColumnarTrace(const std::filesystem::path& path,
-                                           std::uint32_t want = kAllColumns);
+                                           std::uint32_t want = kAllColumns,
+                                           ThreadPool* pool = nullptr);
 
 namespace detail {
 

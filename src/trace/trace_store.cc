@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace mcloud {
 
@@ -36,7 +37,50 @@ void TraceStore::Builder::Append(const LogRecord& r) {
   if (present & kColProxied) proxied.push_back(r.proxied ? 1 : 0);
 }
 
-TraceStore TraceStore::Builder::Build() && {
+namespace {
+
+/// Per-row check failures, one bit each, in the order Build reports them.
+enum RowCheck : std::uint8_t {
+  kUnsorted = 1u << 0,
+  kBadDeviceType = 1u << 1,
+  kBadRequestType = 1u << 2,
+  kBadDirection = 1u << 3,
+  kBadDenseUser = 1u << 4,
+};
+
+/// The RowCheck bits rows [begin, end) fail. Each check is its own
+/// branch-free OR reduction over one column.
+std::uint8_t CheckRows(std::span<const std::int64_t> ts,
+                       std::span<const std::uint8_t> device_types,
+                       std::span<const std::uint8_t> request_types,
+                       std::span<const std::uint8_t> directions,
+                       std::span<const std::uint32_t> dense_users,
+                       std::size_t users, std::size_t begin,
+                       std::size_t end) {
+  const auto any = [begin, end](auto column, auto bad) {
+    bool found = false;
+    if (column.empty()) return found;  // an absent column
+    for (std::size_t i = begin; i < end; ++i) found |= bad(column[i]);
+    return found;
+  };
+  bool unsorted = false;
+  for (std::size_t i = std::max<std::size_t>(begin, 1); i < end; ++i)
+    unsorted |= ts[i] < ts[i - 1];
+  std::uint8_t failed = unsorted ? kUnsorted : 0;
+  if (any(device_types, [](std::uint8_t d) { return d > 2; }))
+    failed |= kBadDeviceType;
+  if (any(request_types, [](std::uint8_t t) { return t > 1; }))
+    failed |= kBadRequestType;
+  if (any(directions, [](std::uint8_t d) { return d > 1; }))
+    failed |= kBadDirection;
+  if (any(dense_users, [users](std::uint32_t u) { return u >= users; }))
+    failed |= kBadDenseUser;
+  return failed;
+}
+
+}  // namespace
+
+TraceStore TraceStore::Builder::Build(ThreadPool* pool) && {
   TraceStore s;
   s.present_ = present;
   s.day_base_ = day_base;
@@ -73,31 +117,40 @@ TraceStore TraceStore::Builder::Build() && {
                      column_sized(s.avg_rtts_.size(), kColAvgRtt, present) &&
                      column_sized(s.proxied_.size(), kColProxied, present),
                  "column length mismatch");
-  for (std::size_t i = 1; i < n; ++i) {
-    MCLOUD_REQUIRE(s.timestamps_[i] >= s.timestamps_[i - 1],
-                   "trace must be time-sorted");
-  }
-  for (const std::uint8_t d : s.device_types_)
-    MCLOUD_REQUIRE(d <= 2, "bad device type");
-  for (const std::uint8_t t : s.request_types_)
-    MCLOUD_REQUIRE(t <= 1, "bad request type");
-  for (const std::uint8_t d : s.directions_)
-    MCLOUD_REQUIRE(d <= 1, "bad direction");
 
-  MCLOUD_REQUIRE(raw_users.size() == n, "user column length mismatch");
-  if (!user_ids.empty()) {
+  // Each shard runs every row check over its rows; the shards' failures
+  // are OR-ed and reported in one fixed order, so the error never depends
+  // on which shard saw it first.
+  const bool pre_resolved = !user_ids.empty() || !dense_users.empty();
+  const std::size_t user_rows =
+      pre_resolved ? dense_users.size() : raw_users.size();
+  std::span<const std::uint32_t> checked_dense;  // only with a row per row
+  if (pre_resolved && user_rows == n) checked_dense = dense_users;
+  std::vector<std::uint8_t> shard_failed(ShardCount(pool, n), 0);
+  ParallelForShards(pool, n,
+                    [&](std::size_t shard, std::size_t begin, std::size_t end) {
+                      shard_failed[shard] = CheckRows(
+                          s.timestamps_, s.device_types_, s.request_types_,
+                          s.directions_, checked_dense, user_ids.size(),
+                          begin, end);
+                    });
+  std::uint8_t failed = 0;
+  for (const std::uint8_t f : shard_failed) failed |= f;
+  MCLOUD_REQUIRE(!(failed & kUnsorted), "trace must be time-sorted");
+  MCLOUD_REQUIRE(!(failed & kBadDeviceType), "bad device type");
+  MCLOUD_REQUIRE(!(failed & kBadRequestType), "bad request type");
+  MCLOUD_REQUIRE(!(failed & kBadDirection), "bad direction");
+
+  MCLOUD_REQUIRE(user_rows == n, "user column length mismatch");
+  if (pre_resolved) {
     // Pre-resolved dense mapping (the v2 on-disk layout).
     MCLOUD_REQUIRE(std::is_sorted(user_ids.begin(), user_ids.end()) &&
                        std::adjacent_find(user_ids.begin(), user_ids.end()) ==
                            user_ids.end(),
                    "user id table must be sorted and unique");
+    MCLOUD_REQUIRE(!(failed & kBadDenseUser), "dense user index out of range");
     s.user_ids_ = std::move(user_ids);
-    s.user_index_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      MCLOUD_REQUIRE(raw_users[i] < s.user_ids_.size(),
-                     "dense user index out of range");
-      s.user_index_[i] = static_cast<std::uint32_t>(raw_users[i]);
-    }
+    s.user_index_ = std::move(dense_users);
   } else {
     s.FinalizeFromRawUsers(raw_users);
   }
@@ -138,16 +191,20 @@ void TraceStore::FinalizeFromRawUsers(std::span<const std::uint64_t> raw) {
 }
 
 void TraceStore::BuildDayPartitions() {
-  const std::size_t n = timestamps_.size();
-  // Contiguous runs of equal calendar day (the store is time-sorted).
+  // The store is time-sorted, so the calendar day never decreases along the
+  // rows and each day's rows are the prefix of the rest that shares the
+  // first row's day: one binary search per day, not a division per row.
   partitions_.clear();
-  std::size_t begin = 0;
-  while (begin < n) {
-    const std::int64_t day = FloorDayIndex(timestamps_[begin] - day_base_);
-    std::size_t end = begin + 1;
-    while (end < n && FloorDayIndex(timestamps_[end] - day_base_) == day) ++end;
-    partitions_.push_back({day, static_cast<std::uint32_t>(begin),
-                           static_cast<std::uint32_t>(end)});
+  const auto first = timestamps_.begin();
+  auto begin = first;
+  while (begin != timestamps_.end()) {
+    const std::int64_t day = FloorDayIndex(*begin - day_base_);
+    const auto end = std::partition_point(
+        begin, timestamps_.end(), [&](std::int64_t t) {
+          return FloorDayIndex(t - day_base_) == day;
+        });
+    partitions_.push_back({day, static_cast<std::uint32_t>(begin - first),
+                           static_cast<std::uint32_t>(end - first)});
     begin = end;
   }
 }

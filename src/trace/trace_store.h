@@ -33,6 +33,8 @@
 
 namespace mcloud {
 
+class ThreadPool;
+
 /// Bitmask naming the Table 1 columns of a TraceStore.
 enum ColumnMask : std::uint32_t {
   kColTimestamp = 1u << 0,
@@ -187,15 +189,20 @@ struct TraceStore::Builder {
   std::vector<double> avg_rtts;
   std::vector<std::uint8_t> proxied;
 
-  /// Optional pre-resolved dense mapping (v2 files store it): when
-  /// `user_ids` is non-empty, `raw_users` instead holds dense indices into
-  /// it and no remap pass runs (the table must be sorted ascending).
+  /// Optional pre-resolved dense mapping (v2 files store it): when either
+  /// is non-empty, `dense_users` holds each row's index into the `user_ids`
+  /// table, `raw_users` is unused, and no remap pass runs (the table must
+  /// be sorted ascending and unique).
   std::vector<std::uint64_t> user_ids;
+  std::vector<std::uint32_t> dense_users;
 
   void Reserve(std::size_t n);
   void Append(const LogRecord& r);
   /// Validate, remap users, build the day partitions. Consumes the builder.
-  [[nodiscard]] TraceStore Build() &&;
+  /// The per-row checks (time order, enum ranges, dense user range) run
+  /// over row shards of `pool` (inline when null); whatever the pool, the
+  /// error thrown is the first failed check in that order.
+  [[nodiscard]] TraceStore Build(ThreadPool* pool = nullptr) &&;
 };
 
 }  // namespace mcloud

@@ -261,7 +261,7 @@ ColumnarWorkload WorkloadGenerator::GenerateColumnar(
 
   ColumnarWorkload out;
   out.users = std::move(e.users);
-  out.trace = std::move(b).Build();
+  out.trace = std::move(b).Build(&pool);
   if (timings) timings->total_s += Since(t0);
   return out;
 }
