@@ -53,7 +53,8 @@ bool BinLogSpaced(std::span<const double> data, std::size_t bins,
 }  // namespace
 
 FileSizeModel FitFileSizeModel(std::span<const double> avg_sizes_mb,
-                               const FileSizeModelOptions& options) {
+                               const FileSizeModelOptions& options,
+                               ThreadPool* pool) {
   MCLOUD_REQUIRE(!avg_sizes_mb.empty(), "no sizes to fit");
 
   FileSizeModel out;
@@ -69,10 +70,10 @@ FileSizeModel FitFileSizeModel(std::span<const double> avg_sizes_mb,
                    binned_counts)) {
     out.selection = SelectMixtureExponentialWeighted(
         binned_values, binned_counts, options.max_components,
-        options.weight_floor);
+        options.weight_floor, {}, pool);
   } else {
     out.selection = SelectMixtureExponential(
-        avg_sizes_mb, options.max_components, options.weight_floor);
+        avg_sizes_mb, options.max_components, options.weight_floor, {}, pool);
   }
 
   const MixtureExponential& mixture = out.selection.fit.mixture;
@@ -108,7 +109,8 @@ FileSizeModel FitFileSizeModel(std::span<const double> avg_sizes_mb,
 }
 
 FileSizeModel FitFileSizeModel(const LogBins& sketch, const TDigest& digest,
-                               const FileSizeModelOptions& options) {
+                               const FileSizeModelOptions& options,
+                               ThreadPool* pool) {
   MCLOUD_REQUIRE(sketch.Total() > 0, "no sizes to fit");
   MCLOUD_REQUIRE(sketch.Total() == digest.Count(),
                  "size sketch and digest disagree on sample count");
@@ -126,7 +128,7 @@ FileSizeModel FitFileSizeModel(const LogBins& sketch, const TDigest& digest,
     counts.push_back(static_cast<double>(sketch.Count(b)));
   }
   out.selection = SelectMixtureExponentialWeighted(
-      values, counts, options.max_components, options.weight_floor);
+      values, counts, options.max_components, options.weight_floor, {}, pool);
 
   const MixtureExponential& mixture = out.selection.fit.mixture;
   const std::size_t n_params = 2 * mixture.size() - 1;  // α's + µ's, Σα = 1

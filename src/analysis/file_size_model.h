@@ -40,9 +40,11 @@ struct FileSizeModelOptions {
 };
 
 /// Fit the full Fig 6 pipeline to per-session average file sizes (MB).
+/// The EM candidates run on `pool` (see SelectMixtureExponential); the
+/// model is the same for every pool.
 [[nodiscard]] FileSizeModel FitFileSizeModel(
     std::span<const double> avg_sizes_mb,
-    const FileSizeModelOptions& options = {});
+    const FileSizeModelOptions& options = {}, ThreadPool* pool = nullptr);
 
 /// Fixed geometry of the size sketch: 96 log10 bins per decade over
 /// [1e-4 MB, 1e5 MB); out-of-range sizes clamp into the edge bins, whose
@@ -62,6 +64,6 @@ struct FileSizeModelOptions {
 /// O(sessions).
 [[nodiscard]] FileSizeModel FitFileSizeModel(
     const LogBins& sketch, const TDigest& digest,
-    const FileSizeModelOptions& options = {});
+    const FileSizeModelOptions& options = {}, ThreadPool* pool = nullptr);
 
 }  // namespace mcloud::analysis

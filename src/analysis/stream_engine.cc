@@ -17,18 +17,27 @@ constexpr std::uint8_t kFileOpRaw =
     static_cast<std::uint8_t>(RequestType::kFileOperation);
 constexpr std::uint8_t kStoreRaw = static_cast<std::uint8_t>(Direction::kStore);
 
+/// The original ids of `users`, a range of the global table.
+std::span<const std::uint64_t> RangeIds(std::span<const std::uint64_t> ids,
+                                        UserRange users) {
+  const std::size_t end = std::min(users.end, ids.size());
+  MCLOUD_REQUIRE(users.begin <= end, "user range outside the user table");
+  return ids.subspan(users.begin, end - users.begin);
+}
+
 }  // namespace
 
 StreamingRowPass::StreamingRowPass(std::span<const std::uint64_t> user_ids,
                                    UnixSeconds trace_start, int days,
-                                   UnixSeconds day_base)
-    : user_ids_(user_ids),
+                                   UnixSeconds day_base, UserRange users)
+    : first_user_(static_cast<std::uint32_t>(users.begin)),
+      user_ids_(RangeIds(user_ids, users)),
       day_base_(day_base),
       trace_start_(trace_start),
       window_begin_(trace_start),
       window_end_(trace_start + static_cast<std::int64_t>(days) * kDay),
-      last_op_(user_ids.size(), 0),
-      seen_(user_ids.size(), 0) {
+      last_op_(user_ids_.size(), 0),
+      seen_(user_ids_.size(), 0) {
   MCLOUD_REQUIRE(days >= 1, "need at least one day");
   auto& hours = out_.timeseries.hours;
   hours.resize(static_cast<std::size_t>(days) * 24);
@@ -52,9 +61,11 @@ void StreamingRowPass::Consume(std::int64_t day, const TraceRowBlock& block) {
   const bool in_window =
       part_begin < window_end_ && part_begin + kDay > window_begin_;
 
+  const std::size_t n_users = user_ids_.size();
   for (std::size_t row = 0; row < block.rows(); ++row) {
-    if (dev[row] == kPcRaw) continue;
-    const std::uint32_t u = user[row];
+    // Local index; rows of users outside the range wrap past n_users.
+    const std::uint32_t u = user[row] - first_user_;
+    if (u >= n_users || dev[row] == kPcRaw) continue;
     ++out_.mobile_records;
     if (dev[row] == kAndroidRaw) ++out_.android_records;
 
@@ -89,14 +100,15 @@ void StreamingRowPass::Consume(std::int64_t day, const TraceRowBlock& block) {
 FusedRowPassResult StreamingRowPass::TakeResult() { return std::move(out_); }
 
 StreamingPerUserPass::StreamingPerUserPass(
-    std::span<const std::uint64_t> user_ids, Seconds tau)
-    : user_ids_(user_ids),
+    std::span<const std::uint64_t> user_ids, Seconds tau, UserRange users)
+    : first_user_(static_cast<std::uint32_t>(users.begin)),
+      user_ids_(RangeIds(user_ids, users)),
       tau_(tau),
-      cur_(user_ids.size()),
-      mob_cur_(user_ids.size()),
-      usage_(user_ids.size()),
-      mob_usage_(user_ids.size()),
-      devs_(user_ids.size()) {}
+      cur_(user_ids_.size()),
+      mob_cur_(user_ids_.size()),
+      usage_(user_ids_.size()),
+      mob_usage_(user_ids_.size()),
+      devs_(user_ids_.size()) {}
 
 void StreamingPerUserPass::Fold(SessionCursor& c, std::vector<Session>& sink,
                                 std::uint64_t user_id, std::int64_t t,
@@ -140,8 +152,11 @@ void StreamingPerUserPass::Consume(const TraceRowBlock& block) {
   // state lives in dense arrays, instead of gathering each user's rows from
   // all over the trace. Within one user, row order is time order, so each
   // cursor sees the exact record sequence Sessionizer::Sessionize folds.
+  const std::size_t n_users = user_ids_.size();
   for (std::size_t row = 0; row < block.rows(); ++row) {
-    const std::uint32_t u = block.users[row];
+    // Local index; rows of users outside the range wrap past n_users.
+    const std::uint32_t u = block.users[row] - first_user_;
+    if (u >= n_users) continue;
     const std::uint64_t user_id = user_ids_[u];
     const bool mobile_row = dev[row] != kPcRaw;
     const bool is_op = req[row] == kFileOpRaw;
@@ -179,7 +194,7 @@ void StreamingPerUserPass::Consume(const TraceRowBlock& block) {
   }
 }
 
-FusedPerUserResult StreamingPerUserPass::Finish(ThreadPool& pool) {
+FusedPerUserResult StreamingPerUserPass::Finish() {
   const std::size_t n_users = user_ids_.size();
   const auto uid = user_ids_;
 
@@ -198,16 +213,8 @@ FusedPerUserResult StreamingPerUserPass::Finish(ThreadPool& pool) {
     if (a.user_id != b.user_id) return a.user_id < b.user_id;
     return a.begin < b.begin;
   };
-  ParallelInvoke(pool, {
-                          [&] {
-                            std::sort(sessions_.begin(), sessions_.end(),
-                                      by_user_begin);
-                          },
-                          [&] {
-                            std::sort(mobile_sessions_.begin(),
-                                      mobile_sessions_.end(), by_user_begin);
-                          },
-                      });
+  std::sort(sessions_.begin(), sessions_.end(), by_user_begin);
+  std::sort(mobile_sessions_.begin(), mobile_sessions_.end(), by_user_begin);
 
   // Usage tables in ascending user order. A user has a mobile row iff they
   // have a mobile device, so the mobile table skips exactly the PC-only

@@ -22,6 +22,13 @@
 // restores their canonical order, so downstream consumers receive
 // bit-identical inputs at every thread count. core/pipeline.cc's block
 // walk is the one driver.
+//
+// Each pass may be restricted to a contiguous range of dense users
+// (UserRange): it keeps state for those users only and skips every other
+// row. Every statistic here is a fold over one user's rows or a sum of
+// such folds, so passes over ranges that tile the user space run
+// concurrently over the same blocks, and their results merged in range
+// order equal the unrestricted pass's bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +40,15 @@
 #include "analysis/usage_patterns.h"
 #include "analysis/workload_timeseries.h"
 #include "trace/partitioned_trace.h"
-#include "util/parallel.h"
 
 namespace mcloud::analysis {
+
+/// A contiguous range [begin, end) of global dense user indices; the
+/// default covers every user (`end` is clamped to the user table's size).
+struct UserRange {
+  std::size_t begin = 0;
+  std::size_t end = SIZE_MAX;
+};
 
 /// Row-order (time-order) results: Fig 1 series, Fig 3 sketch, §2.2 counts.
 struct FusedRowPassResult {
@@ -76,8 +89,10 @@ class StreamingRowPass {
   /// slicing computes identical jitter) and must outlive the pass;
   /// `trace_start`/`days` bound the Fig 1 hourly window; `day_base` anchors
   /// the calendar-day keys passed to Consume (same epoch as the trace).
+  /// Only the rows of `users` are counted.
   StreamingRowPass(std::span<const std::uint64_t> user_ids,
-                   UnixSeconds trace_start, int days, UnixSeconds day_base);
+                   UnixSeconds trace_start, int days, UnixSeconds day_base,
+                   UserRange users = {});
 
   /// Feed the next block. All rows must be in calendar day `day`, and
   /// blocks must arrive in global time order.
@@ -87,7 +102,8 @@ class StreamingRowPass {
   [[nodiscard]] FusedRowPassResult TakeResult();
 
  private:
-  std::span<const std::uint64_t> user_ids_;
+  std::uint32_t first_user_;  ///< global dense index of local user 0
+  std::span<const std::uint64_t> user_ids_;  ///< the range's original ids
   UnixSeconds day_base_;
   UnixSeconds trace_start_;
   std::int64_t window_begin_;
@@ -108,8 +124,9 @@ class StreamingRowPass {
 class StreamingPerUserPass {
  public:
   /// `user_ids` maps global dense index -> original id and must outlive the
-  /// pass.
-  StreamingPerUserPass(std::span<const std::uint64_t> user_ids, Seconds tau);
+  /// pass. Only the rows of `users` are folded.
+  StreamingPerUserPass(std::span<const std::uint64_t> user_ids, Seconds tau,
+                       UserRange users = {});
 
   /// Feed the next block (global time order; day boundaries irrelevant —
   /// sessions span days).
@@ -117,7 +134,7 @@ class StreamingPerUserPass {
 
   /// Flush open sessions, restore canonical (user, begin) order, assemble
   /// the result. Call once, after the last block.
-  [[nodiscard]] FusedPerUserResult Finish(ThreadPool& pool);
+  [[nodiscard]] FusedPerUserResult Finish();
 
  private:
   /// Open-session state for one user.
@@ -132,7 +149,8 @@ class StreamingPerUserPass {
             std::uint64_t user_id, std::int64_t t, bool is_op, bool is_store,
             bool mobile_row, std::uint64_t volume);
 
-  std::span<const std::uint64_t> user_ids_;
+  std::uint32_t first_user_;  ///< global dense index of local user 0
+  std::span<const std::uint64_t> user_ids_;  ///< the range's original ids
   Seconds tau_;
   std::vector<SessionCursor> cur_;
   std::vector<SessionCursor> mob_cur_;

@@ -91,8 +91,6 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
               sk.store_avg_mb.Add(mb);
               sk.store_avg_mb_digest.Add(mb);
             }
-            report.store_size_model = analysis::FitFileSizeModel(
-                sk.store_avg_mb, sk.store_avg_mb_digest);
             t_store_fit = Since(t0);
           },
           [&] {
@@ -107,8 +105,6 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
               sk.retrieve_avg_mb.Add(mb);
               sk.retrieve_avg_mb_digest.Add(mb);
             }
-            report.retrieve_size_model = analysis::FitFileSizeModel(
-                sk.retrieve_avg_mb, sk.retrieve_avg_mb_digest);
             t_retrieve_fit = Since(t0);
           },
           [&] {
@@ -128,8 +124,17 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
             t_activity = Since(t0);
           },
       });
+  // The file-size fits run their EM candidates on the pool, so they run
+  // after the batch above, one at a time: ThreadPool::Run is not
+  // reentrant.
+  const auto t0 = Clock::now();
+  auto& sk = report.sketches;
+  report.store_size_model = analysis::FitFileSizeModel(
+      sk.store_avg_mb, sk.store_avg_mb_digest, {}, &pool);
+  report.retrieve_size_model = analysis::FitFileSizeModel(
+      sk.retrieve_avg_mb, sk.retrieve_avg_mb_digest, {}, &pool);
   per_user_s += t_columns + t_stats + t_engagement;
-  fits_s += t_store_fit + t_retrieve_fit + t_activity;
+  fits_s += t_store_fit + t_retrieve_fit + t_activity + Since(t0);
 }
 
 /// Streams a trace's analysis-column blocks into a sink, in global time
@@ -151,42 +156,203 @@ struct WalkResult {
   std::optional<analysis::IntervalModel> interval_model;
 };
 
+/// Fold the row pass of the next user range (or slice) into the running
+/// total: hour bins and counts are integers and the interval sketch's
+/// per-bin sums are integer-exact, so the sums do not depend on the split.
+void MergeRows(analysis::FusedRowPassResult& total,
+               analysis::FusedRowPassResult&& part) {
+  auto& hours = total.timeseries.hours;
+  auto& part_hours = part.timeseries.hours;
+  if (hours.empty()) {
+    hours = std::move(part_hours);
+  } else {
+    MCLOUD_REQUIRE(hours.size() == part_hours.size(),
+                   "slice hour windows disagree");
+    for (std::size_t i = 0; i < hours.size(); ++i) {
+      hours[i].store_volume_bytes += part_hours[i].store_volume_bytes;
+      hours[i].retrieve_volume_bytes += part_hours[i].retrieve_volume_bytes;
+      hours[i].stored_files += part_hours[i].stored_files;
+      hours[i].retrieved_files += part_hours[i].retrieved_files;
+    }
+  }
+  total.intervals.Merge(part.intervals);
+  total.mobile_records += part.mobile_records;
+  total.android_records += part.android_records;
+}
+
+/// Fold the per-user pass of the next user range (or slice) into the
+/// running total. Ranges are contiguous and ascending, so concatenation
+/// keeps the canonical (user, begin) and user orders. The device ids are
+/// only appended: a device id can recur across ranges, so the caller
+/// unions them once with UnionDeviceIds after the last part.
+void MergePerUser(analysis::FusedPerUserResult& total,
+                  analysis::FusedPerUserResult&& part) {
+  auto append = [](auto& dst, auto& src) {
+    if (dst.empty()) {
+      dst = std::move(src);
+      return;
+    }
+    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
+               std::make_move_iterator(src.end()));
+  };
+  append(total.sessions, part.sessions);
+  append(total.mobile_sessions, part.mobile_sessions);
+  append(total.usage, part.usage);
+  append(total.mobile_usage, part.mobile_usage);
+  append(total.mobile_device_ids, part.mobile_device_ids);
+  total.mobile_users += part.mobile_users;
+}
+
+/// The distinct count over every merged part's device ids.
+void UnionDeviceIds(analysis::FusedPerUserResult& total) {
+  auto& ids = total.mobile_device_ids;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  total.mobile_devices = ids.size();
+}
+
+/// One user range's rows of each block, gathered into dense columns a
+/// piece at a time. Handing a range's cores the whole block would make
+/// both of them read every row and skip the other ranges' rows on an
+/// unpredictable branch; the packer reads the user column once and copies
+/// only the range's own rows.
+class RangeRows {
+ public:
+  explicit RangeRows(analysis::UserRange users) : users_(users) {}
+
+  /// fn(piece) for each piece of `block`'s rows whose user is in the
+  /// range, in row order.
+  template <typename Fn>
+  void ForEachPiece(const TraceRowBlock& block, Fn&& fn) {
+    rows_.resize(kPieceRows);
+    const auto first = static_cast<std::uint32_t>(users_.begin);
+    const std::size_t n_users = users_.end - users_.begin;
+    for (std::size_t begin = 0; begin < block.rows(); begin += kPieceRows) {
+      const std::size_t end = std::min(block.rows(), begin + kPieceRows);
+      // Branch-free selection: always write the row, keep it if in range.
+      std::size_t n = 0;
+      for (std::size_t row = begin; row < end; ++row) {
+        rows_[n] = static_cast<std::uint32_t>(row);
+        n += block.users[row] - first < n_users;
+      }
+      if (n == 0) continue;
+      const auto gather = [&](auto column, auto& packed) {
+        packed.resize(n);
+        for (std::size_t i = 0; i < n; ++i) packed[i] = column[rows_[i]];
+        return std::span(std::as_const(packed));
+      };
+      TraceRowBlock piece;
+      piece.timestamps = gather(block.timestamps, timestamps_);
+      piece.device_types = gather(block.device_types, device_types_);
+      piece.device_ids = gather(block.device_ids, device_ids_);
+      piece.users = gather(block.users, users_column_);
+      piece.request_types = gather(block.request_types, request_types_);
+      piece.directions = gather(block.directions, directions_);
+      piece.data_volumes = gather(block.data_volumes, data_volumes_);
+      fn(piece);
+    }
+  }
+
+ private:
+  /// Rows per piece: a piece's packed columns stay in a core's L2.
+  static constexpr std::size_t kPieceRows = 16384;
+
+  analysis::UserRange users_;
+  std::vector<std::uint32_t> rows_;
+  std::vector<std::int64_t> timestamps_;
+  std::vector<std::uint8_t> device_types_;
+  std::vector<std::uint64_t> device_ids_;
+  std::vector<std::uint32_t> users_column_;
+  std::vector<std::uint8_t> request_types_;
+  std::vector<std::uint8_t> directions_;
+  std::vector<std::uint64_t> data_volumes_;
+};
+
 /// The one block walk behind every entry point. With a fixed τ one scan
 /// feeds both streaming cores. With τ = auto the per-user core needs the
 /// valley τ, which needs the complete interval sketch: a first scan feeds
 /// the row-order core, the sketch is fitted, and a second scan feeds the
 /// per-user core.
+///
+/// The walk is split by user: the dense user space is cut into one
+/// contiguous range per pool thread, each range has its own pair of
+/// cores, and every block is one pool batch in which each range consumes
+/// its own rows. The ranges' results merge in range order exactly as
+/// RunConcurrent's slices do, so the report is the same at every pool
+/// size; a pool of one is the single unsplit walk.
 WalkResult Walk(const PipelineOptions& options,
                 std::span<const std::uint64_t> user_ids, UnixSeconds day_base,
                 const Scan& scan, ThreadPool& pool, StageTimings& t) {
-  WalkResult w;
-  analysis::StreamingRowPass row_pass(user_ids, options.trace_start,
-                                      options.days, day_base);
-  std::optional<analysis::StreamingPerUserPass> per_user_pass;
-  if (options.session_tau > 0)
-    per_user_pass.emplace(user_ids, options.session_tau);
+  const std::size_t ranges =
+      std::max<std::size_t>(1, ShardCount(pool, user_ids.size()));
+  std::vector<analysis::UserRange> range(ranges);
+  for (std::size_t r = 0; r < ranges; ++r) {
+    const ShardRange b = ShardBounds(user_ids.size(), ranges, r);
+    range[r] = {b.begin, b.end};
+  }
+  std::vector<analysis::StreamingRowPass> row_passes;
+  std::vector<RangeRows> range_rows;
+  row_passes.reserve(ranges);
+  range_rows.reserve(ranges);
+  for (std::size_t r = 0; r < ranges; ++r) {
+    row_passes.emplace_back(user_ids, options.trace_start, options.days,
+                            day_base, range[r]);
+    range_rows.emplace_back(range[r]);
+  }
+  std::vector<std::optional<analysis::StreamingPerUserPass>> per_user(ranges);
+  const auto start_per_user = [&](Seconds tau) {
+    for (std::size_t r = 0; r < ranges; ++r)
+      per_user[r].emplace(user_ids, tau, range[r]);
+  };
+  const bool fixed_tau = options.session_tau > 0;
+  if (fixed_tau) start_per_user(options.session_tau);
+  // fn(r, rows) for every range r, as one pool batch: the block itself
+  // when one range covers every user, else the range's packed pieces.
+  const auto for_each_range = [&](const TraceRowBlock& block, auto&& fn) {
+    pool.Run(ranges, [&](std::size_t r) {
+      if (ranges == 1) {
+        fn(r, block);
+      } else {
+        range_rows[r].ForEachPiece(
+            block, [&](const TraceRowBlock& piece) { fn(r, piece); });
+      }
+    });
+  };
 
+  WalkResult w;
   auto t0 = Clock::now();
   scan([&](std::int64_t day, const TraceRowBlock& block) {
-    row_pass.Consume(day, block);
-    if (per_user_pass) per_user_pass->Consume(block);
+    for_each_range(block, [&](std::size_t r, const TraceRowBlock& rows) {
+      row_passes[r].Consume(day, rows);
+      if (fixed_tau) per_user[r]->Consume(rows);
+    });
   });
-  w.row = row_pass.TakeResult();
+  for (analysis::StreamingRowPass& pass : row_passes)
+    MergeRows(w.row, pass.TakeResult());
   t.scan_s += Since(t0);
 
-  if (!per_user_pass) {
+  if (!fixed_tau) {
     t0 = Clock::now();
     w.interval_model = analysis::FitIntervalModel(w.row.intervals);
     t.fits_s += Since(t0);
     t0 = Clock::now();
-    per_user_pass.emplace(user_ids, w.interval_model->valley_tau);
+    start_per_user(w.interval_model->valley_tau);
     scan([&](std::int64_t, const TraceRowBlock& block) {
-      per_user_pass->Consume(block);
+      for_each_range(block, [&](std::size_t r, const TraceRowBlock& rows) {
+        per_user[r]->Consume(rows);
+      });
     });
     t.sessionize_s += Since(t0);
   }
   t0 = Clock::now();
-  w.per_user = per_user_pass->Finish(pool);
+  std::vector<analysis::FusedPerUserResult> parts(ranges);
+  pool.Run(ranges, [&](std::size_t r) {
+    parts[r] = per_user[r]->Finish();
+    per_user[r].reset();
+  });
+  for (analysis::FusedPerUserResult& part : parts)
+    MergePerUser(w.per_user, std::move(part));
+  UnionDeviceIds(w.per_user);
   t.sessionize_s += Since(t0);
   return w;
 }
@@ -236,39 +402,10 @@ FullReport Analyze(const PipelineOptions& options, std::size_t records,
 }
 
 /// Fold one slice's walk into the running total. Slices cover contiguous
-/// ascending user ranges, so concatenating sessions and usage keeps the
-/// canonical order; hour bins, the interval sketch and the counts sum
-/// exactly.
+/// ascending user ranges, exactly like the walk's own ranges.
 void MergeSlice(WalkResult& total, WalkResult&& slice) {
-  auto& hours = total.row.timeseries.hours;
-  auto& slice_hours = slice.row.timeseries.hours;
-  if (hours.empty()) {
-    hours = std::move(slice_hours);
-  } else {
-    MCLOUD_REQUIRE(hours.size() == slice_hours.size(),
-                   "slice hour windows disagree");
-    for (std::size_t i = 0; i < hours.size(); ++i) {
-      hours[i].store_volume_bytes += slice_hours[i].store_volume_bytes;
-      hours[i].retrieve_volume_bytes += slice_hours[i].retrieve_volume_bytes;
-      hours[i].stored_files += slice_hours[i].stored_files;
-      hours[i].retrieved_files += slice_hours[i].retrieved_files;
-    }
-  }
-  total.row.intervals.Merge(slice.row.intervals);
-  total.row.mobile_records += slice.row.mobile_records;
-  total.row.android_records += slice.row.android_records;
-
-  auto append = [](auto& dst, auto& src) {
-    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-               std::make_move_iterator(src.end()));
-  };
-  analysis::FusedPerUserResult& p = total.per_user;
-  append(p.sessions, slice.per_user.sessions);
-  append(p.mobile_sessions, slice.per_user.mobile_sessions);
-  append(p.usage, slice.per_user.usage);
-  append(p.mobile_usage, slice.per_user.mobile_usage);
-  append(p.mobile_device_ids, slice.per_user.mobile_device_ids);
-  p.mobile_users += slice.per_user.mobile_users;
+  MergeRows(total.row, std::move(slice.row));
+  MergePerUser(total.per_user, std::move(slice.per_user));
 }
 
 /// A producer slice as a store of the analysis columns, built as
@@ -355,8 +492,8 @@ FullReport AnalysisPipeline::RunConcurrent(
   bool done = false;
 
   std::thread consumer([&] {
-    // Finish's canonical sorts run inline here: ThreadPool::Run must not be
-    // entered from two threads, and the caller owns the real pool.
+    // Each slice is walked as one user range, inline: the producer runs
+    // its own pool meanwhile, and the slices already split the users.
     ThreadPool slice_pool(1);
     for (;;) {
       RecordColumns slice;
@@ -413,12 +550,7 @@ FullReport AnalysisPipeline::RunConcurrent(
   if (consumer_error) std::rethrow_exception(consumer_error);
   MCLOUD_REQUIRE(records > 0, "empty trace");
 
-  // Device ids can recur across slices (a device id is only distinct per
-  // user within a slice): union them for the global distinct count.
-  auto& ids = total.per_user.mobile_device_ids;
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  total.per_user.mobile_devices = ids.size();
+  UnionDeviceIds(total.per_user);
 
   ThreadPool pool(ClampThreadsToHardware(options_.threads));
   FullReport report = Assemble(pool, options_, records, std::move(total), t);

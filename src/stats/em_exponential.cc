@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <numeric>
 
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace mcloud {
 namespace {
@@ -142,9 +144,9 @@ MixtureExponentialFit RunEmFrom(
   return fit;
 }
 
-MixtureExponentialFit FitImpl(std::span<const double> data,
-                              std::span<const double> weights, std::size_t k,
-                              const EmOptions& opts) {
+/// FitImpl's input checks for a k-component fit, in its order.
+void CheckInput(std::span<const double> data, std::span<const double> weights,
+                std::size_t k) {
   MCLOUD_REQUIRE(k >= 1, "need at least one component");
   if (data.size() < 2 * k)
     throw FitError("too few data points for exponential mixture EM");
@@ -152,8 +154,7 @@ MixtureExponentialFit FitImpl(std::span<const double> data,
     if (!(x > 0))
       throw FitError("mixture-exponential EM needs strictly positive data");
   }
-  const bool weighted = !weights.empty();
-  if (weighted) {
+  if (!weights.empty()) {
     MCLOUD_REQUIRE(weights.size() == data.size(),
                    "weights must match data in length");
     for (double w : weights) {
@@ -161,82 +162,95 @@ MixtureExponentialFit FitImpl(std::span<const double> data,
         throw FitError("mixture-exponential EM needs positive weights");
     }
   }
+}
 
-  // Sorted (value, weight) pairs for quantile-based initialization. The
-  // unweighted quantile keeps the historical index formula; the weighted one
-  // finds the first value whose cumulative mass reaches q·W.
-  std::vector<std::size_t> order(data.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return data[a] < data[b]; });
-  std::vector<double> cum;
-  double total_w = 0;
-  if (weighted) {
-    cum.reserve(order.size());
-    for (std::size_t idx : order) {
-      total_w += weights[idx];
-      cum.push_back(total_w);
+/// Sorted (value, weight) pairs for quantile-based initialization. The
+/// unweighted quantile keeps the historical index formula; the weighted one
+/// finds the first value whose cumulative mass reaches q·W. Needs a
+/// non-empty sample.
+class SampleQuantiles {
+ public:
+  SampleQuantiles(std::span<const double> data,
+                  std::span<const double> weights)
+      : data_(data), order_(data.size()) {
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::sort(order_.begin(), order_.end(), [&](std::size_t a, std::size_t b) {
+      return data[a] < data[b];
+    });
+    if (!weights.empty()) {
+      cum_.reserve(order_.size());
+      for (std::size_t idx : order_) {
+        total_w_ += weights[idx];
+        cum_.push_back(total_w_);
+      }
     }
   }
-  const auto quantile = [&](double q) {
-    if (!weighted) {
+
+  double operator()(double q) const {
+    if (cum_.empty()) {
       const auto idx = static_cast<std::size_t>(
-          q * static_cast<double>(order.size() - 1));
-      return data[order[idx]];
+          q * static_cast<double>(order_.size() - 1));
+      return data_[order_[idx]];
     }
-    const auto it = std::lower_bound(cum.begin(), cum.end(), q * total_w);
+    const auto it = std::lower_bound(cum_.begin(), cum_.end(), q * total_w_);
     const std::size_t pos = std::min<std::size_t>(
-        static_cast<std::size_t>(it - cum.begin()), order.size() - 1);
-    return data[order[pos]];
-  };
-
-  // Deterministic multi-restart: exponential-mixture EM is riddled with
-  // local optima (split-the-bulk, merged-tail). Each restart places the
-  // initial means at a different quantile schedule — strongly tail-biased
-  // (0.5, 0.95, 0.995…), mildly tail-biased, and evenly spread — and the
-  // run with the best likelihood wins.
-  const auto means_at = [&](std::span<const double> qs) {
-    std::vector<MixtureExponential::Component> comps(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      comps[j].mean = std::max(quantile(qs[j]), 1e-9);
-      comps[j].weight = 1.0 / static_cast<double>(k);
-    }
-    for (std::size_t j = 1; j < k; ++j) {
-      if (comps[j].mean <= comps[j - 1].mean)
-        comps[j].mean = comps[j - 1].mean * 2.0;
-    }
-    return comps;
-  };
-
-  std::vector<std::vector<double>> schedules;
-  {
-    std::vector<double> strong(k);
-    std::vector<double> mild(k);
-    std::vector<double> even(k);
-    for (std::size_t j = 0; j < k; ++j) {
-      strong[j] = 1.0 - 0.5 * std::pow(0.1, static_cast<double>(j));
-      mild[j] = 1.0 - 0.5 * std::pow(0.3, static_cast<double>(j));
-      even[j] = (static_cast<double>(j) + 0.5) / static_cast<double>(k);
-    }
-    schedules = {strong, mild, even};
+        static_cast<std::size_t>(it - cum_.begin()), order_.size() - 1);
+    return data_[order_[pos]];
   }
 
+ private:
+  std::span<const double> data_;
+  std::vector<std::size_t> order_;
+  std::vector<double> cum_;
+  double total_w_ = 0;
+};
+
+// Deterministic multi-restart: exponential-mixture EM is riddled with local
+// optima (split-the-bulk, merged-tail). Each restart places the initial
+// means at a different quantile schedule — strongly tail-biased (0.5, 0.95,
+// 0.995…), mildly tail-biased, and evenly spread — and the run with the
+// best likelihood wins (the first such run, in restart order).
+constexpr std::size_t kRestarts = 3;
+
+/// Initial components of restart `restart` of a k-component fit.
+std::vector<MixtureExponential::Component> StartingPoint(
+    const SampleQuantiles& quantile, std::size_t k, std::size_t restart) {
+  std::vector<MixtureExponential::Component> comps(k);
+  for (std::size_t j = 0; j < k; ++j) {
+    const double jd = static_cast<double>(j);
+    const double q = restart == 0   ? 1.0 - 0.5 * std::pow(0.1, jd)
+                     : restart == 1 ? 1.0 - 0.5 * std::pow(0.3, jd)
+                                    : (jd + 0.5) / static_cast<double>(k);
+    comps[j].mean = std::max(quantile(q), 1e-9);
+    comps[j].weight = 1.0 / static_cast<double>(k);
+  }
+  for (std::size_t j = 1; j < k; ++j) {
+    if (comps[j].mean <= comps[j - 1].mean)
+      comps[j].mean = comps[j - 1].mean * 2.0;
+  }
+  return comps;
+}
+
+MixtureExponentialFit FitImpl(std::span<const double> data,
+                              std::span<const double> weights, std::size_t k,
+                              const EmOptions& opts) {
+  CheckInput(data, weights, k);
+  const SampleQuantiles quantile(data, weights);
   MixtureExponentialFit best;
-  bool have_best = false;
-  for (const auto& qs : schedules) {
-    MixtureExponentialFit fit = RunEmFrom(means_at(qs), data, weights, opts);
-    if (!have_best || fit.log_likelihood > best.log_likelihood) {
+  for (std::size_t r = 0; r < kRestarts; ++r) {
+    MixtureExponentialFit fit =
+        RunEmFrom(StartingPoint(quantile, k, r), data, weights, opts);
+    if (r == 0 || fit.log_likelihood > best.log_likelihood)
       best = std::move(fit);
-      have_best = true;
-    }
   }
   return best;
 }
 
-MixtureSelection SelectImpl(
+/// The paper's selection loop over the candidate fits fit_k(1), fit_k(2),
+/// ... fit_k(max_components), asked for in that order.
+MixtureSelection SelectFrom(
     std::size_t max_components, double weight_floor,
     const std::function<MixtureExponentialFit(std::size_t)>& fit_k) {
-  MCLOUD_REQUIRE(max_components >= 1, "need at least one component");
   MixtureSelection out;
   out.fit = fit_k(1);
   out.selected_n = 1;
@@ -292,6 +306,65 @@ MixtureSelection SelectImpl(
   return out;
 }
 
+/// Every candidate the selection loop can ask for — one EM run per
+/// (k, restart) pair — as one task each on `pool`, then the loop itself.
+/// The serial order is k = 1, 2, ... with each k's input checked first and
+/// its restarts run in order, stopping at the first throw; the loop asks
+/// for the candidates in that order and each rethrows its own error, so
+/// the selection and any error are the serial ones at every pool size.
+MixtureSelection SelectImpl(std::span<const double> data,
+                            std::span<const double> weights,
+                            std::size_t max_components, double weight_floor,
+                            const EmOptions& opts, ThreadPool* pool) {
+  MCLOUD_REQUIRE(max_components >= 1, "need at least one component");
+  // Only the k before the first one whose input is rejected can run.
+  std::size_t runnable = 0;
+  std::exception_ptr input_error;
+  for (std::size_t k = 1; k <= max_components; ++k) {
+    try {
+      CheckInput(data, weights, k);
+    } catch (...) {
+      input_error = std::current_exception();
+      break;
+    }
+    runnable = k;
+  }
+
+  struct Run {
+    MixtureExponentialFit fit;
+    std::exception_ptr error;
+  };
+  // Run (k, r) lives at (k - 1) * kRestarts + r. Tasks are claimed in
+  // index order, so task t takes the run from the top: the largest k, the
+  // longest runs, go first and the small ones fill in behind them.
+  std::vector<Run> runs(runnable * kRestarts);
+  if (runnable > 0) {
+    const SampleQuantiles quantile(data, weights);
+    RunTasks(pool, runs.size(), [&](std::size_t t) {
+      const std::size_t i = runs.size() - 1 - t;
+      try {
+        runs[i].fit = RunEmFrom(
+            StartingPoint(quantile, i / kRestarts + 1, i % kRestarts), data,
+            weights, opts);
+      } catch (...) {
+        runs[i].error = std::current_exception();
+      }
+    });
+  }
+
+  return SelectFrom(max_components, weight_floor, [&](std::size_t k) {
+    if (k > runnable) std::rethrow_exception(input_error);
+    MixtureExponentialFit best;
+    for (std::size_t r = 0; r < kRestarts; ++r) {
+      Run& run = runs[(k - 1) * kRestarts + r];
+      if (run.error) std::rethrow_exception(run.error);
+      if (r == 0 || run.fit.log_likelihood > best.log_likelihood)
+        best = std::move(run.fit);
+    }
+    return best;
+  });
+}
+
 }  // namespace
 
 MixtureExponentialFit FitMixtureExponential(std::span<const double> data,
@@ -309,18 +382,16 @@ MixtureExponentialFit FitMixtureExponentialWeighted(
 MixtureSelection SelectMixtureExponential(std::span<const double> data,
                                           std::size_t max_components,
                                           double weight_floor,
-                                          const EmOptions& opts) {
-  return SelectImpl(max_components, weight_floor, [&](std::size_t k) {
-    return FitImpl(data, {}, k, opts);
-  });
+                                          const EmOptions& opts,
+                                          ThreadPool* pool) {
+  return SelectImpl(data, {}, max_components, weight_floor, opts, pool);
 }
 
 MixtureSelection SelectMixtureExponentialWeighted(
     std::span<const double> data, std::span<const double> weights,
-    std::size_t max_components, double weight_floor, const EmOptions& opts) {
-  return SelectImpl(max_components, weight_floor, [&](std::size_t k) {
-    return FitImpl(data, weights, k, opts);
-  });
+    std::size_t max_components, double weight_floor, const EmOptions& opts,
+    ThreadPool* pool) {
+  return SelectImpl(data, weights, max_components, weight_floor, opts, pool);
 }
 
 }  // namespace mcloud

@@ -14,6 +14,8 @@
 
 namespace mcloud {
 
+class ThreadPool;
+
 struct MixtureExponentialFit {
   MixtureExponential mixture;
   double log_likelihood = 0;
@@ -44,17 +46,20 @@ struct MixtureSelection {
 
 /// The paper's model-selection loop: fit with n = 1, 2, ... components until
 /// adding a component yields a weight below `weight_floor` (default 0.001),
-/// then return the previous model.
+/// then return the previous model. Every candidate EM run — one per
+/// (n, restart) pair — is one task on `pool` (inline when null); the
+/// selected model and any FitError are the same for every pool.
 [[nodiscard]] MixtureSelection SelectMixtureExponential(
     std::span<const double> data, std::size_t max_components = 6,
-    double weight_floor = 1e-3, const EmOptions& opts = {});
+    double weight_floor = 1e-3, const EmOptions& opts = {},
+    ThreadPool* pool = nullptr);
 
 /// Weighted variant of the selection loop (see
 /// FitMixtureExponentialWeighted); every candidate fit is weighted.
 [[nodiscard]] MixtureSelection SelectMixtureExponentialWeighted(
     std::span<const double> data, std::span<const double> weights,
     std::size_t max_components = 6, double weight_floor = 1e-3,
-    const EmOptions& opts = {});
+    const EmOptions& opts = {}, ThreadPool* pool = nullptr);
 
 /// Log-likelihood under a mixture-exponential model.
 [[nodiscard]] double MixtureExponentialLogLikelihood(
