@@ -115,13 +115,26 @@ namespace {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+// An FNV-1a step on a zero byte, (h ^ 0) * P, is a bare multiply, so a run
+// of k zero bytes is one multiply by P^k (mod 2^64).
+constexpr std::uint64_t kFnvPrime4 =
+    kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
+constexpr std::uint64_t kFnvPrime8 = kFnvPrime4 * kFnvPrime4;
 
+/// FNV-1a over the 8 little-endian bytes of `v`. When the top four bytes
+/// are zero — every generated field but the PC device ids — they fold as
+/// one multiply instead of four steps; the hash is unchanged.
 inline std::uint64_t Fnv(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= kFnvPrime;
-  }
+  for (int b = 0; b < 4; ++b) h = (h ^ ((v >> (8 * b)) & 0xff)) * kFnvPrime;
+  if ((v >> 32) == 0) return h * kFnvPrime4;
+  for (int b = 4; b < 8; ++b) h = (h ^ ((v >> (8 * b)) & 0xff)) * kFnvPrime;
   return h;
+}
+
+/// Fnv of a one-byte field widened to 64 bits: one byte step, then the
+/// seven zero bytes as one multiply.
+inline std::uint64_t FnvU8(std::uint64_t h, std::uint8_t v) {
+  return (h ^ v) * kFnvPrime8;
 }
 
 /// One record's Table 1 fields folded in canonical field order; times as
@@ -133,16 +146,16 @@ inline std::uint64_t FoldRecord(std::uint64_t h, std::int64_t ts,
                                 double proc, double srv, double rtt,
                                 std::uint8_t prox) {
   h = Fnv(h, static_cast<std::uint64_t>(ts));
-  h = Fnv(h, dev);
+  h = FnvU8(h, dev);
   h = Fnv(h, dev_id);
   h = Fnv(h, user);
-  h = Fnv(h, req);
-  h = Fnv(h, dir);
+  h = FnvU8(h, req);
+  h = FnvU8(h, dir);
   h = Fnv(h, vol);
   h = Fnv(h, static_cast<std::uint64_t>(detail::ToMicros(proc)));
   h = Fnv(h, static_cast<std::uint64_t>(detail::ToMicros(srv)));
   h = Fnv(h, static_cast<std::uint64_t>(detail::ToMicros(rtt)));
-  h = Fnv(h, prox);
+  h = FnvU8(h, prox);
   return h;
 }
 
