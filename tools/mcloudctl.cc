@@ -61,7 +61,9 @@
 // through the overlapped pipeline and fingerprints identically to the
 // resident run.
 #include <algorithm>
+#include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -220,6 +222,11 @@ int Usage() {
   return 2;
 }
 
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 /// Per-stage generation breakdown (the generator fast path's bench view).
 /// plan/emit are CPU seconds summed over workers; sort/write are wall
 /// seconds, and total is the wall clock of everything generation did.
@@ -312,8 +319,9 @@ int CmdGenerate(const Args& args) {
     store = TraceStore::FromRecords(
         Anonymizer(args.Get("anonymize")).Apply(store.ToRecords()));
   }
-  // The byte-serial fingerprint cannot be split, so it runs beside the
-  // write rather than after it (inline, in this order, at --threads 1).
+  // The fingerprint is one serial FNV chain that cannot be split, so it
+  // runs beside the write rather than after it (inline, in this order, at
+  // --threads 1).
   std::uint64_t fingerprint = 0;
   const auto w0 = std::chrono::steady_clock::now();
   {
@@ -322,9 +330,7 @@ int CmdGenerate(const Args& args) {
                           [&] { fingerprint = TraceFingerprint(store); }});
   }
   if (timed) {
-    gt.write_s = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - w0)
-                     .count();
+    gt.write_s = SecondsSince(w0);
     gt.total_s += gt.write_s;
     PrintGenTimings(gt);
   }
@@ -336,21 +342,47 @@ int CmdGenerate(const Args& args) {
   return 0;
 }
 
+/// Per-stage analysis breakdown. `read_s` is the wall time of reading or
+/// opening the trace, which the pipeline's own total does not cover; the
+/// printed total includes it.
 void PrintStageTimings(const core::StageTimings& st,
-                       const core::FullReport& report) {
+                       const core::FullReport& report, double read_s) {
   std::fprintf(stderr,
-               "timings: scan %.2fs sessionize %.2fs per-user %.2fs "
-               "fits %.2fs (total %.2fs); sketches %.1f KiB\n",
-               st.scan_s, st.sessionize_s, st.per_user_s, st.fits_s,
-               st.total_s,
+               "timings: read %.2fs scan %.2fs sessionize %.2fs "
+               "per-user %.2fs fits %.2fs (total %.2fs); sketches %.1f KiB\n",
+               read_s, st.scan_s, st.sessionize_s, st.per_user_s, st.fits_s,
+               read_s + st.total_s,
                static_cast<double>(report.sketches.MemoryBytes()) / 1024.0);
+}
+
+/// `analyze --tau`: "auto" (0, the data-derived valley τ) or a positive,
+/// finite number of seconds that fills the whole token.
+bool ParseAnalyzeTau(const std::string& text, Seconds& tau) {
+  if (text == "auto") {
+    tau = 0;
+    return true;
+  }
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
+    return false;
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !(v > 0) || !std::isfinite(v))
+    return false;
+  tau = v;
+  return true;
 }
 
 int CmdAnalyze(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   core::PipelineOptions opts;
   const std::string tau = args.Get("tau", "3600");
-  opts.session_tau = tau == "auto" ? 0 : std::strtod(tau.c_str(), nullptr);
+  if (!ParseAnalyzeTau(tau, opts.session_tau)) {
+    std::fprintf(stderr,
+                 "mcloudctl: analyze --tau takes auto or a positive number "
+                 "of seconds, not '%s'\n",
+                 tau.c_str());
+    return 2;
+  }
   opts.threads = static_cast<int>(args.GetU64("threads", 0));
   opts.max_memory_mb =
       static_cast<std::size_t>(args.GetU64("max-memory-mb", 0));
@@ -359,18 +391,31 @@ int CmdAnalyze(const Args& args) {
   const std::filesystem::path path = args.positional[0];
   core::FullReport report;
   core::StageTimings st;
+  const auto r0 = std::chrono::steady_clock::now();
+  double read_s = 0;
   if (std::filesystem::is_directory(path)) {
     // Partitioned trace directory: stream it under the requested budget.
-    report = pipeline.RunStreaming(PartitionedTrace::Open(path), &st);
+    const PartitionedTrace trace = PartitionedTrace::Open(path);
+    read_s = SecondsSince(r0);
+    report = pipeline.RunStreaming(trace, &st);
   } else if (IsColumnarTrace(path)) {
-    // Columnar fast path: load only the columns the pipeline touches and
-    // feed the store directly — no LogRecord vector is ever built.
-    report = pipeline.Run(ReadColumnarTrace(path, kAnalysisColumns), &st);
+    // Columnar fast path: load only the columns the pipeline touches, one
+    // column per thread, and feed the store directly — no LogRecord vector
+    // is ever built.
+    TraceStore store;
+    {
+      ThreadPool pool(ClampThreadsToHardware(opts.threads));
+      store = ReadColumnarTrace(path, kAnalysisColumns, &pool);
+    }
+    read_s = SecondsSince(r0);
+    report = pipeline.Run(store, &st);
   } else {
-    report = pipeline.Run(ReadTrace(path), &st);
+    const std::vector<LogRecord> trace = ReadTrace(path);
+    read_s = SecondsSince(r0);
+    report = pipeline.Run(trace, &st);
   }
   std::fputs(core::RenderFindings(report).c_str(), stdout);
-  PrintStageTimings(st, report);
+  PrintStageTimings(st, report, read_s);
   return 0;
 }
 
@@ -418,6 +463,7 @@ int CmdGrow(const Args& args) {
   core::StageTimings st;
   workload::SpillSummary sum;
   workload::GenTimings gt;
+  double read_s = 0;  // the overlapped walk reads nothing back
   if (overlapped) {
     // A third of the two-phase slice size: the overlapped pipeline keeps
     // up to three slices in flight (producer buffer, queue slot, consumer)
@@ -430,8 +476,10 @@ int CmdGrow(const Args& args) {
         &st);
   } else {
     sum = generator.GenerateToPartitions(spill, &gt);
-    report =
-        pipeline.RunStreaming(PartitionedTrace::Open(spill.dir), &st);
+    const auto r0 = std::chrono::steady_clock::now();
+    const PartitionedTrace trace = PartitionedTrace::Open(spill.dir);
+    read_s = SecondsSince(r0);
+    report = pipeline.RunStreaming(trace, &st);
   }
   std::fprintf(stderr,
                "wrote %llu records to %s (%zu spills, %zu run files)\n",
@@ -439,7 +487,7 @@ int CmdGrow(const Args& args) {
                args.positional[0].c_str(), sum.spills, sum.run_files);
   std::fputs(core::RenderFindings(report).c_str(), stdout);
   PrintGenTimings(gt);
-  PrintStageTimings(st, report);
+  PrintStageTimings(st, report, read_s);
   return 0;
 }
 
