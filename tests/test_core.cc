@@ -69,6 +69,35 @@ TEST(Pipeline, DataDerivedTauWorks) {
   EXPECT_GT(report.session_split.total, 0u);
 }
 
+TEST(Pipeline, FewerUsersThanThreadsGiveTheOneThreadReport) {
+  // Three users of unequal activity (a small generated week folded onto
+  // ids 1-3): at 3 and 4 threads the walk has one range per user, and no
+  // thread count may change a bit of the report.
+  workload::WorkloadConfig cfg;
+  cfg.population.mobile_users = 60;
+  cfg.population.pc_only_users = 20;
+  cfg.seed = 11;
+  std::vector<LogRecord> trace =
+      workload::WorkloadGenerator(cfg).Generate().trace;
+  for (LogRecord& r : trace) {
+    const std::uint64_t m = r.user_id % 7;
+    r.user_id = m == 0 ? 1 : m <= 2 ? 2 : 3;
+  }
+  for (const Seconds tau : {3600.0, 0.0}) {
+    PipelineOptions opts;
+    opts.session_tau = tau;
+    opts.threads = 1;
+    const FullReport one = AnalysisPipeline(opts).Run(trace);
+    ASSERT_EQ(one.mobile_users, 3u);
+    for (const int threads : {2, 3, 4}) {
+      opts.threads = threads;
+      EXPECT_EQ(FingerprintReport(AnalysisPipeline(opts).Run(trace)),
+                FingerprintReport(one))
+          << "tau=" << tau << " threads=" << threads;
+    }
+  }
+}
+
 TEST(Deferral, FlattensPeakWithoutLosingVolume) {
   const auto w = SmallWorkload(13);
   DeferralPolicy policy;

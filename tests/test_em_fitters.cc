@@ -3,11 +3,17 @@
 // Fig 6/Table 2, and Fig 10.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "stats/em_exponential.h"
 #include "stats/em_gaussian.h"
 #include "stats/stretched_exponential.h"
+#include "util/error.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace mcloud {
@@ -99,6 +105,81 @@ TEST(EmExponential, SelectionFindsMultipleRealComponents) {
   for (int i = 0; i < 60000; ++i) xs.push_back(truth.Sample(rng));
   const auto sel = SelectMixtureExponential(xs, 5, 1e-3);
   EXPECT_GE(sel.selected_n, 2u);
+}
+
+/// The selection inline and on `pool`, as the pipeline's sketch path calls
+/// it: every field of the result must be bit-identical.
+void ExpectSameSelection(std::span<const double> values,
+                         std::span<const double> weights, ThreadPool& pool) {
+  const MixtureSelection inline_sel =
+      SelectMixtureExponentialWeighted(values, weights, 6, 2e-3);
+  const MixtureSelection pooled =
+      SelectMixtureExponentialWeighted(values, weights, 6, 2e-3, {}, &pool);
+  EXPECT_EQ(pooled.selected_n, inline_sel.selected_n);
+  EXPECT_EQ(pooled.rejected_weight, inline_sel.rejected_weight);
+  EXPECT_EQ(pooled.fit.log_likelihood, inline_sel.fit.log_likelihood);
+  EXPECT_EQ(pooled.fit.iterations, inline_sel.fit.iterations);
+  EXPECT_EQ(pooled.fit.converged, inline_sel.fit.converged);
+  const auto& a = pooled.fit.mixture.components();
+  const auto& b = inline_sel.fit.mixture.components();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    EXPECT_EQ(a[j].weight, b[j].weight) << j;
+    EXPECT_EQ(a[j].mean, b[j].mean) << j;
+  }
+}
+
+/// The FitError message of the selection, or "" when it succeeds.
+std::string SelectionError(std::span<const double> values,
+                           std::span<const double> weights,
+                           ThreadPool* pool) {
+  try {
+    (void)SelectMixtureExponentialWeighted(values, weights, 6, 2e-3, {},
+                                           pool);
+  } catch (const FitError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EmExponential, WeightedSelectionOnAPoolIsBitIdentical) {
+  // Per-bin (mean, count) pairs of a Table 2-like sample, the input the
+  // sketch-backed file-size fit hands the selection.
+  Rng rng(8);
+  const MixtureExponential truth({{0.91, 1.5}, {0.07, 13.1}, {0.02, 77.4}});
+  std::vector<double> sums(400, 0.0);
+  std::vector<double> counts(400, 0.0);
+  for (int i = 0; i < 50000; ++i) {
+    const double x = truth.Sample(rng);
+    const auto b = static_cast<std::size_t>(
+        std::clamp(std::log10(x) * 80.0 + 200.0, 0.0, 399.0));
+    sums[b] += x;
+    counts[b] += 1.0;
+  }
+  std::vector<double> values;
+  std::vector<double> weights;
+  for (std::size_t b = 0; b < sums.size(); ++b) {
+    if (counts[b] == 0) continue;
+    values.push_back(sums[b] / counts[b]);
+    weights.push_back(counts[b]);
+  }
+  ThreadPool pool(3);
+  ExpectSameSelection(values, weights, pool);
+
+  // The serial loop's first error wins at every pool size: too few points
+  // for k = 4 after k = 1..3 fit, and a bad weight at k = 1.
+  const std::vector<double> few = {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0};
+  const std::vector<double> few_w(few.size(), 1.0);
+  EXPECT_EQ(SelectionError(few, few_w, &pool),
+            "too few data points for exponential mixture EM");
+  EXPECT_EQ(SelectionError(few, few_w, &pool),
+            SelectionError(few, few_w, nullptr));
+  std::vector<double> bad_w = few_w;
+  bad_w[3] = 0.0;
+  EXPECT_EQ(SelectionError(few, bad_w, &pool),
+            "mixture-exponential EM needs positive weights");
+  EXPECT_EQ(SelectionError(few, bad_w, &pool),
+            SelectionError(few, bad_w, nullptr));
 }
 
 TEST(StretchedExponentialFit, RecoversContinuousLaw) {

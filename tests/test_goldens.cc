@@ -233,9 +233,11 @@ TEST(GoldenGenerator, PlansOnly) {
   }
 }
 
+// The block walk splits the users into one range per pool thread, so every
+// entry point runs at 2 and 3 threads too (at 3 the ranges are uneven).
 TEST_F(Goldens, ReportAtFixedTau) {
   const PartitionedTrace part = PartitionedTrace::Open(*dir_);
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 2, 3, 4}) {
     const core::AnalysisPipeline p = Pipeline(threads, 3600);
     EXPECT_EQ(core::FingerprintReport(p.Run(*records_)), kReportFixedTau)
         << "Run(span) threads=" << threads;
@@ -259,7 +261,7 @@ TEST_F(Goldens, ReportAtFixedTau) {
 
 TEST_F(Goldens, ReportAtValleyTau) {
   const PartitionedTrace part = PartitionedTrace::Open(*dir_);
-  for (const int threads : {1, 4}) {
+  for (const int threads : {1, 2, 3, 4}) {
     const core::AnalysisPipeline p = Pipeline(threads, 0);
     EXPECT_EQ(core::FingerprintReport(p.Run(*records_)), kReportValleyTau)
         << "Run(span) threads=" << threads;
