@@ -5,7 +5,8 @@
 //                       [--loss-burst R] [--degraded R] [--hedge]
 //                       [--out-of-core [--max-memory-mb M]] OUT
 //   mcloudctl grow      --users N [--pc N] [--seed S] [--threads N]
-//                       [--max-memory-mb M] [--analyze-while-generate] OUT
+//                       [--tau SECONDS] [--max-memory-mb M]
+//                       [--analyze-while-generate] OUT
 //   mcloudctl analyze   TRACE [--tau SECONDS|auto] [--threads N]
 //                       [--max-memory-mb M]
 //   mcloudctl sessions  TRACE [--tau SECONDS] [--top N]
@@ -177,7 +178,8 @@ int Usage() {
       "            [--loss-burst R] [--degraded R] [--hedge]\n"
       "            [--out-of-core [--max-memory-mb M]] OUT\n"
       "  grow      --users N [--pc N] [--seed S] [--threads N]\n"
-      "            [--max-memory-mb M] [--analyze-while-generate] OUT\n"
+      "            [--tau SECONDS] [--max-memory-mb M]\n"
+      "            [--analyze-while-generate] OUT\n"
       "  analyze   TRACE [--tau SECONDS|auto] [--threads N]\n"
       "            [--max-memory-mb M]\n"
       "  sessions  TRACE [--tau SECONDS] [--top N]\n"
@@ -355,34 +357,36 @@ void PrintStageTimings(const core::StageTimings& st,
                static_cast<double>(report.sketches.MemoryBytes()) / 1024.0);
 }
 
-/// `analyze --tau`: "auto" (0, the data-derived valley τ) or a positive,
-/// finite number of seconds that fills the whole token.
-bool ParseAnalyzeTau(const std::string& text, Seconds& tau) {
-  if (text == "auto") {
+/// `CMD --tau` (default 3600): a positive, finite number of seconds that
+/// fills the whole token, or, when `allow_auto`, "auto" (0, the
+/// data-derived valley τ). Anything else prints an error and returns false.
+bool ParseTau(const Args& args, const char* cmd, bool allow_auto,
+              Seconds& tau) {
+  const std::string text = args.Get("tau", "3600");
+  if (allow_auto && text == "auto") {
     tau = 0;
     return true;
   }
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])))
-    return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || !(v > 0) || !std::isfinite(v))
-    return false;
-  tau = v;
-  return true;
+  if (!text.empty() && !std::isspace(static_cast<unsigned char>(text[0]))) {
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() + text.size() && v > 0 && std::isfinite(v)) {
+      tau = v;
+      return true;
+    }
+  }
+  std::fprintf(stderr,
+               "mcloudctl: %s --tau takes %sa positive number of seconds, "
+               "not '%s'\n",
+               cmd, allow_auto ? "auto or " : "", text.c_str());
+  return false;
 }
 
 int CmdAnalyze(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   core::PipelineOptions opts;
-  const std::string tau = args.Get("tau", "3600");
-  if (!ParseAnalyzeTau(tau, opts.session_tau)) {
-    std::fprintf(stderr,
-                 "mcloudctl: analyze --tau takes auto or a positive number "
-                 "of seconds, not '%s'\n",
-                 tau.c_str());
+  if (!ParseTau(args, "analyze", /*allow_auto=*/true, opts.session_tau))
     return 2;
-  }
   opts.threads = static_cast<int>(args.GetU64("threads", 0));
   opts.max_memory_mb =
       static_cast<std::size_t>(args.GetU64("max-memory-mb", 0));
@@ -426,6 +430,9 @@ int CmdAnalyze(const Args& args) {
 /// ready moments after the last record is written.
 int CmdGrow(const Args& args) {
   if (args.positional.size() != 1) return Usage();
+  core::PipelineOptions popts;
+  if (!ParseTau(args, "grow", /*allow_auto=*/false, popts.session_tau))
+    return 2;
   workload::WorkloadConfig cfg;
   cfg.population.mobile_users = args.GetU64("users", 6000);
   cfg.population.pc_only_users =
@@ -440,14 +447,8 @@ int CmdGrow(const Args& args) {
   spill.dir = args.positional[0];
   spill.max_buffer_bytes = budget_mb * (1024 * 1024 / 3);
 
-  core::PipelineOptions popts;
-  popts.session_tau = std::strtod(args.Get("tau", "3600").c_str(), nullptr);
   popts.threads = cfg.threads;
   popts.max_memory_mb = static_cast<std::size_t>(budget_mb);
-  if (popts.session_tau <= 0) {
-    std::fprintf(stderr, "mcloudctl: grow needs a fixed --tau\n");
-    return 2;
-  }
   const core::AnalysisPipeline pipeline(popts);
   const workload::WorkloadGenerator generator(cfg);
 
@@ -493,8 +494,9 @@ int CmdGrow(const Args& args) {
 
 int CmdSessions(const Args& args) {
   if (args.positional.size() != 1) return Usage();
+  Seconds tau = 0;
+  if (!ParseTau(args, "sessions", /*allow_auto=*/false, tau)) return 2;
   const auto trace = ReadTrace(args.positional[0]);
-  const Seconds tau = std::strtod(args.Get("tau", "3600").c_str(), nullptr);
   const auto sessions = analysis::Sessionizer(tau).Sessionize(trace);
 
   const std::uint64_t top = args.GetU64("top", 20);
