@@ -137,15 +137,26 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
   fits_s += t_store_fit + t_retrieve_fit + t_activity + Since(t0);
 }
 
-/// Streams a trace's analysis-column blocks into a sink, in global time
-/// order, one calendar day (or part of one) per block.
-using Scan = std::function<void(const PartitionedTrace::BlockSink&)>;
+/// One slice of the walk: a contiguous range of dense users and a reader
+/// that streams their complete history, each user's rows in time order, in
+/// blocks that each lie in one calendar day.
+struct Slice {
+  analysis::UserRange users;
+  std::function<void(const PartitionedTrace::BlockSink&)> read;
+};
 
-Scan StoreScan(const TraceStore& store) {
-  return [&store](const PartitionedTrace::BlockSink& sink) {
+/// Rows per block a partitioned trace is read in at most: about 0.5 MB of
+/// analysis columns, so a block is still in cache when its rows are
+/// consumed. Larger blocks measured no faster and cost RSS.
+constexpr std::size_t kReadBlockRows = std::size_t{1} << 14;
+
+/// A resident store as one slice, one calendar day per block.
+Slice StoreSlice(const TraceStore& store) {
+  const auto read = [&store](const PartitionedTrace::BlockSink& sink) {
     for (const TraceStore::DayPartition& part : store.day_partitions())
       sink(part.day, BlockOf(store, part.begin, part.end));
   };
+  return {{0, store.users()}, read};
 }
 
 /// What one walk produces, before the report tail.
@@ -268,64 +279,77 @@ class RangeRows {
   std::vector<std::uint64_t> data_volumes_;
 };
 
-/// The one block walk behind every entry point. With a fixed τ one scan
-/// feeds both streaming cores. With τ = auto the per-user core needs the
-/// valley τ, which needs the complete interval sketch: a first scan feeds
-/// the row-order core, the sketch is fitted, and a second scan feeds the
-/// per-user core.
+/// The one walk behind every entry point. With a fixed τ one pass over
+/// the slices feeds both streaming cores. With τ = auto the per-user core
+/// needs the valley τ, which needs the complete interval sketch: a first
+/// pass feeds the row-order core, the sketch is fitted, and a second pass
+/// feeds the per-user core.
 ///
-/// The walk is split by user: the dense user space is cut into one
-/// contiguous range per pool thread, each range has its own pair of
-/// cores, and every block is one pool batch in which each range consumes
-/// its own rows. The ranges' results merge in range order exactly as
-/// RunConcurrent's slices do, so the report is the same at every pool
-/// size; a pool of one is the single unsplit walk.
+/// The work is a list of pool tasks, each one slice restricted to a
+/// contiguous sub-range of its users, with its own pair of cores. A slice
+/// is one task when there are at least as many slices as threads; with
+/// fewer, each slice is cut into sub-ranges so that every thread gets one.
+/// A task reads its slice itself and, when it is a sub-range, keeps only
+/// its own users' rows. Threads take the tasks dynamically, and the
+/// results merge in task order, so in ascending user order, exactly as
+/// RunConcurrent's slices do: the report is the same for every pool size
+/// and every cut.
 WalkResult Walk(const PipelineOptions& options,
                 std::span<const std::uint64_t> user_ids, UnixSeconds day_base,
-                const Scan& scan, ThreadPool& pool, StageTimings& t) {
-  const std::size_t ranges =
-      std::max<std::size_t>(1, ShardCount(pool, user_ids.size()));
-  std::vector<analysis::UserRange> range(ranges);
-  for (std::size_t r = 0; r < ranges; ++r) {
-    const ShardRange b = ShardBounds(user_ids.size(), ranges, r);
-    range[r] = {b.begin, b.end};
+                const std::vector<Slice>& slices, ThreadPool& pool,
+                StageTimings& t) {
+  struct Task {
+    const Slice* slice;
+    analysis::UserRange users;
+    bool whole;  ///< the task covers its slice's every user
+  };
+  const std::size_t threads = static_cast<std::size_t>(pool.threads());
+  const std::size_t cuts = (threads + slices.size() - 1) / slices.size();
+  std::vector<Task> tasks;
+  for (const Slice& slice : slices) {
+    const std::size_t n = slice.users.end - slice.users.begin;
+    const std::size_t slice_cuts = std::clamp<std::size_t>(n, 1, cuts);
+    for (std::size_t c = 0; c < slice_cuts; ++c) {
+      const ShardRange b = ShardBounds(n, slice_cuts, c);
+      tasks.push_back(
+          {&slice,
+           {slice.users.begin + b.begin, slice.users.begin + b.end},
+           slice_cuts == 1});
+    }
   }
   std::vector<analysis::StreamingRowPass> row_passes;
-  std::vector<RangeRows> range_rows;
-  row_passes.reserve(ranges);
-  range_rows.reserve(ranges);
-  for (std::size_t r = 0; r < ranges; ++r) {
+  row_passes.reserve(tasks.size());
+  for (const Task& task : tasks)
     row_passes.emplace_back(user_ids, options.trace_start, options.days,
-                            day_base, range[r]);
-    range_rows.emplace_back(range[r]);
-  }
-  std::vector<std::optional<analysis::StreamingPerUserPass>> per_user(ranges);
+                            day_base, task.users);
+  std::vector<std::optional<analysis::StreamingPerUserPass>> per_user(
+      tasks.size());
   const auto start_per_user = [&](Seconds tau) {
-    for (std::size_t r = 0; r < ranges; ++r)
-      per_user[r].emplace(user_ids, tau, range[r]);
+    for (std::size_t i = 0; i < tasks.size(); ++i)
+      per_user[i].emplace(user_ids, tau, tasks[i].users);
   };
   const bool fixed_tau = options.session_tau > 0;
   if (fixed_tau) start_per_user(options.session_tau);
-  // fn(r, rows) for every range r, as one pool batch: the block itself
-  // when one range covers every user, else the range's packed pieces.
-  const auto for_each_range = [&](const TraceRowBlock& block, auto&& fn) {
-    pool.Run(ranges, [&](std::size_t r) {
-      if (ranges == 1) {
-        fn(r, block);
-      } else {
-        range_rows[r].ForEachPiece(
-            block, [&](const TraceRowBlock& piece) { fn(r, piece); });
-      }
+  // fn(i, day, rows) for task i's rows of every block of its slice, one
+  // pool task per task: the blocks themselves when the task covers its
+  // slice, else its users' packed pieces.
+  const auto walk = [&](auto&& fn) {
+    pool.Run(tasks.size(), [&](std::size_t i) {
+      const Task& task = tasks[i];
+      RangeRows rows(task.users);
+      task.slice->read([&](std::int64_t day, const TraceRowBlock& block) {
+        if (task.whole) return fn(i, day, block);
+        rows.ForEachPiece(
+            block, [&](const TraceRowBlock& piece) { fn(i, day, piece); });
+      });
     });
   };
 
   WalkResult w;
   auto t0 = Clock::now();
-  scan([&](std::int64_t day, const TraceRowBlock& block) {
-    for_each_range(block, [&](std::size_t r, const TraceRowBlock& rows) {
-      row_passes[r].Consume(day, rows);
-      if (fixed_tau) per_user[r]->Consume(rows);
-    });
+  walk([&](std::size_t i, std::int64_t day, const TraceRowBlock& rows) {
+    row_passes[i].Consume(day, rows);
+    if (fixed_tau) per_user[i]->Consume(rows);
   });
   for (analysis::StreamingRowPass& pass : row_passes)
     MergeRows(w.row, pass.TakeResult());
@@ -337,18 +361,16 @@ WalkResult Walk(const PipelineOptions& options,
     t.fits_s += Since(t0);
     t0 = Clock::now();
     start_per_user(w.interval_model->valley_tau);
-    scan([&](std::int64_t, const TraceRowBlock& block) {
-      for_each_range(block, [&](std::size_t r, const TraceRowBlock& rows) {
-        per_user[r]->Consume(rows);
-      });
+    walk([&](std::size_t i, std::int64_t, const TraceRowBlock& rows) {
+      per_user[i]->Consume(rows);
     });
     t.sessionize_s += Since(t0);
   }
   t0 = Clock::now();
-  std::vector<analysis::FusedPerUserResult> parts(ranges);
-  pool.Run(ranges, [&](std::size_t r) {
-    parts[r] = per_user[r]->Finish();
-    per_user[r].reset();
+  std::vector<analysis::FusedPerUserResult> parts(tasks.size());
+  pool.Run(tasks.size(), [&](std::size_t i) {
+    parts[i] = per_user[i]->Finish();
+    per_user[i].reset();
   });
   for (analysis::FusedPerUserResult& part : parts)
     MergePerUser(w.per_user, std::move(part));
@@ -389,12 +411,12 @@ FullReport Assemble(ThreadPool& pool, const PipelineOptions& options,
 /// Walk one whole trace and assemble its report.
 FullReport Analyze(const PipelineOptions& options, std::size_t records,
                    std::span<const std::uint64_t> user_ids,
-                   UnixSeconds day_base, const Scan& scan,
+                   UnixSeconds day_base, const std::vector<Slice>& slices,
                    StageTimings* timings) {
   const auto t_total = Clock::now();
   StageTimings t;
   ThreadPool pool(ClampThreadsToHardware(options.threads));
-  WalkResult w = Walk(options, user_ids, day_base, scan, pool, t);
+  WalkResult w = Walk(options, user_ids, day_base, slices, pool, t);
   FullReport report = Assemble(pool, options, records, std::move(w), t);
   t.total_s = Since(t_total);
   if (timings) *timings = t;
@@ -442,7 +464,7 @@ FullReport AnalysisPipeline::Run(const TraceStore& store,
                                  StageTimings* timings) const {
   MCLOUD_REQUIRE(!store.empty(), "empty trace");
   return Analyze(options_, store.rows(), store.user_ids(), store.day_base(),
-                 StoreScan(store), timings);
+                 {StoreSlice(store)}, timings);
 }
 
 FullReport AnalysisPipeline::RunStreaming(const PartitionedTrace& trace,
@@ -450,17 +472,29 @@ FullReport AnalysisPipeline::RunStreaming(const PartitionedTrace& trace,
   MCLOUD_REQUIRE(trace.rows() > 0, "empty trace");
   // Staging budget in rows: a staged row costs ~31 bytes across the seven
   // analysis columns; give the scan an eighth of the budget so the dense
-  // per-user state and the session output stay the dominant terms.
+  // per-user state and the session output stay the dominant terms. Each
+  // thread reads through one block buffer, so the buffers share it.
   const std::size_t budget_mb =
       options_.max_memory_mb ? options_.max_memory_mb : 1024;
   const std::size_t staging_rows = std::max<std::size_t>(
       std::size_t{64} * 1024, budget_mb * (1024 * 1024 / 8) / 32);
+  const std::size_t block_rows = std::min(
+      kReadBlockRows,
+      staging_rows /
+          static_cast<std::size_t>(ClampThreadsToHardware(options_.threads)));
+  // One slice per group: a group holds the complete history of a
+  // contiguous user range, its rows in time order.
+  std::vector<Slice> slices;
+  for (std::size_t g = 0; g < trace.groups().size(); ++g) {
+    const PartitionedTrace::Group& group = trace.groups()[g];
+    slices.push_back({{group.user_begin, group.user_end},
+                      [&trace, g, block_rows](
+                          const PartitionedTrace::BlockSink& sink) {
+                        trace.ReadGroup(g, block_rows, sink);
+                      }});
+  }
   return Analyze(options_, static_cast<std::size_t>(trace.rows()),
-                 trace.user_ids(), trace.day_base(),
-                 [&](const PartitionedTrace::BlockSink& sink) {
-                   trace.Scan(staging_rows, sink);
-                 },
-                 timings);
+                 trace.user_ids(), trace.day_base(), slices, timings);
 }
 
 // The producer hands over sealed slices through a depth-1 bounded queue; a
@@ -492,8 +526,9 @@ FullReport AnalysisPipeline::RunConcurrent(
   bool done = false;
 
   std::thread consumer([&] {
-    // Each slice is walked as one user range, inline: the producer runs
-    // its own pool meanwhile, and the slices already split the users.
+    // Each slice is a one-slice walk on a pool of one, inline: the
+    // producer runs its own pool meanwhile, and the slices already split
+    // the users.
     ThreadPool slice_pool(1);
     for (;;) {
       RecordColumns slice;
@@ -515,7 +550,7 @@ FullReport AnalysisPipeline::RunConcurrent(
             SliceStore(std::move(slice), options_.trace_start);
         t.scan_s += Since(t0);
         MergeSlice(total, Walk(options_, store.user_ids(), store.day_base(),
-                               StoreScan(store), slice_pool, t));
+                               {StoreSlice(store)}, slice_pool, t));
       } catch (...) {
         consumer_error = std::current_exception();
       }

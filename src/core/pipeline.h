@@ -2,16 +2,21 @@
 // FullReport out. This is the primary public entry point of the library for
 // log-analysis consumers (see examples/quickstart.cpp).
 //
-// One engine serves every data source. A private block walk streams the
-// trace's analysis columns, in time order, through the two streaming cores
-// of analysis/stream_engine.h; the report tail then fits the Fig 3 interval
-// model and runs the shared fit/aggregation stages. The entry points differ
-// only in where the blocks come from:
-//   * Run(const TraceStore&) — a resident store, one calendar day per block.
-//     Run(span) builds the store first.
-//   * RunStreaming(const PartitionedTrace&) — a partitioned on-disk trace,
-//     read under the `max_memory_mb` staging budget.
-//   * RunConcurrent(produce) — slices a producer hands over while it
+// One engine serves every data source. A private walk streams the trace's
+// analysis columns through the two streaming cores of
+// analysis/stream_engine.h one slice at a time; a slice is a contiguous
+// range of users with the complete history of each, every user's rows in
+// time order. The slices, cut into user sub-ranges when there are fewer
+// of them than threads, are pool tasks whose results merge in user order.
+// The report tail then fits the Fig 3 interval model and runs the shared
+// fit/aggregation stages. The entry points differ only in where the slices
+// come from:
+//   * Run(const TraceStore&) — a resident store is one slice, one calendar
+//     day per block. Run(span) builds the store first.
+//   * RunStreaming(const PartitionedTrace&) — a partitioned on-disk trace
+//     gives one slice per spill group, read under the `max_memory_mb`
+//     staging budget.
+//   * RunConcurrent(produce) — each slice a producer hands over while it
 //     generates the next one.
 // With a fixed session τ one walk feeds both cores. With τ = auto
 // (session_tau == 0) the per-user core needs the valley τ of the complete
@@ -77,15 +82,16 @@ class AnalysisPipeline {
   [[nodiscard]] FullReport Run(std::span<const LogRecord> trace,
                                StageTimings* timings = nullptr) const;
 
-  /// Walk a resident store (needs kAnalysisColumns) one calendar day at a
-  /// time.
+  /// Walk a resident store (needs kAnalysisColumns) as one slice, cut into
+  /// one user range per thread.
   [[nodiscard]] FullReport Run(const TraceStore& store,
                                StageTimings* timings = nullptr) const;
 
-  /// Walk a partitioned on-disk trace one calendar day at a time under the
-  /// `max_memory_mb` staging budget: one Scan with a fixed τ, two with
-  /// τ = auto. The FullReport is bit-identical to Run on the merged
-  /// resident trace.
+  /// Walk a partitioned on-disk trace one spill group at a time on the
+  /// pool, each thread reading through one block buffer inside the
+  /// `max_memory_mb` staging budget: one pass with a fixed τ, two with
+  /// τ = auto. The FullReport is bit-identical to Run on the resident
+  /// trace.
   [[nodiscard]] FullReport RunStreaming(const PartitionedTrace& trace,
                                         StageTimings* timings = nullptr) const;
 

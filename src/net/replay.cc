@@ -21,7 +21,9 @@
 #include "net/live_protocol.h"
 #include "trace/log_io.h"
 #include "trace/partitioned_trace.h"
+#include "trace/record_columns.h"
 #include "util/error.h"
+#include "util/parallel.h"
 
 namespace mcloud::net {
 
@@ -568,28 +570,38 @@ std::optional<std::string> LiveLogMatchesTrace(
 }
 
 std::vector<LogRecord> LoadTraceForReplay(const std::filesystem::path& path) {
-  if (std::filesystem::is_directory(path)) {
-    const PartitionedTrace pt = PartitionedTrace::Open(path);
-    std::vector<LogRecord> records;
-    records.reserve(pt.rows());
-    const std::span<const std::uint64_t> user_ids = pt.user_ids();
-    pt.Scan(1 << 20, [&records, user_ids](std::int64_t,
-                                          const TraceRowBlock& block) {
-      for (std::size_t i = 0; i < block.rows(); ++i) {
-        LogRecord r;
-        r.timestamp = block.timestamps[i];
-        r.device_type = static_cast<DeviceType>(block.device_types[i]);
-        r.device_id = block.device_ids[i];
-        r.user_id = user_ids[block.users[i]];
-        r.request_type = static_cast<RequestType>(block.request_types[i]);
-        r.direction = static_cast<Direction>(block.directions[i]);
-        r.data_volume = block.data_volumes[i];
-        records.push_back(r);
-      }
-    });
-    return records;
+  if (!std::filesystem::is_directory(path)) return ReadTrace(path);
+  // The groups in MANIFEST order, then one stable sort by the record time
+  // order: a user's rows all sit in one group, in time order, so the sort
+  // gives the resident row order.
+  const PartitionedTrace pt = PartitionedTrace::Open(path);
+  const std::span<const std::uint64_t> user_ids = pt.user_ids();
+  RecordColumns cols;
+  cols.reserve(pt.rows());
+  const auto append = [](auto& column, auto values) {
+    column.insert(column.end(), values.begin(), values.end());
+  };
+  for (std::size_t g = 0; g < pt.groups().size(); ++g) {
+    pt.ReadGroup(g, std::size_t{1} << 20,
+                 [&](std::int64_t, const TraceRowBlock& block) {
+                   append(cols.timestamps, block.timestamps);
+                   append(cols.device_types, block.device_types);
+                   append(cols.device_ids, block.device_ids);
+                   for (const std::uint32_t u : block.users)
+                     cols.user_ids.push_back(user_ids[u]);
+                   append(cols.request_types, block.request_types);
+                   append(cols.directions, block.directions);
+                   append(cols.data_volumes, block.data_volumes);
+                 });
   }
-  return ReadTrace(path);
+  // The spill keeps only what analysis reads; the rest stays at defaults.
+  cols.processing_times.resize(cols.size());
+  cols.server_times.resize(cols.size());
+  cols.avg_rtts.resize(cols.size());
+  cols.proxied.resize(cols.size());
+  RecordColumnsScratch scratch;
+  ThreadPool pool;
+  return cols.ToRecords(cols.TimeOrderPerm(scratch, pool));
 }
 
 }  // namespace mcloud::net

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
+#include <functional>
 #include <sstream>
 #include <utility>
 
 #include "trace/log_io.h"
 #include "util/error.h"
-#include "util/merge.h"
 #include "util/timeutil.h"
 
 namespace mcloud {
@@ -53,6 +52,14 @@ PartitionedTraceWriter::PartitionedTraceWriter(std::filesystem::path dir,
 void PartitionedTraceWriter::WriteSortedSlice(const RecordColumns& slice) {
   if (finished_)
     throw Error("partitioned trace already sealed: " + dir_.string());
+  if (slice.empty()) return;
+  const auto [lo, hi] =
+      std::minmax_element(slice.user_ids.begin(), slice.user_ids.end());
+  if (records_ > 0 && *lo <= last_user_)
+    throw Error("spill slice starts at user " + std::to_string(*lo) +
+                ", not above the previous slices' last user " +
+                std::to_string(last_user_) + ": " + dir_.string());
+  last_user_ = *hi;
   // Timestamps are non-decreasing within the slice, so equal-day segments
   // are contiguous; each becomes one run file.
   std::size_t begin = 0;
@@ -179,202 +186,107 @@ PartitionedTrace PartitionedTrace::Open(const std::filesystem::path& dir) {
                                              sizeof(std::uint64_t)));
     if (!run_in)
       throw ParseError("truncated columnar trace: " + r.path.string());
+    if (std::adjacent_find(tables[i].begin(), tables[i].end(),
+                           std::greater_equal<>()) != tables[i].end())
+      throw ParseError("partition user table is not ascending: " +
+                       r.path.string());
   }
 
-  // Global user table: sorted union of the per-run tables — the same
-  // ascending-original-id dense remap a resident TraceStore would assign.
-  std::size_t total = 0;
-  for (const auto& table : tables) total += table.size();
-  t.user_ids_.reserve(total);
-  for (const auto& table : tables)
-    t.user_ids_.insert(t.user_ids_.end(), table.begin(), table.end());
-  std::sort(t.user_ids_.begin(), t.user_ids_.end());
-  t.user_ids_.erase(std::unique(t.user_ids_.begin(), t.user_ids_.end()),
-                    t.user_ids_.end());
-  if (t.user_ids_.size() > UINT32_MAX)
-    throw ParseError("partitioned trace has too many users: " + dir.string());
+  // Groups: the run list cut wherever the day stops strictly rising. A
+  // group's user table is the sorted union of its runs' tables; the groups
+  // must hold disjoint, ascending user ranges, so the global table — the
+  // ascending-original-id dense remap a resident TraceStore would assign —
+  // is their concatenation.
   for (std::size_t i = 0; i < t.runs_.size(); ++i) {
-    Run& r = t.runs_[i];
-    r.local_to_global.reserve(tables[i].size());
-    for (const std::uint64_t id : tables[i]) {
-      const auto it =
-          std::lower_bound(t.user_ids_.begin(), t.user_ids_.end(), id);
-      r.local_to_global.push_back(
-          static_cast<std::uint32_t>(it - t.user_ids_.begin()));
+    if (i == 0 || t.runs_[i].day <= t.runs_[i - 1].day)
+      t.groups_.push_back({i, i, 0, 0});
+    t.groups_.back().end_run = i + 1;
+  }
+  std::vector<std::uint64_t> ids;
+  for (Group& g : t.groups_) {
+    ids.clear();
+    for (std::size_t i = g.first_run; i < g.end_run; ++i)
+      ids.insert(ids.end(), tables[i].begin(), tables[i].end());
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    if (!ids.empty() && !t.user_ids_.empty() &&
+        ids.front() <= t.user_ids_.back())
+      throw ParseError("partitioned trace runs from " +
+                       std::to_string(g.first_run) +
+                       " on repeat or precede earlier users: " +
+                       dir.string());
+    g.user_begin = t.user_ids_.size();
+    t.user_ids_.insert(t.user_ids_.end(), ids.begin(), ids.end());
+    g.user_end = t.user_ids_.size();
+    if (g.user_end > UINT32_MAX)
+      throw ParseError("partitioned trace has too many users: " +
+                       dir.string());
+    // Run and group tables both ascend, so one forward walk maps each id.
+    for (std::size_t i = g.first_run; i < g.end_run; ++i) {
+      Run& r = t.runs_[i];
+      r.local_to_global.reserve(tables[i].size());
+      std::size_t j = g.user_begin;
+      for (const std::uint64_t id : tables[i]) {
+        while (t.user_ids_[j] < id) ++j;
+        r.local_to_global.push_back(static_cast<std::uint32_t>(j));
+      }
+      tables[i] = std::vector<std::uint64_t>();  // release as we go
     }
-    tables[i] = std::vector<std::uint64_t>();  // release as we go
   }
   return t;
 }
 
-namespace {
+void PartitionedTrace::ReadGroup(std::size_t g, std::size_t block_rows,
+                                 const BlockSink& sink) const {
+  const Group& group = groups_.at(g);
+  std::uint64_t longest = 0;
+  for (std::size_t i = group.first_run; i < group.end_run; ++i)
+    longest = std::max(longest, runs_[i].rows);
+  const auto cap = static_cast<std::size_t>(std::min<std::uint64_t>(
+      longest, std::max<std::size_t>(block_rows, 1)));
+  std::vector<std::int64_t> ts(cap);
+  std::vector<std::uint8_t> dev(cap);
+  std::vector<std::uint64_t> dev_id(cap);
+  std::vector<std::uint32_t> user(cap);
+  std::vector<std::uint8_t> req(cap);
+  std::vector<std::uint8_t> dir(cap);
+  std::vector<std::uint64_t> vol(cap);
 
-/// Block-buffered streaming cursor over one run file's analysis columns.
-/// Satisfies the MergeSortedCursorsInto contract; user ids are remapped to
-/// global dense indices as each block is loaded.
-class RunCursor {
- public:
-  RunCursor(const std::filesystem::path& path, std::uint64_t rows,
-            const std::uint64_t* col_offset,
-            std::span<const std::uint32_t> local_to_global,
-            std::size_t block_rows)
-      : in_(path, std::ios::binary),
-        path_(path),
-        rows_(rows),
-        col_offset_(col_offset),
-        local_to_global_(local_to_global) {
-    if (!in_) throw ParseError("cannot open partition: " + path_.string());
-    const std::size_t cap =
-        static_cast<std::size_t>(std::min<std::uint64_t>(rows, block_rows));
-    ts_.resize(cap);
-    dev_.resize(cap);
-    dev_id_.resize(cap);
-    user_.resize(cap);
-    req_.resize(cap);
-    dir_.resize(cap);
-    vol_.resize(cap);
-    Refill();
-  }
-
-  [[nodiscard]] bool empty() const { return pos_ == block_n_; }
-  void pop() {
-    ++pos_;
-    if (pos_ == block_n_ && file_pos_ < rows_) Refill();
-  }
-
-  [[nodiscard]] std::int64_t ts() const { return ts_[pos_]; }
-  [[nodiscard]] std::uint8_t device_type() const { return dev_[pos_]; }
-  [[nodiscard]] std::uint64_t device_id() const { return dev_id_[pos_]; }
-  [[nodiscard]] std::uint32_t user() const { return user_[pos_]; }
-  [[nodiscard]] std::uint8_t request_type() const { return req_[pos_]; }
-  [[nodiscard]] std::uint8_t direction() const { return dir_[pos_]; }
-  [[nodiscard]] std::uint64_t data_volume() const { return vol_[pos_]; }
-
- private:
-  void ReadColumnAt(std::size_t col, void* data, std::size_t width,
-                    std::size_t n) {
-    in_.seekg(static_cast<std::streamoff>(col_offset_[col] +
-                                          file_pos_ * width));
-    in_.read(reinterpret_cast<char*>(data),
-             static_cast<std::streamsize>(n * width));
-    if (!in_)
-      throw ParseError("truncated columnar trace: " + path_.string());
-  }
-
-  void Refill() {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(rows_ - file_pos_, ts_.size()));
-    ReadColumnAt(0, ts_.data(), sizeof(std::int64_t), n);
-    ReadColumnAt(1, dev_.data(), sizeof(std::uint8_t), n);
-    ReadColumnAt(2, dev_id_.data(), sizeof(std::uint64_t), n);
-    ReadColumnAt(3, user_.data(), sizeof(std::uint32_t), n);
-    ReadColumnAt(4, req_.data(), sizeof(std::uint8_t), n);
-    ReadColumnAt(5, dir_.data(), sizeof(std::uint8_t), n);
-    ReadColumnAt(6, vol_.data(), sizeof(std::uint64_t), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (user_[i] >= local_to_global_.size())
-        throw ParseError("bad user index in partition: " + path_.string());
-      user_[i] = local_to_global_[user_[i]];
-    }
-    file_pos_ += n;
-    pos_ = 0;
-    block_n_ = n;
-  }
-
-  std::ifstream in_;
-  std::filesystem::path path_;
-  std::uint64_t rows_;
-  const std::uint64_t* col_offset_;
-  std::span<const std::uint32_t> local_to_global_;
-  std::uint64_t file_pos_ = 0;
-  std::size_t pos_ = 0;
-  std::size_t block_n_ = 0;
-  std::vector<std::int64_t> ts_;
-  std::vector<std::uint8_t> dev_;
-  std::vector<std::uint64_t> dev_id_;
-  std::vector<std::uint32_t> user_;
-  std::vector<std::uint8_t> req_;
-  std::vector<std::uint8_t> dir_;
-  std::vector<std::uint64_t> vol_;
-};
-
-}  // namespace
-
-void PartitionedTrace::Scan(std::size_t staging_rows,
-                            const BlockSink& sink) const {
-  staging_rows = std::max<std::size_t>(staging_rows, std::size_t{16} * 1024);
-  // Ascending day order; within a day, manifest (= spill sequence) order —
-  // std::map iterates keys ascending, push_back preserves run order.
-  std::map<std::int64_t, std::vector<const Run*>> days;
-  for (const Run& r : runs_)
-    if (r.rows > 0) days[r.day].push_back(&r);
-
-  // Half the budget stages the merged output; the other half is split
-  // across the day's per-run read buffers.
-  const std::size_t out_rows = std::max<std::size_t>(staging_rows / 2, 4096);
-  std::vector<std::int64_t> ts;
-  std::vector<std::uint8_t> dev;
-  std::vector<std::uint64_t> dev_id;
-  std::vector<std::uint32_t> user;
-  std::vector<std::uint8_t> req;
-  std::vector<std::uint8_t> dir;
-  std::vector<std::uint64_t> vol;
-  ts.reserve(out_rows);
-  dev.reserve(out_rows);
-  dev_id.reserve(out_rows);
-  user.reserve(out_rows);
-  req.reserve(out_rows);
-  dir.reserve(out_rows);
-  vol.reserve(out_rows);
-
-  const auto flush = [&](std::int64_t day) {
-    if (ts.empty()) return;
-    TraceRowBlock b;
-    b.timestamps = ts;
-    b.device_types = dev;
-    b.device_ids = dev_id;
-    b.users = user;
-    b.request_types = req;
-    b.directions = dir;
-    b.data_volumes = vol;
-    sink(day, b);
-    ts.clear();
-    dev.clear();
-    dev_id.clear();
-    user.clear();
-    req.clear();
-    dir.clear();
-    vol.clear();
-  };
-
-  for (const auto& [day, day_runs] : days) {
-    const std::size_t per_run = std::max<std::size_t>(
-        (staging_rows - out_rows) / day_runs.size(), 4096);
-    std::vector<RunCursor> cursors;
-    cursors.reserve(day_runs.size());
-    for (const Run* r : day_runs)
-      cursors.emplace_back(r->path, r->rows, r->col_offset, r->local_to_global,
-                           per_run);
-    // (ts, global user, device) == LogRecordTimeOrder: the global dense
-    // remap is ascending in original id, so comparing dense indices is
-    // comparing original ids. Index ties resolve to the lower cursor — the
-    // earlier spill — giving exactly stable-sort order.
-    const auto less = [](const RunCursor& a, const RunCursor& b) {
-      if (a.ts() != b.ts()) return a.ts() < b.ts();
-      if (a.user() != b.user()) return a.user() < b.user();
-      return a.device_id() < b.device_id();
+  for (std::size_t i = group.first_run; i < group.end_run; ++i) {
+    const Run& r = runs_[i];
+    if (r.rows == 0) continue;
+    std::ifstream in(r.path, std::ios::binary);
+    if (!in) throw ParseError("cannot open partition: " + r.path.string());
+    std::uint64_t first = 0;
+    std::size_t n = 0;
+    // Rows [first, first + n) of column `col` into the front of `column`.
+    const auto read = [&](std::size_t col, auto& column) {
+      const std::size_t width = sizeof(column[0]);
+      in.seekg(static_cast<std::streamoff>(r.col_offset[col] + first * width));
+      in.read(reinterpret_cast<char*>(column.data()),
+              static_cast<std::streamsize>(n * width));
+      if (!in) throw ParseError("truncated columnar trace: " + r.path.string());
+      return std::span(std::as_const(column)).first(n);
     };
-    MergeSortedCursorsInto(cursors, less, [&](RunCursor& c) {
-      ts.push_back(c.ts());
-      dev.push_back(c.device_type());
-      dev_id.push_back(c.device_id());
-      user.push_back(c.user());
-      req.push_back(c.request_type());
-      dir.push_back(c.direction());
-      vol.push_back(c.data_volume());
-      if (ts.size() == out_rows) flush(day);
-    });
-    flush(day);
+    for (; first < r.rows; first += n) {
+      n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(r.rows - first, cap));
+      TraceRowBlock b;
+      b.timestamps = read(0, ts);
+      b.device_types = read(1, dev);
+      b.device_ids = read(2, dev_id);
+      (void)read(3, user);
+      for (std::size_t k = 0; k < n; ++k) {
+        if (user[k] >= r.local_to_global.size())
+          throw ParseError("bad user index in partition: " + r.path.string());
+        user[k] = r.local_to_global[user[k]];
+      }
+      b.users = std::span(std::as_const(user)).first(n);
+      b.request_types = read(4, req);
+      b.directions = read(5, dir);
+      b.data_volumes = read(6, vol);
+      sink(r.day, b);
+    }
   }
 }
 

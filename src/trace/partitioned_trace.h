@@ -2,20 +2,21 @@
 //
 // A partitioned trace is a directory of time-sorted MCLOGv02 run files plus
 // a MANIFEST. The workload generator spills its bounded in-memory buffer as
-// one sorted slice at a time; the writer splits every slice into contiguous
-// calendar-day segments (relative to `day_base`, same key as TraceStore's
-// day partitions) and writes each segment as its own run file. A calendar
-// day therefore maps to the set of runs carrying its rows — one per spill
-// that touched the day — and the reader streams the trace back one day at a
-// time through a k-way merge of that day's runs.
+// one sorted slice at a time; every slice holds the complete history of a
+// contiguous user range, above the previous slice's. The writer splits each
+// slice into contiguous calendar-day segments (relative to `day_base`, same
+// key as TraceStore's day partitions) and writes each segment as its own
+// run file, in day order.
 //
-// Determinism (see DESIGN.md "Out-of-core pipeline"): runs are merged
-// stably by the full record time order (timestamp, user, device), ties
-// across runs broken by manifest order. Since every run is a stably-sorted
-// contiguous slice of the generator's user-ordered emission, the merged
-// stream is exactly std::stable_sort of the whole emission — byte-identical
-// to the resident GenerateColumnar() row order at every thread count and
-// every spill-buffer size.
+// The reader needs no global time order. Open() cuts the MANIFEST's run
+// list into groups wherever the day stops strictly rising, so each group is
+// one spill (or consecutive spills whose days do not overlap), and requires
+// the groups' user ranges to be disjoint and ascending. A group's runs read
+// in manifest order are then time-sorted, and they hold the complete
+// history of every user in the group. The per-user analysis folds walk the
+// groups one at a time, independently (see DESIGN.md "Out-of-core
+// pipeline"); LoadTraceForReplay rebuilds the global time order with one
+// stable in-memory sort.
 //
 // Truncation safety: Open() validates every run file against its MANIFEST
 // entry through detail::ReadV2FileInfo (magic + column mask + full expected
@@ -61,6 +62,11 @@ struct TraceRowBlock {
 /// Writes a partitioned trace: sorted slices in, per-day run files +
 /// MANIFEST out. Slices must arrive in spill order; Finish() seals the
 /// directory. Not thread-safe (one spiller at a time by design).
+///
+/// Contract: every slice holds the complete history of its users, and its
+/// smallest raw user id is above the previous slice's largest. The writer
+/// checks the ordering, so every directory it seals is one that
+/// PartitionedTrace::Open accepts.
 class PartitionedTraceWriter {
  public:
   /// `dir` must exist and be writable; existing run files are overwritten.
@@ -69,7 +75,9 @@ class PartitionedTraceWriter {
   /// Spill one slice sorted by LogRecordTimeOrder: splits it into
   /// contiguous calendar-day segments and writes each segment as its own
   /// MCLOGv02 run file, without materializing records or per-run
-  /// TraceStores. Empty slices are no-ops.
+  /// TraceStores. Empty slices are no-ops. Throws Error, before writing
+  /// anything, when the slice's smallest user id is not above every user
+  /// id of the slices before it.
   void WriteSortedSlice(const RecordColumns& slice);
 
   /// Write the MANIFEST. No further WriteSortedSlice calls afterwards.
@@ -88,28 +96,41 @@ class PartitionedTraceWriter {
   std::filesystem::path dir_;
   UnixSeconds day_base_;
   std::uint64_t records_ = 0;
+  /// Largest user id of the slices written so far.
+  std::uint64_t last_user_ = 0;
   std::vector<RunEntry> runs_;
   V2RunScratch run_scratch_;  ///< reused across columnar runs
   bool finished_ = false;
 };
 
 /// Reader over a sealed partitioned trace. Open() validates the MANIFEST
-/// and every run file (loud failure on any missing/short partition) and
-/// builds the global user table; Scan() streams the rows back in global
-/// time order under a bounded staging budget.
+/// and every run file (loud failure on any missing/short partition), cuts
+/// the runs into groups and builds the global user table; ReadGroup()
+/// streams one group's rows back through one bounded block buffer.
 class PartitionedTrace {
  public:
-  /// Sink for Scan: one time-ordered block of rows, all in calendar day
-  /// `day` (relative to day_base()). Days arrive in ascending order; one
-  /// day spans multiple calls when it exceeds the staging budget.
+  /// Sink for ReadGroup: one time-ordered block of rows, all in calendar
+  /// day `day` (relative to day_base()). Days arrive in ascending order;
+  /// one day spans multiple calls when it exceeds the block size.
   using BlockSink =
       std::function<void(std::int64_t day, const TraceRowBlock& block)>;
 
+  /// A maximal stretch of MANIFEST runs whose days strictly rise: the runs
+  /// [first_run, end_run), holding the complete history of the global
+  /// dense users [user_begin, user_end).
+  struct Group {
+    std::size_t first_run = 0;
+    std::size_t end_run = 0;
+    std::size_t user_begin = 0;
+    std::size_t user_end = 0;
+  };
+
   /// Validate the directory and build the cross-partition indexes: the
-  /// global user table (sorted union of the run tables — the same
-  /// ascending-original-id dense remap TraceStore assigns) and each run's
-  /// local-to-global remap. Throws ParseError on a malformed MANIFEST or
-  /// any missing/truncated/mismatched run file.
+  /// groups, the global user table (the groups' sorted user tables
+  /// concatenated — the same ascending-original-id dense remap TraceStore
+  /// assigns) and each run's local-to-global remap. Throws ParseError on a
+  /// malformed MANIFEST, any missing/truncated/mismatched run file, or
+  /// groups whose user ranges are not disjoint and ascending.
   [[nodiscard]] static PartitionedTrace Open(const std::filesystem::path& dir);
 
   [[nodiscard]] std::uint64_t rows() const { return rows_; }
@@ -120,14 +141,15 @@ class PartitionedTrace {
   [[nodiscard]] std::span<const std::uint64_t> user_ids() const {
     return user_ids_;
   }
+  /// The groups in MANIFEST order, so in ascending user order.
+  [[nodiscard]] std::span<const Group> groups() const { return groups_; }
 
-  /// Stream every record in global time order, one calendar day at a time,
-  /// as analysis-column blocks with global dense user ids. `staging_rows`
-  /// bounds the resident rows (split between the per-run read buffers of
-  /// the day's k-way merge and the output staging block). Deterministic:
-  /// the merge order is a pure function of the on-disk bytes, independent
-  /// of `staging_rows`.
-  void Scan(std::size_t staging_rows, const BlockSink& sink) const;
+  /// Stream group `g`'s rows, run by run in day order, as analysis-column
+  /// blocks of at most `block_rows` rows with global dense user ids. Every
+  /// user's rows arrive in time order. One block buffer serves all of the
+  /// group's runs. Safe to call concurrently, on the same group or not.
+  void ReadGroup(std::size_t g, std::size_t block_rows,
+                 const BlockSink& sink) const;
 
  private:
   struct Run {
@@ -145,6 +167,7 @@ class PartitionedTrace {
   UnixSeconds day_base_ = 0;
   std::uint64_t rows_ = 0;
   std::vector<Run> runs_;
+  std::vector<Group> groups_;
   std::vector<std::uint64_t> user_ids_;
 };
 

@@ -1,12 +1,11 @@
 // Stable k-way merge of sorted runs.
 //
-// The parallel workload generator sorts each shard's output locally and
-// merges the shard runs into the final trace. The merge is *stable across
-// runs*: when two elements compare equal, the one from the lower-indexed run
-// wins, and elements within one run keep their order. Merging contiguous,
+// The sharded fleet simulation merges its shards' time-sorted logs and
+// retrieval events with it. The merge is *stable across runs*: when two
+// elements compare equal, the one from the lower-indexed run wins, and
+// elements within one run keep their order. Merging contiguous,
 // stably-sorted partitions of a sequence therefore yields exactly
-// std::stable_sort of the whole sequence — which is how `threads = N`
-// reproduces the `threads = 1` output byte for byte.
+// std::stable_sort of the whole sequence.
 #pragma once
 
 #include <cstddef>
@@ -68,56 +67,6 @@ void MergeSortedRunsInto(std::vector<std::vector<T>>&& runs, Less less,
     if (!heap.empty()) sift_down(0);
   }
   runs.clear();
-}
-
-/// Generalization of MergeSortedRunsInto to *streaming* sources: merge k
-/// sorted cursors whose backing data need not be resident (the out-of-core
-/// partition reader refills each cursor from disk blockwise). A Cursor must
-/// provide `bool empty() const` and `void pop()`; `less(a, b)` orders two
-/// non-empty cursors by their current heads. Each step calls
-/// `sink(cursors[i])` for the cursor holding the smallest head, then pops
-/// it. Ties across cursors go to the lower index and elements within one
-/// cursor keep their order — the same stability contract as
-/// MergeSortedRunsInto, so merging stably-sorted contiguous partitions
-/// reproduces std::stable_sort of their concatenation.
-template <typename Cursor, typename Less, typename Sink>
-void MergeSortedCursorsInto(std::vector<Cursor>& cursors, Less less,
-                            Sink&& sink) {
-  std::vector<std::size_t> heap;
-  heap.reserve(cursors.size());
-  const auto head_after = [&](std::size_t a, std::size_t b) {
-    if (less(cursors[a], cursors[b])) return false;
-    if (less(cursors[b], cursors[a])) return true;
-    return a > b;
-  };
-  const auto sift_down = [&](std::size_t i) {
-    for (;;) {
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = l + 1;
-      std::size_t best = i;
-      if (l < heap.size() && head_after(heap[best], heap[l])) best = l;
-      if (r < heap.size() && head_after(heap[best], heap[r])) best = r;
-      if (best == i) return;
-      std::swap(heap[i], heap[best]);
-      i = best;
-    }
-  };
-
-  for (std::size_t c = 0; c < cursors.size(); ++c) {
-    if (!cursors[c].empty()) heap.push_back(c);
-  }
-  for (std::size_t i = heap.size(); i-- > 0;) sift_down(i);
-
-  while (!heap.empty()) {
-    Cursor& top = cursors[heap.front()];
-    sink(top);
-    top.pop();
-    if (top.empty()) {
-      heap.front() = heap.back();
-      heap.pop_back();
-    }
-    if (!heap.empty()) sift_down(0);
-  }
 }
 
 /// Merge `runs` (each sorted by `less`, ties in original order) into one

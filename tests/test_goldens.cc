@@ -273,6 +273,37 @@ TEST_F(Goldens, ReportAtValleyTau) {
   }
 }
 
+// The golden spill has more groups than threads. A directory with fewer
+// spills than threads cuts each spill into user sub-ranges instead: one
+// spill (every thread reads it, each keeping its own users) and two.
+TEST(GoldenSpillGroups, FewerGroupsThanThreads) {
+  for (const std::size_t spills : {1, 2}) {
+    const auto dir = FreshDir("mcloud_goldens_few_spills");
+    workload::SpillConfig spill;
+    spill.dir = dir;
+    spill.max_buffer_bytes =
+        sizeof(LogRecord) * (spills == 1 ? kRecords : kRecords * 2 / 3);
+    spill.users_per_chunk = 64;
+    const workload::SpillSummary sum =
+        workload::WorkloadGenerator(GoldenConfig(0))
+            .GenerateToPartitions(spill);
+    ASSERT_EQ(sum.spills, spills);
+    const PartitionedTrace part = PartitionedTrace::Open(dir);
+    ASSERT_EQ(part.groups().size(), spills);
+    for (const int threads : {1, 2, 3, 4}) {
+      const auto fingerprint = [&](Seconds tau) {
+        return core::FingerprintReport(
+            Pipeline(threads, tau).RunStreaming(part));
+      };
+      EXPECT_EQ(fingerprint(3600), kReportFixedTau)
+          << spills << " spills, threads=" << threads;
+      EXPECT_EQ(fingerprint(0), kReportValleyTau)
+          << spills << " spills, threads=" << threads;
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
 /// The options `mcloudctl validate --users 4000 --seed 42` builds.
 validate::ValidateOptions ValidateAt4k() {
   validate::ValidateOptions o;

@@ -185,6 +185,38 @@ TEST(ReplayInput, LoadsColumnarTraceFile) {
   std::filesystem::remove(path);
 }
 
+TEST(ReplayInput, LoadsPartitionedTraceInTimeOrder) {
+  workload::WorkloadConfig wc;
+  wc.seed = 11;
+  wc.population.mobile_users = 300;
+  wc.population.pc_only_users = 100;
+  wc.threads = 2;
+  // The spill keeps only the analysis columns; the others read back at
+  // their defaults.
+  std::vector<LogRecord> want =
+      workload::WorkloadGenerator(wc).GenerateColumnar().trace.ToRecords();
+  for (LogRecord& r : want) {
+    r.processing_time = r.server_time = r.avg_rtt = 0;
+    r.proxied = false;
+  }
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mcloud_replay_input_parts";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  workload::SpillConfig spill;
+  spill.dir = dir;
+  spill.max_buffer_bytes = 1;  // clamped to the 64k-record floor
+  spill.users_per_chunk = 16;
+  const workload::SpillSummary sum =
+      workload::WorkloadGenerator(wc).GenerateToPartitions(spill);
+  ASSERT_GT(sum.spills, 1u);
+
+  const std::vector<LogRecord> got = LoadTraceForReplay(dir);
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end(), LogRecordTimeOrder));
+  EXPECT_EQ(got, want);
+  std::filesystem::remove_all(dir);
+}
+
 // --- loopback server integration ------------------------------------------
 
 class LiveServerTest : public ::testing::Test {

@@ -180,37 +180,6 @@ TEST(MergeSortedRunsInto, DuplicateKeysKeepLowerRunFirst) {
                                        22, 23}));
 }
 
-TEST(MergeSortedCursorsInto, MatchesRunMergeIncludingTies) {
-  // The streaming generalization must produce the identical sequence for
-  // the same runs, including cross-cursor ties and empty cursors.
-  struct VecCursor {
-    std::vector<int> data;
-    std::size_t pos = 0;
-    [[nodiscard]] bool empty() const { return pos == data.size(); }
-    void pop() { ++pos; }
-    [[nodiscard]] int head() const { return data[pos]; }
-  };
-  std::vector<std::vector<int>> runs = {
-      {1, 3, 3, 9}, {}, {2, 3, 4}, {3, 3}};
-  std::vector<VecCursor> cursors;
-  for (const auto& r : runs) cursors.push_back({r, 0});
-
-  std::vector<std::pair<int, std::size_t>> streamed;  // (value, cursor)
-  MergeSortedCursorsInto(
-      cursors,
-      [](const VecCursor& a, const VecCursor& b) {
-        return a.head() < b.head();
-      },
-      [&streamed, &cursors](const VecCursor& c) {
-        streamed.emplace_back(c.head(),
-                              static_cast<std::size_t>(&c - cursors.data()));
-      });
-
-  const std::vector<std::pair<int, std::size_t>> expected = {
-      {1, 0}, {2, 2}, {3, 0}, {3, 0}, {3, 2}, {3, 3}, {3, 3}, {4, 2}, {9, 0}};
-  EXPECT_EQ(streamed, expected);
-}
-
 // ------------------------------------------------------- Generator goldens
 
 workload::Workload Generate(std::size_t mobile, std::size_t pc, int threads,

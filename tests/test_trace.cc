@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -335,46 +336,90 @@ void WritePartitioned(const std::filesystem::path& dir,
   writer.Finish();
 }
 
-TEST(PartitionedTrace, ScanMatchesStableSortOfEmission) {
-  const auto dir = TempPath("mcloud_part_roundtrip");
-  std::filesystem::remove_all(dir);
-  std::vector<LogRecord> all = MakeEmission(18'000, 3);
-  WritePartitioned(dir, all, 4);
-
-  const PartitionedTrace trace = PartitionedTrace::Open(dir);
-  EXPECT_EQ(trace.rows(), all.size());
-  EXPECT_GT(trace.run_count(), 4u);  // every spill split across 3 days
-
-  // Small staging budget: forces several blocks per day and tiny per-run
-  // read buffers, which must not change the merged order.
-  std::vector<LogRecord> merged;
-  std::int64_t last_day = -1;
-  trace.Scan(8'192, [&](std::int64_t day, const TraceRowBlock& b) {
-    EXPECT_GE(day, last_day);
-    last_day = day;
+/// Every row of group `g`, with original user ids, in read order. Checks
+/// each block's day against its rows' timestamps on the way.
+std::vector<LogRecord> ReadGroupRecords(const PartitionedTrace& trace,
+                                        std::size_t g,
+                                        std::size_t block_rows) {
+  std::vector<LogRecord> rows;
+  trace.ReadGroup(g, block_rows, [&](std::int64_t day, const TraceRowBlock& b) {
+    EXPECT_LE(b.rows(), block_rows);
     for (std::size_t i = 0; i < b.rows(); ++i) {
       LogRecord r;
       r.timestamp = b.timestamps[i];
       r.device_type = static_cast<DeviceType>(b.device_types[i]);
       r.device_id = b.device_ids[i];
+      EXPECT_GE(b.users[i], trace.groups()[g].user_begin);
+      EXPECT_LT(b.users[i], trace.groups()[g].user_end);
       r.user_id = trace.user_ids()[b.users[i]];
       r.request_type = static_cast<RequestType>(b.request_types[i]);
       r.direction = static_cast<Direction>(b.directions[i]);
       r.data_volume = b.data_volumes[i];
-      merged.push_back(r);
+      rows.push_back(r);
       EXPECT_EQ(day, DayIndex(r.timestamp));
     }
   });
+  return rows;
+}
 
-  std::stable_sort(all.begin(), all.end(), LogRecordTimeOrder);
-  ASSERT_EQ(merged.size(), all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    EXPECT_EQ(merged[i].timestamp, all[i].timestamp) << "at " << i;
-    EXPECT_EQ(merged[i].user_id, all[i].user_id) << "at " << i;
-    EXPECT_EQ(merged[i].device_id, all[i].device_id) << "at " << i;
-    // The serial number: proves cross-run ties kept emission order.
-    EXPECT_EQ(merged[i].data_volume, all[i].data_volume) << "at " << i;
+TEST(PartitionedTrace, EachGroupIsOneSpillInTimeOrder) {
+  const auto dir = TempPath("mcloud_part_roundtrip");
+  std::filesystem::remove_all(dir);
+  const std::vector<LogRecord> all = MakeEmission(18'000, 3);
+  constexpr std::size_t kSpills = 4;
+  WritePartitioned(dir, all, kSpills);
+
+  const PartitionedTrace trace = PartitionedTrace::Open(dir);
+  EXPECT_EQ(trace.rows(), all.size());
+  EXPECT_GT(trace.run_count(), kSpills);  // every spill split across 3 days
+  ASSERT_EQ(trace.groups().size(), kSpills);
+
+  // Small blocks: several per run, and one buffer reused across runs of
+  // different lengths, which must not change the rows. Each group is its
+  // spill exactly as written, stable-sorted (the serial number in
+  // data_volume proves ties kept emission order), and the groups'
+  // concatenated user tables are the global one.
+  const auto per = static_cast<std::ptrdiff_t>(all.size() / kSpills);
+  std::size_t users = 0;
+  for (std::size_t g = 0; g < kSpills; ++g) {
+    const auto first = all.begin() + static_cast<std::ptrdiff_t>(g) * per;
+    std::vector<LogRecord> spill(first, first + per);
+    std::stable_sort(spill.begin(), spill.end(), LogRecordTimeOrder);
+    for (LogRecord& r : spill) {  // the fields analysis does not read
+      r.processing_time = r.server_time = r.avg_rtt = 0;
+      r.proxied = false;
+    }
+    EXPECT_EQ(ReadGroupRecords(trace, g, 1'000), spill) << "group " << g;
+    EXPECT_EQ(trace.groups()[g].user_begin, users);
+    users = trace.groups()[g].user_end;
   }
+  EXPECT_EQ(users, trace.users());
+  const auto ids = trace.user_ids();
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()),
+            ids.end());  // strictly ascending
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PartitionedTraceWriter, RejectsSlicesThatOverlapInUsers) {
+  const auto dir = TempPath("mcloud_part_overlap");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto slice = [](std::uint64_t first_user, std::uint64_t last_user) {
+    RecordColumns s;
+    for (std::uint64_t u = first_user; u <= last_user; ++u)
+      s.Append(MakeRecord(kTraceStart + static_cast<UnixSeconds>(u), u,
+                          Direction::kStore));
+    return s;
+  };
+  PartitionedTraceWriter writer(dir, kTraceStart);
+  writer.WriteSortedSlice(slice(1, 5));
+  writer.WriteSortedSlice(RecordColumns());  // empty: a no-op
+  EXPECT_THROW(writer.WriteSortedSlice(slice(5, 9)), Error);   // shares 5
+  EXPECT_THROW(writer.WriteSortedSlice(slice(2, 3)), Error);   // below
+  EXPECT_EQ(writer.run_files(), 1u);  // a rejected slice writes nothing
+  writer.WriteSortedSlice(slice(6, 9));
+  writer.Finish();
+  EXPECT_EQ(PartitionedTrace::Open(dir).groups().size(), 2u);
   std::filesystem::remove_all(dir);
 }
 
@@ -438,6 +483,29 @@ TEST(PartitionedTrace, OpenRejectsManifestWithoutEndSentinel) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(PartitionedTrace, OpenRejectsUnsortedRunUserTable) {
+  const auto dir = TempPath("mcloud_part_table");
+  std::filesystem::remove_all(dir);
+  WritePartitioned(dir, MakeEmission(2'000, 2), 2);
+  // Swap the first two ids of a run's user table, which follows the
+  // 40-byte header: each run's remap to global ids needs its table
+  // ascending.
+  {
+    std::fstream f(FirstRunFile(dir),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    std::uint64_t ids[2] = {};
+    f.seekg(40);
+    f.read(reinterpret_cast<char*>(ids), sizeof(ids));
+    ASSERT_LT(ids[0], ids[1]);
+    std::swap(ids[0], ids[1]);
+    f.seekp(40);
+    f.write(reinterpret_cast<const char*>(ids), sizeof(ids));
+    ASSERT_TRUE(f);
+  }
+  EXPECT_THROW((void)PartitionedTrace::Open(dir), ParseError);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PartitionedTrace, OpenRejectsRunRowCountMismatch) {
   const auto dir = TempPath("mcloud_part_rows");
   std::filesystem::remove_all(dir);
@@ -464,6 +532,86 @@ TEST(PartitionedTrace, OpenRejectsRunRowCountMismatch) {
   }
   std::ofstream(dir / "MANIFEST", std::ios::trunc) << manifest;
   EXPECT_THROW((void)PartitionedTrace::Open(dir), ParseError);
+  std::filesystem::remove_all(dir);
+}
+
+/// One MANIFEST run entry: day, rows and file name.
+struct ManifestRun {
+  std::int64_t day = 0;
+  std::uint64_t rows = 0;
+  std::string file;
+};
+
+/// A valid two-spill directory's run entries, cut into spills where the day
+/// stops rising.
+std::vector<std::vector<ManifestRun>> ReadSpills(
+    const std::filesystem::path& dir) {
+  std::vector<std::vector<ManifestRun>> spills;
+  std::ifstream in(dir / "MANIFEST");
+  std::string line;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::string key;
+    std::uint64_t seq = 0;
+    ManifestRun r;
+    if (!(ls >> key >> seq >> r.day >> r.rows >> r.file) || key != "run")
+      continue;
+    if (spills.empty() || r.day <= spills.back().back().day)
+      spills.emplace_back();
+    spills.back().push_back(r);
+  }
+  return spills;
+}
+
+/// Rewrite the MANIFEST to list `spills` in order, with fresh sequence
+/// numbers and matching run and record counts: a well-formed MANIFEST
+/// whose only fault is the order of its users.
+void WriteManifest(const std::filesystem::path& dir,
+                   const std::vector<std::vector<ManifestRun>>& spills) {
+  std::string runs;
+  std::size_t n = 0;
+  std::uint64_t records = 0;
+  for (const auto& spill : spills) {
+    for (const ManifestRun& r : spill) {
+      runs += "run " + std::to_string(n++) + " " + std::to_string(r.day) +
+              " " + std::to_string(r.rows) + " " + r.file + "\n";
+      records += r.rows;
+    }
+  }
+  std::ofstream(dir / "MANIFEST", std::ios::trunc)
+      << "MCLOUDPART v1\nday_base " << kTraceStart << "\nrecords " << records
+      << "\nruns " << n << "\n"
+      << runs << "end\n";
+}
+
+void ExpectOpenRejectsUserOrder(const std::filesystem::path& dir) {
+  try {
+    (void)PartitionedTrace::Open(dir);
+    ADD_FAILURE() << "Open accepted groups that are not ascending in users";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("repeat or precede"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PartitionedTrace, OpenRejectsGroupsOutOfUserOrder) {
+  const auto dir = TempPath("mcloud_part_order");
+  std::filesystem::remove_all(dir);
+  WritePartitioned(dir, MakeEmission(2'000, 2), 2);
+  std::vector<std::vector<ManifestRun>> spills = ReadSpills(dir);
+  ASSERT_EQ(spills.size(), 2u);
+  WriteManifest(dir, spills);  // the rewrite alone is accepted
+  EXPECT_EQ(PartitionedTrace::Open(dir).groups().size(), 2u);
+
+  // The spills in descending user order.
+  WriteManifest(dir, {spills[1], spills[0]});
+  ExpectOpenRejectsUserOrder(dir);
+
+  // The first spill's runs again under new sequence numbers: a third group
+  // whose users the first already holds.
+  WriteManifest(dir, {spills[0], spills[1], spills[0]});
+  ExpectOpenRejectsUserOrder(dir);
   std::filesystem::remove_all(dir);
 }
 
