@@ -7,14 +7,10 @@
 // `for b in build/bench/*; do $b; done` reads as a lab notebook.
 #pragma once
 
-#include <sys/resource.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include <string_view>
@@ -24,56 +20,6 @@
 #include "workload/generator.h"
 
 namespace mcloud::bench {
-
-/// Peak RSS of the calling process in bytes (Linux ru_maxrss is KiB).
-inline std::uint64_t PeakRssBytes() {
-  struct rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-}
-
-/// `git describe --always --dirty` of the working tree, or "unknown" when
-/// git is unavailable — stamps every bench artifact with its provenance.
-inline std::string GitDescribe() {
-  std::string out;
-  if (std::FILE* p = ::popen("git describe --always --dirty 2>/dev/null",
-                             "r")) {
-    char buf[128];
-    while (std::fgets(buf, sizeof(buf), p)) out += buf;
-    ::pclose(p);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
-    out.pop_back();
-  return out.empty() ? "unknown" : out;
-}
-
-/// Write a bench JSON artifact (the committed BENCH_*.json files) with the
-/// standard provenance stamps every bench shares: bench name, git describe,
-/// hardware thread count, and the emitting process's peak RSS. `body` is
-/// the bench-specific payload — already-formed JSON members, each line
-/// indented two spaces and ending with a newline, the last without a
-/// trailing comma.
-inline void EmitBenchJson(const std::string& path, const std::string& bench,
-                          const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"%s\",\n"
-               "  \"git\": \"%s\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"harness_peak_rss_bytes\": %llu,\n"
-               "%s"
-               "}\n",
-               bench.c_str(), GitDescribe().c_str(),
-               std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(PeakRssBytes()), body.c_str());
-  std::fclose(f);
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
-}
 
 /// `--threads N` anywhere on the command line (0 = hardware concurrency,
 /// the default). Thread count never changes any bench's output, only its
