@@ -109,6 +109,7 @@ ConformanceRun RunConformance(const WorkloadSpec& spec,
                    "out-of-core conformance needs a spill dir");
     workload::SpillConfig spill;
     spill.dir = options.spill_dir;
+    spill.max_buffer_bytes = workload::SpillBufferBytes(options.max_memory_mb);
     (void)gen.GenerateToPartitions(spill);
     report = pipeline.RunStreaming(PartitionedTrace::Open(spill.dir));
   } else {

@@ -28,7 +28,10 @@ struct ConformanceOptions {
   /// that lets specs declare paper-scale populations. Needs `spill_dir`.
   bool out_of_core = false;
   std::string spill_dir;
-  std::size_t max_memory_mb = 0;  ///< streaming staging budget; 0 = default
+  /// Approximate resident budget (MB) of out-of-core generation+analysis:
+  /// it sizes the spill buffer (workload::SpillBufferBytes) and the
+  /// streaming staging.
+  std::size_t max_memory_mb = 2048;
 };
 
 struct ConformanceRun {

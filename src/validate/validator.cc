@@ -161,10 +161,9 @@ ValidationInputs BuildValidationInputs(const ValidateOptions& options,
   const workload::WorkloadGenerator generator(cfg);
   core::PipelineOptions popts;
   popts.threads = options.threads;
-  if (options.concurrent) {
-    // Analyze-while-generate: the spill slices feed the concurrent pipeline
-    // as they seal, so generation and analysis share one overlapped walk
-    // (generate_s stays 0 — there is no separate generation phase).
+  if (options.concurrent || options.out_of_core) {
+    // Both bounded-memory modes spill the generation into a partitioned
+    // trace directory under options.max_memory_mb.
     namespace fs = std::filesystem;
     const bool owned = options.spill_dir.empty();
     const fs::path dir =
@@ -176,50 +175,27 @@ ValidationInputs BuildValidationInputs(const ValidateOptions& options,
     fs::create_directories(dir);
     workload::SpillConfig spill;
     spill.dir = dir;
-    // A third of the two-phase slice size: the overlapped pipeline keeps up
-    // to three slices in flight (producer buffer, queue slot, consumer), so
-    // this holds the resident total at the same budget.
     spill.max_buffer_bytes =
-        std::max<std::size_t>(options.max_memory_mb, std::size_t{64}) *
-        (1024 * 1024 / 9);
+        workload::SpillBufferBytes(options.max_memory_mb, options.concurrent);
     popts.max_memory_mb = options.max_memory_mb;
     const core::AnalysisPipeline pipeline(popts);
-    in.report = pipeline.RunConcurrent(
-        [&](const core::AnalysisPipeline::SliceConsumer& consume) {
-          (void)generator.GenerateToPartitions(spill, consume);
-        });
-    if (timings) timings->analyze_s = Since(t0);
-    if (owned) {
-      std::error_code ec;
-      fs::remove_all(dir, ec);
+    if (options.concurrent) {
+      // Analyze-while-generate: the spill slices feed the concurrent
+      // pipeline as they seal, so generation and analysis share one
+      // overlapped walk (generate_s stays 0 — there is no separate
+      // generation phase).
+      in.report = pipeline.RunConcurrent(
+          [&](const core::AnalysisPipeline::SliceConsumer& consume) {
+            (void)generator.GenerateToPartitions(spill, consume);
+          });
+    } else {
+      // Two phases: spill everything, then stream it back through
+      // RunStreaming.
+      (void)generator.GenerateToPartitions(spill);
+      if (timings) timings->generate_s = Since(t0);
+      t0 = Clock::now();
+      in.report = pipeline.RunStreaming(PartitionedTrace::Open(dir));
     }
-  } else if (options.out_of_core) {
-    // Bounded-memory path: spill the generation into a partitioned on-disk
-    // trace, then stream it back through RunStreaming. Both
-    // phases share options.max_memory_mb; generation gets a third of it as
-    // the AoS emission buffer (records cost ~80 B buffered vs ~31 B
-    // staged, and the analysis walks also carry dense per-user state).
-    namespace fs = std::filesystem;
-    const bool owned = options.spill_dir.empty();
-    const fs::path dir =
-        owned ? fs::temp_directory_path() /
-                    ("mcloud-spill-" + std::to_string(::getpid()) + "-" +
-                     std::to_string(options.seed) + "-" +
-                     std::to_string(options.users))
-              : fs::path(options.spill_dir);
-    fs::create_directories(dir);
-    workload::SpillConfig spill;
-    spill.dir = dir;
-    spill.max_buffer_bytes =
-        std::max<std::size_t>(options.max_memory_mb, std::size_t{64}) *
-        (1024 * 1024 / 3);
-    (void)generator.GenerateToPartitions(spill);
-    if (timings) timings->generate_s = Since(t0);
-
-    t0 = Clock::now();
-    popts.max_memory_mb = options.max_memory_mb;
-    const PartitionedTrace part = PartitionedTrace::Open(dir);
-    in.report = core::AnalysisPipeline(popts).RunStreaming(part);
     if (timings) timings->analyze_s = Since(t0);
     if (owned) {
       std::error_code ec;

@@ -10,6 +10,7 @@
 
 #include "scenario/conformance.h"
 #include "scenario/workload_spec.h"
+#include "trace/partitioned_trace.h"
 #include "util/error.h"
 #include "validate/validator.h"
 
@@ -236,6 +237,33 @@ TEST(Conformance, OutOfCoreMatchesResident) {
   std::filesystem::remove_all(opts.spill_dir);
   EXPECT_EQ(ooc.report_fingerprint, resident.report_fingerprint);
   EXPECT_EQ(scenario::ToJson(ooc), scenario::ToJson(resident));
+}
+
+// Out-of-core conformance spills under its memory budget, as generate and
+// validate do: 64 MB cuts the trace into more run files than 2048 MB, and
+// the report does not move.
+TEST(Conformance, OutOfCoreSpillFollowsTheBudget) {
+  const scenario::WorkloadSpec spec = scenario::LoadSpec("paper2016");
+  scenario::ConformanceOptions opts;
+  opts.users_override = 2000;
+  opts.out_of_core = true;
+  std::size_t run_files[2] = {};
+  std::uint64_t fingerprints[2] = {};
+  const std::size_t budgets_mb[2] = {64, 2048};
+  for (int i = 0; i < 2; ++i) {
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("mcloud-spec-budget-" + std::to_string(budgets_mb[i]));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    opts.spill_dir = dir.string();
+    opts.max_memory_mb = budgets_mb[i];
+    fingerprints[i] = scenario::RunConformance(spec, opts).report_fingerprint;
+    run_files[i] = PartitionedTrace::Open(dir).run_count();
+    std::filesystem::remove_all(dir);
+  }
+  EXPECT_GT(run_files[0], run_files[1]);
+  EXPECT_EQ(fingerprints[0], fingerprints[1]);
 }
 
 }  // namespace
