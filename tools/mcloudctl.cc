@@ -62,14 +62,10 @@
 // through the overlapped pipeline and fingerprints identically to the
 // resident run.
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -90,36 +86,13 @@
 #include "validate/validator.h"
 #include "workload/generator.h"
 
+#include "args.h"
+
 namespace {
 
 using namespace mcloud;
-
-/// Minimal flag parser: --key value pairs plus positional arguments.
-struct Args {
-  std::map<std::string, std::string> flags;
-  std::vector<std::string> positional;
-
-  [[nodiscard]] std::string Get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  [[nodiscard]] bool Has(const std::string& key) const {
-    return flags.count(key) > 0;
-  }
-  [[nodiscard]] std::uint64_t GetU64(const std::string& key,
-                                     std::uint64_t fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  [[nodiscard]] double GetDouble(const std::string& key,
-                                 double fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : std::strtod(it->second.c_str(), nullptr);
-  }
-};
+using tools::Args;
+using tools::kMaxMiB;
 
 /// Shared fault-flag parsing for `generate --faults` and fleet `simulate`.
 mcloud::fault::FaultConfig FaultsFrom(const Args& args) {
@@ -138,6 +111,7 @@ Args Parse(int argc, char** argv, int first) {
       "no-ssai", "pace",      "faults",    "hedge",
       "no-retry", "out-of-core", "analyze-while-generate", "concurrent"};
   Args args;
+  args.tool = "mcloudctl";
   for (int i = first; i < argc; ++i) {
     const std::string_view a = argv[i];
     if (a.rfind("--", 0) == 0) {
@@ -255,7 +229,7 @@ int CmdGenerate(const Args& args) {
     const scenario::WorkloadSpec spec =
         scenario::LoadSpec(args.Get("spec"), args.Get("specs-dir"));
     cfg = scenario::Compile(spec, args.GetU64("seed", 42),
-                            static_cast<int>(args.GetU64("threads", 0)));
+                            args.GetU64<int>("threads", 0));
     cfg.population.mobile_users =
         args.GetU64("users", cfg.population.mobile_users);
     cfg.population.pc_only_users =
@@ -265,7 +239,7 @@ int CmdGenerate(const Args& args) {
     cfg.population.pc_only_users =
         args.GetU64("pc", cfg.population.mobile_users / 3);
     cfg.seed = args.GetU64("seed", 42);
-    cfg.threads = static_cast<int>(args.GetU64("threads", 0));
+    cfg.threads = args.GetU64<int>("threads", 0);
   }
 
   std::fprintf(stderr,
@@ -278,12 +252,11 @@ int CmdGenerate(const Args& args) {
                            "with --faults or --anonymize\n");
       return 2;
     }
-    std::filesystem::create_directories(args.positional[0]);
     workload::SpillConfig spill;
     spill.dir = args.positional[0];
-    spill.max_buffer_bytes =
-        std::max<std::uint64_t>(args.GetU64("max-memory-mb", 2048),
-                                64) * (1024 * 1024 / 3);
+    spill.max_buffer_bytes = workload::SpillBufferBytes(
+        args.GetU64<std::size_t>("max-memory-mb", 2048, kMaxMiB));
+    std::filesystem::create_directories(spill.dir);
     workload::GenTimings gt;
     const workload::SpillSummary s =
         workload::WorkloadGenerator(cfg).GenerateToPartitions(spill, &gt);
@@ -367,13 +340,10 @@ bool ParseTau(const Args& args, const char* cmd, bool allow_auto,
     tau = 0;
     return true;
   }
-  if (!text.empty() && !std::isspace(static_cast<unsigned char>(text[0]))) {
-    char* end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() + text.size() && v > 0 && std::isfinite(v)) {
-      tau = v;
-      return true;
-    }
+  double v = 0;
+  if (tools::ParseNumber(text, v) && v > 0) {
+    tau = v;
+    return true;
   }
   std::fprintf(stderr,
                "mcloudctl: %s --tau takes %sa positive number of seconds, "
@@ -387,9 +357,9 @@ int CmdAnalyze(const Args& args) {
   core::PipelineOptions opts;
   if (!ParseTau(args, "analyze", /*allow_auto=*/true, opts.session_tau))
     return 2;
-  opts.threads = static_cast<int>(args.GetU64("threads", 0));
+  opts.threads = args.GetU64<int>("threads", 0);
   opts.max_memory_mb =
-      static_cast<std::size_t>(args.GetU64("max-memory-mb", 0));
+      args.GetU64<std::size_t>("max-memory-mb", 0, kMaxMiB);
   const core::AnalysisPipeline pipeline(opts);
 
   const std::filesystem::path path = args.positional[0];
@@ -438,21 +408,21 @@ int CmdGrow(const Args& args) {
   cfg.population.pc_only_users =
       args.GetU64("pc", cfg.population.mobile_users / 3);
   cfg.seed = args.GetU64("seed", 42);
-  cfg.threads = static_cast<int>(args.GetU64("threads", 0));
+  cfg.threads = args.GetU64<int>("threads", 0);
 
-  std::filesystem::create_directories(args.positional[0]);
-  const std::uint64_t budget_mb =
-      std::max<std::uint64_t>(args.GetU64("max-memory-mb", 2048), 64);
+  const bool overlapped = args.Has("analyze-while-generate");
+  const std::size_t budget_mb = std::max<std::size_t>(
+      args.GetU64<std::size_t>("max-memory-mb", 2048, kMaxMiB), 64);
   workload::SpillConfig spill;
   spill.dir = args.positional[0];
-  spill.max_buffer_bytes = budget_mb * (1024 * 1024 / 3);
+  spill.max_buffer_bytes = workload::SpillBufferBytes(budget_mb, overlapped);
+  std::filesystem::create_directories(spill.dir);
 
   popts.threads = cfg.threads;
-  popts.max_memory_mb = static_cast<std::size_t>(budget_mb);
+  popts.max_memory_mb = budget_mb;
   const core::AnalysisPipeline pipeline(popts);
   const workload::WorkloadGenerator generator(cfg);
 
-  const bool overlapped = args.Has("analyze-while-generate");
   std::fprintf(stderr,
                "growing %s: %zu mobile users, %zu PC-only, seed %llu (%s)\n",
                args.positional[0].c_str(), cfg.population.mobile_users,
@@ -466,10 +436,6 @@ int CmdGrow(const Args& args) {
   workload::GenTimings gt;
   double read_s = 0;  // the overlapped walk reads nothing back
   if (overlapped) {
-    // A third of the two-phase slice size: the overlapped pipeline keeps
-    // up to three slices in flight (producer buffer, queue slot, consumer)
-    // at the same total budget.
-    spill.max_buffer_bytes = budget_mb * (1024 * 1024 / 9);
     report = pipeline.RunConcurrent(
         [&](const core::AnalysisPipeline::SliceConsumer& consume) {
           sum = generator.GenerateToPartitions(spill, consume, &gt);
@@ -496,10 +462,10 @@ int CmdSessions(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   Seconds tau = 0;
   if (!ParseTau(args, "sessions", /*allow_auto=*/false, tau)) return 2;
+  const std::uint64_t top = args.GetU64("top", 20);
   const auto trace = ReadTrace(args.positional[0]);
   const auto sessions = analysis::Sessionizer(tau).Sessionize(trace);
 
-  const std::uint64_t top = args.GetU64("top", 20);
   std::printf("%zu sessions (tau = %.0f s); largest %llu by volume:\n",
               sessions.size(), tau,
               static_cast<unsigned long long>(top));
@@ -556,14 +522,14 @@ int CmdSimulateFleet(const Args& args) {
   wcfg.population.pc_only_users =
       args.GetU64("pc", wcfg.population.mobile_users / 3);
   wcfg.seed = args.GetU64("seed", 42);
-  const auto w = workload::WorkloadGenerator(wcfg).GeneratePlansOnly();
 
   cloud::FleetConfig cfg;
   cfg.service.faults = FaultsFrom(args);
   if (args.Has("no-retry")) cfg.service.retry = fault::RetryPolicy::None();
   if (args.Has("hedge")) cfg.service.retry.hedge = true;
-  cfg.shards = static_cast<std::uint32_t>(args.GetU64("shards", cfg.shards));
-  cfg.threads = static_cast<int>(args.GetU64("threads", 0));
+  cfg.shards = args.GetU64<std::uint32_t>("shards", cfg.shards);
+  cfg.threads = args.GetU64<int>("threads", 0);
+  const auto w = workload::WorkloadGenerator(wcfg).GeneratePlansOnly();
 
   std::fprintf(stderr,
                "simulating %zu sessions (%u shards): fail-rate %.3f, "
@@ -602,7 +568,7 @@ int CmdSimulate(const Args& args) {
   const Direction dir = args.Get("direction", "store") == "retrieve"
                             ? Direction::kRetrieve
                             : Direction::kStore;
-  const Bytes size = args.GetU64("file-mb", 8) * kMiB;
+  const Bytes size = args.GetU64("file-mb", 8, kMaxMiB) * kMiB;
   const auto flow =
       service.SimulateFlow(dev, dir, size, args.GetU64("seed", 1));
 
@@ -624,7 +590,7 @@ int CmdSimulate(const Args& args) {
   return 0;
 }
 
-/// Shared --json writer for the scenario-lab commands.
+/// The --json writer of conform, matrix and validate (no flag: no file).
 void WriteJsonFile(const std::string& path, const std::string& json) {
   if (path.empty()) return;
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -665,12 +631,12 @@ int CmdConform(const Args& args) {
       scenario::LoadSpec(args.positional[0], args.Get("specs-dir"));
   scenario::ConformanceOptions opts;
   opts.seed = args.GetU64("seed", opts.seed);
-  opts.threads = static_cast<int>(args.GetU64("threads", 0));
+  opts.threads = args.GetU64<int>("threads", 0);
   opts.users_override = args.GetU64("users", 0);
   opts.out_of_core = args.Has("out-of-core");
   opts.spill_dir = args.Get("spill-dir");
-  opts.max_memory_mb = static_cast<std::size_t>(
-      args.GetU64("max-memory-mb", opts.max_memory_mb));
+  opts.max_memory_mb =
+      args.GetU64<std::size_t>("max-memory-mb", opts.max_memory_mb, kMaxMiB);
   std::filesystem::path owned_spill;
   if (opts.out_of_core && opts.spill_dir.empty()) {
     owned_spill = std::filesystem::temp_directory_path() /
@@ -700,8 +666,8 @@ int CmdMatrix(const Args& args) {
   if (args.Has("chunks")) opts.chunk_policies = SplitList(args.Get("chunks"));
   opts.users = args.GetU64("users", 0);
   opts.seed = args.GetU64("seed", opts.seed);
-  opts.threads = static_cast<int>(args.GetU64("threads", 0));
-  opts.shards = static_cast<std::uint32_t>(args.GetU64("shards", opts.shards));
+  opts.threads = args.GetU64<int>("threads", 0);
+  opts.shards = args.GetU64<std::uint32_t>("shards", opts.shards);
   opts.specs_dir = args.Get("specs-dir");
   const scenario::MatrixReport report = scenario::RunMatrix(opts);
   std::fputs(scenario::RenderText(report).c_str(), stdout);
@@ -729,34 +695,25 @@ int CmdValidate(const Args& args) {
     opts.users = args.GetU64("users", opts.users);
   }
   opts.seed = args.GetU64("seed", opts.seed);
-  opts.threads = static_cast<int>(args.GetU64("threads", 0));
+  opts.threads = args.GetU64<int>("threads", 0);
   opts.fleet_flows = args.GetU64("flows", opts.fleet_flows);
-  opts.fleet_shards =
-      static_cast<std::uint32_t>(args.GetU64("shards", opts.fleet_shards));
+  opts.fleet_shards = args.GetU64<std::uint32_t>("shards", opts.fleet_shards);
   opts.out_of_core = args.Has("out-of-core");
   opts.concurrent = args.Has("concurrent");
-  opts.max_memory_mb = static_cast<std::size_t>(
-      args.GetU64("max-memory-mb", opts.max_memory_mb));
+  if (opts.out_of_core && opts.concurrent) {
+    std::fprintf(stderr, "mcloudctl: validate takes --out-of-core or "
+                         "--concurrent, not both\n");
+    return 2;
+  }
+  opts.max_memory_mb =
+      args.GetU64<std::size_t>("max-memory-mb", opts.max_memory_mb, kMaxMiB);
   opts.spill_dir = args.Get("spill-dir");
   const std::uint64_t seeds = args.GetU64("seeds", 1);
-  const std::string json_path = args.Get("json");
-
-  auto write_json = [&](const std::string& json) {
-    if (json_path.empty()) return;
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      std::exit(1);
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-  };
 
   if (seeds <= 1) {
     const validate::ValidationRun run = validate::RunValidation(opts);
     std::fputs(validate::RenderText(run).c_str(), stdout);
-    write_json(validate::ToJson(run));
+    WriteJsonFile(args.Get("json"), validate::ToJson(run));
     return run.AllPassed() ? 0 : 1;
   }
 
@@ -773,7 +730,7 @@ int CmdValidate(const Args& args) {
   for (const auto& [id, count] : sweep.failures_by_check)
     std::printf("  failing check: %-24s %zu/%zu seeds\n", id.c_str(), count,
                 sweep.runs.size());
-  write_json(validate::ToJson(sweep));
+  WriteJsonFile(args.Get("json"), validate::ToJson(sweep));
   return sweep.run_pass_rate >= 0.95 ? 0 : 1;
 }
 

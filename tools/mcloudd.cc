@@ -18,10 +18,7 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,34 +28,19 @@
 #include "trace/log_io.h"
 #include "util/error.h"
 
+#include "args.h"
+
 namespace {
 
 using namespace mcloud;
-
-struct Args {
-  std::map<std::string, std::string> flags;
-
-  [[nodiscard]] std::string Get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  [[nodiscard]] bool Has(const std::string& key) const {
-    return flags.count(key) > 0;
-  }
-  [[nodiscard]] std::uint64_t GetU64(const std::string& key,
-                                     std::uint64_t fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-};
+using tools::Args;
 
 Args Parse(int argc, char** argv) {
   static const std::set<std::string> kBooleanFlags = {"self-check", "help"};
   static const std::set<std::string> kValueFlags = {
       "port", "bind", "front-ends", "log", "stats-json", "max-body-mb"};
   Args args;
+  args.tool = "mcloudd";
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     const bool is_flag = a.rfind("--", 0) == 0;
@@ -102,17 +84,16 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   try {
     net::LiveServiceConfig service_config;
-    service_config.front_ends = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(1, args.GetU64("front-ends", 4)));
+    service_config.front_ends = std::max<std::uint32_t>(
+        1, args.GetU64<std::uint32_t>("front-ends", 4));
     net::LiveService service(service_config);
 
     net::ServerConfig server_config;
     server_config.bind_address = args.Get("bind", "127.0.0.1");
-    server_config.port =
-        static_cast<std::uint16_t>(args.GetU64("port", 0));
+    server_config.port = args.GetU64<std::uint16_t>("port", 0);
     if (args.Has("max-body-mb")) {
       server_config.limits.max_body_bytes =
-          static_cast<std::size_t>(args.GetU64("max-body-mb", 4)) * 1024 *
+          args.GetU64<std::size_t>("max-body-mb", 4, tools::kMaxMiB) * 1024 *
           1024;
     }
     net::EpollServer server(

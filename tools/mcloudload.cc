@@ -33,7 +33,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -43,34 +42,12 @@
 #include "util/error.h"
 #include "workload/generator.h"
 
+#include "args.h"
+
 namespace {
 
 using namespace mcloud;
-
-struct Args {
-  std::map<std::string, std::string> flags;
-
-  [[nodiscard]] std::string Get(const std::string& key,
-                                const std::string& fallback = "") const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  [[nodiscard]] bool Has(const std::string& key) const {
-    return flags.count(key) > 0;
-  }
-  [[nodiscard]] std::uint64_t GetU64(const std::string& key,
-                                     std::uint64_t fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : std::strtoull(it->second.c_str(), nullptr, 10);
-  }
-  [[nodiscard]] double GetDouble(const std::string& key,
-                                 double fallback) const {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback
-                             : std::strtod(it->second.c_str(), nullptr);
-  }
-};
+using tools::Args;
 
 Args Parse(int argc, char** argv) {
   static const std::set<std::string> kBooleanFlags = {"per-request",
@@ -80,6 +57,7 @@ Args Parse(int argc, char** argv) {
       "spawn", "qps",          "duration",     "connections", "host",
       "json",  "max-chunk-kb", "server-log"};
   Args args;
+  args.tool = "mcloudload";
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     const bool is_flag = a.rfind("--", 0) == 0;
@@ -170,19 +148,30 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
+    // --- numbers, all read before anything is generated or printed --------
+    workload::WorkloadConfig wc;
+    wc.seed = args.GetU64("seed", 42);
+    wc.population.mobile_users = args.GetU64("users", 100);
+    wc.population.pc_only_users = args.GetU64("pc", 0);
+    wc.population.days = args.GetU64<int>("days", 7);
+    wc.threads = 1;
+    net::ReplayPlanOptions plan_options;
+    plan_options.max_chunk_bytes =
+        args.GetU64("max-chunk-kb", 0, tools::kMaxMiB * 1024) * kKiB;
+    plan_options.target_qps = args.GetDouble("qps", 0.0);
+    const double duration = std::max(args.GetDouble("duration", 10.0), 0.1);
+    net::ReplayOptions replay_options;
+    replay_options.host = args.Get("host", "127.0.0.1");
+    replay_options.port = args.GetU64<std::uint16_t>("port", 0);
+    replay_options.connections = args.GetU64<int>("connections", 4);
+    replay_options.persistent = !args.Has("per-request");
+    replay_options.verify = !args.Has("no-verify");
+
     // --- trace source ----------------------------------------------------
     std::vector<LogRecord> trace;
     if (args.Has("trace")) {
       trace = net::LoadTraceForReplay(args.Get("trace"));
     } else if (args.Has("users")) {
-      workload::WorkloadConfig wc;
-      wc.seed = args.GetU64("seed", 42);
-      wc.population.mobile_users =
-          static_cast<std::size_t>(args.GetU64("users", 100));
-      wc.population.pc_only_users =
-          static_cast<std::size_t>(args.GetU64("pc", 0));
-      wc.population.days = static_cast<int>(args.GetU64("days", 7));
-      wc.threads = 1;
       trace = workload::WorkloadGenerator(wc).Generate().trace;
     } else {
       Usage();
@@ -191,11 +180,7 @@ int main(int argc, char** argv) {
     MCLOUD_REQUIRE(!trace.empty(), "mcloudload: trace source is empty");
 
     // --- plan ------------------------------------------------------------
-    net::ReplayPlanOptions plan_options;
-    plan_options.max_chunk_bytes = args.GetU64("max-chunk-kb", 0) * kKiB;
-    plan_options.target_qps = args.GetDouble("qps", 0.0);
     if (args.Has("duration")) {
-      const double duration = std::max(args.GetDouble("duration", 10.0), 0.1);
       plan_options.target_qps = static_cast<double>(trace.size()) / duration;
     }
     const net::ReplayPlan plan = net::BuildReplayPlan(trace, plan_options);
@@ -211,13 +196,6 @@ int main(int argc, char** argv) {
             : 0.0);
 
     // --- target server ---------------------------------------------------
-    net::ReplayOptions replay_options;
-    replay_options.host = args.Get("host", "127.0.0.1");
-    replay_options.connections =
-        static_cast<int>(args.GetU64("connections", 4));
-    replay_options.persistent = !args.Has("per-request");
-    replay_options.verify = !args.Has("no-verify");
-
     SpawnedServer spawned;
     std::string server_log = args.Get("server-log");
     if (args.Has("spawn")) {
@@ -232,7 +210,6 @@ int main(int argc, char** argv) {
                   static_cast<int>(spawned.pid),
                   static_cast<unsigned>(spawned.port));
     } else {
-      replay_options.port = static_cast<std::uint16_t>(args.GetU64("port", 0));
       MCLOUD_REQUIRE(replay_options.port != 0,
                      "mcloudload: --port or --spawn required");
     }
