@@ -287,11 +287,28 @@ void WriteColumn(std::ofstream& out, std::span<const T> column) {
   WriteRaw(out, column.data(), column.size() * sizeof(T));
 }
 
-void WriteMicrosColumn(std::ofstream& out, std::span<const double> seconds) {
-  std::vector<std::int64_t> micros(seconds.size());
-  for (std::size_t i = 0; i < seconds.size(); ++i)
-    micros[i] = detail::ToMicros(seconds[i]);
-  WriteColumn<std::int64_t>(out, micros);
+/// Rows per block of a column that is converted on its way to disk: the
+/// staging buffer is this long however long the column is.
+constexpr std::size_t kConvertBlockRows = std::size_t{1} << 15;
+
+/// Write convert(0), ..., convert(n - 1) as one column, converted into
+/// `block` (resized to at most kConvertBlockRows) one block at a time.
+template <typename T, typename Fn>
+void WriteConvertedColumn(std::ofstream& out, std::size_t n,
+                          std::vector<T>& block, Fn&& convert) {
+  block.resize(std::min(n, kConvertBlockRows));
+  for (std::size_t first = 0; first < n; first += block.size()) {
+    const std::size_t m = std::min(block.size(), n - first);
+    for (std::size_t i = 0; i < m; ++i) block[i] = convert(first + i);
+    WriteColumn<T>(out, std::span<const T>(block).first(m));
+  }
+}
+
+void WriteMicrosColumn(std::ofstream& out, std::span<const double> seconds,
+                       std::vector<std::int64_t>& block) {
+  WriteConvertedColumn(out, seconds.size(), block, [&](std::size_t i) {
+    return detail::ToMicros(seconds[i]);
+  });
 }
 
 }  // namespace
@@ -385,6 +402,7 @@ void WriteColumnarTrace(const std::filesystem::path& path,
   WriteRaw(out, &reserved, sizeof(reserved));
   WriteColumn(out, store.user_ids());
 
+  std::vector<std::int64_t> micros;
   for (const auto& col : kV2Columns) {
     if (!(mask & col.mask)) continue;
     switch (col.mask) {
@@ -396,10 +414,12 @@ void WriteColumnarTrace(const std::filesystem::path& path,
       case kColDirection: WriteColumn(out, store.directions()); break;
       case kColDataVolume: WriteColumn(out, store.data_volumes()); break;
       case kColProcessingTime:
-        WriteMicrosColumn(out, store.processing_times());
+        WriteMicrosColumn(out, store.processing_times(), micros);
         break;
-      case kColServerTime: WriteMicrosColumn(out, store.server_times()); break;
-      case kColAvgRtt: WriteMicrosColumn(out, store.avg_rtts()); break;
+      case kColServerTime:
+        WriteMicrosColumn(out, store.server_times(), micros);
+        break;
+      case kColAvgRtt: WriteMicrosColumn(out, store.avg_rtts(), micros); break;
       case kColProxied: WriteColumn(out, store.proxied()); break;
     }
   }
@@ -418,14 +438,6 @@ void WriteColumnarRun(const std::filesystem::path& path,
                cols.user_ids.begin() + static_cast<std::ptrdiff_t>(end));
   std::sort(table.begin(), table.end());
   table.erase(std::unique(table.begin(), table.end()), table.end());
-  auto& dense = scratch.dense_users;
-  dense.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    dense[i] = static_cast<std::uint32_t>(
-        std::lower_bound(table.begin(), table.end(),
-                         cols.user_ids[begin + i]) -
-        table.begin());
-  }
 
   std::ofstream out = OpenForWrite(path, /*binary=*/true);
   out.write(kMagicV2.data(), kMagicV2.size());
@@ -446,22 +458,21 @@ void WriteColumnarRun(const std::filesystem::path& path,
     using T = typename std::remove_reference_t<decltype(col)>::value_type;
     return std::span<const T>(col).subspan(begin, n);
   };
-  const auto write_micros = [&](const std::vector<double>& col) {
-    scratch.micros.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-      scratch.micros[i] = detail::ToMicros(col[begin + i]);
-    WriteColumn<std::int64_t>(out, scratch.micros);
-  };
   WriteColumn<std::int64_t>(out, sub(cols.timestamps));
   WriteColumn<std::uint8_t>(out, sub(cols.device_types));
   WriteColumn<std::uint64_t>(out, sub(cols.device_ids));
-  WriteColumn<std::uint32_t>(out, dense);
+  WriteConvertedColumn(out, n, scratch.dense_users, [&](std::size_t i) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(table.begin(), table.end(),
+                         cols.user_ids[begin + i]) -
+        table.begin());
+  });
   WriteColumn<std::uint8_t>(out, sub(cols.request_types));
   WriteColumn<std::uint8_t>(out, sub(cols.directions));
   WriteColumn<std::uint64_t>(out, sub(cols.data_volumes));
-  write_micros(cols.processing_times);
-  write_micros(cols.server_times);
-  write_micros(cols.avg_rtts);
+  WriteMicrosColumn(out, sub(cols.processing_times), scratch.micros);
+  WriteMicrosColumn(out, sub(cols.server_times), scratch.micros);
+  WriteMicrosColumn(out, sub(cols.avg_rtts), scratch.micros);
   WriteColumn<std::uint8_t>(out, sub(cols.proxied));
   if (!out) throw Error("write failed: " + path.string());
 }

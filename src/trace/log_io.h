@@ -93,8 +93,9 @@ namespace detail {
 void WriteColumnarTrace(const std::filesystem::path& path,
                         const TraceStore& store);
 
-/// Reusable buffers for WriteColumnarRun: the per-run user table, the dense
-/// user column, and the microsecond staging of the time columns.
+/// Reusable buffers for WriteColumnarRun: the per-run user table, and one
+/// fixed-size block each for the dense user column and the microsecond
+/// staging of the time columns (so they do not grow with the run).
 struct V2RunScratch {
   std::vector<std::uint64_t> user_table;
   std::vector<std::uint32_t> dense_users;

@@ -35,6 +35,7 @@
 #include "trace/log_record.h"
 #include "trace/record_columns.h"
 #include "trace/trace_store.h"
+#include "util/parallel.h"
 
 namespace mcloud {
 
@@ -61,7 +62,8 @@ struct TraceRowBlock {
 
 /// Writes a partitioned trace: sorted slices in, per-day run files +
 /// MANIFEST out. Slices must arrive in spill order; Finish() seals the
-/// directory. Not thread-safe (one spiller at a time by design).
+/// directory. Not thread-safe (one spiller at a time by design); one slice's
+/// run files are written as tasks on the caller's pool.
 ///
 /// Contract: every slice holds the complete history of its users, and its
 /// smallest raw user id is above the previous slice's largest. The writer
@@ -75,10 +77,14 @@ class PartitionedTraceWriter {
   /// Spill one slice sorted by LogRecordTimeOrder: splits it into
   /// contiguous calendar-day segments and writes each segment as its own
   /// MCLOGv02 run file, without materializing records or per-run
-  /// TraceStores. Empty slices are no-ops. Throws Error, before writing
-  /// anything, when the slice's smallest user id is not above every user
-  /// id of the slices before it.
-  void WriteSortedSlice(const RecordColumns& slice);
+  /// TraceStores. The runs are named in day order up front and written one
+  /// pool task each (inline when `pool` is null), so the files, their names
+  /// and the MANIFEST are the same at every pool size. Empty slices are
+  /// no-ops. Throws Error, before writing anything, when the slice's
+  /// smallest user id is not above every user id of the slices before it.
+  /// When run files fail to write, throws the earliest day's error and
+  /// records none of the slice's runs.
+  void WriteSortedSlice(const RecordColumns& slice, ThreadPool* pool = nullptr);
 
   /// Write the MANIFEST. No further WriteSortedSlice calls afterwards.
   void Finish();
@@ -99,7 +105,6 @@ class PartitionedTraceWriter {
   /// Largest user id of the slices written so far.
   std::uint64_t last_user_ = 0;
   std::vector<RunEntry> runs_;
-  V2RunScratch run_scratch_;  ///< reused across columnar runs
   bool finished_ = false;
 };
 

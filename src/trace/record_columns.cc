@@ -61,11 +61,13 @@ std::vector<LogRecord> RecordColumns::ToRecords(
   return out;
 }
 
-void RecordColumns::AppendCopy(const RecordColumns& other) {
-  ForEachColumn([&](auto column) {
-    auto& dst = this->*column;
-    const auto& src = other.*column;
-    dst.insert(dst.end(), src.begin(), src.end());
+void RecordColumns::AppendCopy(const RecordColumns& other, ThreadPool* pool) {
+  RunTasks(pool, kColumnCount, [&](std::size_t c) {
+    VisitColumn(c, [&](auto column) {
+      auto& dst = this->*column;
+      const auto& src = other.*column;
+      dst.insert(dst.end(), src.begin(), src.end());
+    });
   });
 }
 

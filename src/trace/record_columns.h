@@ -73,8 +73,9 @@ struct RecordColumns {
       std::span<const std::uint32_t> perm) const;
 
   /// Append rows of `other` by copy, leaving `other`'s capacity intact
-  /// (the pooled chunk-buffer path).
-  void AppendCopy(const RecordColumns& other);
+  /// (the pooled chunk-buffer path): one task per column on `pool`, inline
+  /// when null.
+  void AppendCopy(const RecordColumns& other, ThreadPool* pool = nullptr);
 
   /// Stable sort by LogRecordTimeOrder — (timestamp, user_id, device_id),
   /// ties in current order — via a radix permutation on `pool` and

@@ -291,10 +291,10 @@ Workload WorkloadGenerator::GeneratePlansOnly() const {
 // in user order to a buffer that is flushed as a stably-sorted slice when
 // the next chunk would overflow it. The buffer therefore always holds a
 // contiguous user range, so every spill is a stably-sorted contiguous
-// partition of the user-ordered emission — exactly what the partitioned
-// reader's stable merge needs to reconstruct the global stable sort. Chunk
-// boundaries and flush points depend only on the config, never on the
-// thread count.
+// partition of the user-ordered emission — one group of the partitioned
+// reader. The pool is idle between windows, so the sink appends, sorts and
+// writes each spill on it. Chunk boundaries and flush points depend only on
+// the config, never on the thread count.
 SpillSummary WorkloadGenerator::GenerateToPartitions(
     const SpillConfig& spill, GenTimings* timings) const {
   return GenerateToPartitions(spill, SliceSink{}, timings);
@@ -326,7 +326,7 @@ SpillSummary WorkloadGenerator::GenerateToPartitions(
       timings->sort_s += std::chrono::duration<double>(f1 - f0).count();
       f0 = f1;
     }
-    writer.WriteSortedSlice(buffer);
+    writer.WriteSortedSlice(buffer, &pool);
     if (timings) timings->write_s += Since(f0);
     ++sum.spills;
     if (slice_sink) {
@@ -354,8 +354,9 @@ SpillSummary WorkloadGenerator::GenerateToPartitions(
                     flush();
                   sum.records += c.records.size();
                   const std::size_t cap = buffer.capacity();
-                  // Copy so the slot keeps its capacity for the next window.
-                  buffer.AppendCopy(c.records);
+                  // Copy so the slot keeps its capacity for the next
+                  // window; one column per task, as the pool is idle here.
+                  buffer.AppendCopy(c.records, &pool);
                   if (buffer.capacity() != cap) ++buffer_growths;
                 }
               })

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,6 +23,7 @@
 #include "trace/record_columns.h"
 #include "trace/trace_store.h"
 #include "util/csv.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/timeutil.h"
 
@@ -317,9 +320,10 @@ std::vector<LogRecord> MakeEmission(std::size_t n, int days) {
 
 /// Split `all` into `spills` contiguous slices, stable-sort each, and
 /// write them as a partitioned trace — exactly the generator's spill
-/// discipline.
+/// discipline — with each slice's runs written on `pool`.
 void WritePartitioned(const std::filesystem::path& dir,
-                      std::vector<LogRecord> all, std::size_t spills) {
+                      std::vector<LogRecord> all, std::size_t spills,
+                      ThreadPool* pool = nullptr) {
   std::filesystem::create_directories(dir);
   PartitionedTraceWriter writer(dir, kTraceStart);
   const std::size_t per = (all.size() + spills - 1) / spills;
@@ -331,7 +335,7 @@ void WritePartitioned(const std::filesystem::path& dir,
                      LogRecordTimeOrder);
     RecordColumns slice;
     for (std::size_t i = begin; i < end; ++i) slice.Append(all[i]);
-    writer.WriteSortedSlice(slice);
+    writer.WriteSortedSlice(slice, pool);
   }
   writer.Finish();
 }
@@ -420,6 +424,72 @@ TEST(PartitionedTraceWriter, RejectsSlicesThatOverlapInUsers) {
   writer.WriteSortedSlice(slice(6, 9));
   writer.Finish();
   EXPECT_EQ(PartitionedTrace::Open(dir).groups().size(), 2u);
+  std::filesystem::remove_all(dir);
+}
+
+/// Every file of `dir` by name, with its bytes.
+std::map<std::string, std::string> DirBytes(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(e.path(), std::ios::binary);
+    files[e.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+// A slice's day runs are pool tasks: inline, on a pool of one and on a pool
+// of three, the same slices give the same run files and MANIFEST, byte for
+// byte.
+TEST(PartitionedTraceWriter, PoolSizeDoesNotMoveTheBytes) {
+  const std::vector<LogRecord> all = MakeEmission(24'000, 4);
+  const auto dir = TempPath("mcloud_part_pooled");
+  std::filesystem::remove_all(dir);
+  WritePartitioned(dir, all, 4);
+  const auto inline_bytes = DirBytes(dir);
+  EXPECT_EQ(inline_bytes.size(), 4 * 4 + 1u);  // 4 spills x 4 days + MANIFEST
+  EXPECT_EQ(PartitionedTrace::Open(dir).groups().size(), 4u);
+  for (const int threads : {1, 3}) {
+    std::filesystem::remove_all(dir);
+    ThreadPool pool(threads);
+    WritePartitioned(dir, all, 4, &pool);
+    EXPECT_EQ(DirBytes(dir), inline_bytes) << threads << " threads";
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Two of one slice's runs cannot be written (directories hold their
+// names). At every pool size the writer throws the earlier run's error,
+// records none of the slice's runs, and no MANIFEST appears.
+TEST(PartitionedTraceWriter, EarliestFailedRunWinsAtEveryPoolSize) {
+  std::vector<LogRecord> all = MakeEmission(8'000, 4);
+  std::stable_sort(all.begin(), all.end(), LogRecordTimeOrder);
+  RecordColumns slice;
+  for (const LogRecord& r : all) slice.Append(r);
+  const auto dir = TempPath("mcloud_part_failed_runs");
+  std::string inline_error;
+  for (const int threads : {0, 1, 3}) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir / "run-000001.v2");
+    std::filesystem::create_directories(dir / "run-000003.v2");
+    std::optional<ThreadPool> pool;
+    if (threads > 0) pool.emplace(threads);
+    PartitionedTraceWriter writer(dir, kTraceStart);
+    std::string what;
+    try {
+      writer.WriteSortedSlice(slice, pool ? &*pool : nullptr);
+    } catch (const Error& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("run-000001.v2"), std::string::npos) << what;
+    if (threads == 0)
+      inline_error = what;
+    else
+      EXPECT_EQ(what, inline_error) << threads << " threads";
+    EXPECT_EQ(writer.run_files(), 0u);
+    EXPECT_EQ(writer.records(), 0u);
+    EXPECT_FALSE(std::filesystem::exists(dir / "MANIFEST"));
+  }
   std::filesystem::remove_all(dir);
 }
 
