@@ -1,7 +1,7 @@
 #include "analysis/availability.h"
 
-#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "util/summary.h"
 
@@ -54,9 +54,10 @@ AvailabilityReport Availability(const cloud::ServiceResult& result) {
   ttran.reserve(result.chunk_perf.size());
   for (const cloud::ChunkPerf& p : result.chunk_perf) ttran.push_back(p.ttran);
   if (!ttran.empty()) {
-    std::sort(ttran.begin(), ttran.end());
-    r.chunk_ttran_p50 = Percentile(ttran, 50.0);
-    r.chunk_ttran_p99 = Percentile(ttran, 99.0);
+    const double cuts[2] = {50.0, 99.0};
+    const std::vector<double> q = Percentiles(ttran, cuts);
+    r.chunk_ttran_p50 = q[0];
+    r.chunk_ttran_p99 = q[1];
   }
   return r;
 }
