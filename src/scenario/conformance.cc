@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <utility>
 #include <vector>
 
@@ -109,6 +110,7 @@ ConformanceRun RunConformance(const WorkloadSpec& spec,
                    "out-of-core conformance needs a spill dir");
     workload::SpillConfig spill;
     spill.dir = options.spill_dir;
+    std::filesystem::create_directories(spill.dir);
     spill.max_buffer_bytes = workload::SpillBufferBytes(options.max_memory_mb);
     (void)gen.GenerateToPartitions(spill);
     report = pipeline.RunStreaming(PartitionedTrace::Open(spill.dir));

@@ -25,7 +25,8 @@ struct ConformanceOptions {
   std::size_t users_override = 0;
   /// Generate to a partitioned on-disk trace and analyze it with the
   /// streaming engine instead of holding the trace resident — the path
-  /// that lets specs declare paper-scale populations. Needs `spill_dir`.
+  /// that lets specs declare paper-scale populations. Needs `spill_dir`,
+  /// which is created (with its parents) when it does not exist.
   bool out_of_core = false;
   std::string spill_dir;
   /// Approximate resident budget (MB) of out-of-core generation+analysis:

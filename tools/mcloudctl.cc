@@ -643,7 +643,6 @@ int CmdConform(const Args& args) {
                   ("mcloud-conform-" + spec.name + "-" +
                    std::to_string(opts.seed));
     std::filesystem::remove_all(owned_spill);
-    std::filesystem::create_directories(owned_spill);
     opts.spill_dir = owned_spill.string();
   }
   const scenario::ConformanceRun run = scenario::RunConformance(spec, opts);
