@@ -128,7 +128,9 @@ TEST(Population, HeavyUsersAreEngaged) {
   Rng rng(6);
   const auto users = PopulationBuilder(SmallPopulation()).Build(rng);
   for (const auto& u : users) {
-    if (u.store_files + u.retrieve_files > 25) EXPECT_TRUE(u.engaged);
+    if (u.store_files + u.retrieve_files > 25) {
+      EXPECT_TRUE(u.engaged);
+    }
   }
 }
 
