@@ -23,6 +23,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// How long a listener paused at the fd limit waits for a connection to
+/// close before it tries to accept again.
+constexpr std::chrono::milliseconds kAcceptRetry{100};
+
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   MCLOUD_CHECK(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
@@ -145,6 +149,23 @@ void EpollServer::CloseConnection(int fd) {
   ::close(fd);
   connections_.erase(it);
   ++stats_.closed;
+  ResumeAccept();  // a descriptor is free again
+}
+
+void EpollServer::PauseAccept() {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+  accept_paused_ = true;
+  accept_retry_at_ = Clock::now() + kAcceptRetry;
+}
+
+void EpollServer::ResumeAccept() {
+  if (!accept_paused_ || listen_fd_ < 0) return;
+  accept_paused_ = false;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = listen_fd_;
+  MCLOUD_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) == 0,
+               "epoll_ctl(listener) failed");
 }
 
 void EpollServer::AcceptPending() {
@@ -154,6 +175,9 @@ void EpollServer::AcceptPending() {
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      // Out of descriptors: the backlog keeps the listener readable, so
+      // stop polling it until one is free.
+      if (errno == EMFILE || errno == ENFILE) PauseAccept();
       return;  // transient accept failure; keep serving
     }
     const int one = 1;
@@ -296,7 +320,16 @@ void EpollServer::Run() {
       if (connections_.empty() || Clock::now() >= drain_deadline) break;
     }
 
-    const int timeout_ms = draining ? 20 : -1;
+    int timeout_ms = draining ? 20 : -1;
+    if (accept_paused_ && !draining) {
+      const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+          accept_retry_at_ - Clock::now());
+      if (wait.count() <= 0) {
+        ResumeAccept();
+      } else {
+        timeout_ms = static_cast<int>(wait.count());
+      }
+    }
     const int n = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;

@@ -10,6 +10,10 @@
 //   * Responses carry an optional on_flushed callback fired when the last
 //     byte has been written to the socket — the hook the live service uses to
 //     measure T_chunk (first byte in → last byte out) on real kernel TCP.
+//   * Out of file descriptors (accept fails with EMFILE or ENFILE), the
+//     listener leaves the epoll set, since a level-triggered listener with
+//     a full backlog would wake the loop forever. It comes back when a
+//     connection closes, or after 100 ms when none does.
 //   * RequestStop() is thread- and async-signal-safe (one eventfd write).
 //     Stopping drains: the listener closes immediately, buffered pipelined
 //     requests are answered, pending output is flushed, then Run() returns.
@@ -101,6 +105,10 @@ class EpollServer {
   };
 
   void AcceptPending();
+  /// Takes the listener out of the epoll set (accept hit the fd limit).
+  void PauseAccept();
+  /// Puts a paused listener back into the epoll set.
+  void ResumeAccept();
   /// Returns false when the connection was closed.
   bool HandleReadable(Connection& conn);
   bool FlushWrites(Connection& conn);
@@ -116,6 +124,10 @@ class EpollServer {
   int stop_fd_ = -1;  ///< eventfd; any write requests a stop
   std::uint16_t port_ = 0;
   std::map<int, Connection> connections_;
+  bool accept_paused_ = false;  ///< listener out of the epoll set
+  /// When a paused listener is put back even if no connection has closed
+  /// (the fds may be held elsewhere, e.g. ENFILE).
+  std::chrono::steady_clock::time_point accept_retry_at_{};
 };
 
 }  // namespace mcloud::net

@@ -11,7 +11,8 @@
 namespace mcloud {
 
 // VisitColumn must name every column: one left out of its switch would be
-// skipped by clear, reserve, AppendCopy, the gather and the resident concat.
+// skipped by clear, reserve, resize, AppendCopy, the gather and the
+// resident generator's column sizing.
 static_assert(sizeof(RecordColumns) ==
               RecordColumns::kColumnCount * sizeof(std::vector<std::uint8_t>));
 
@@ -21,6 +22,10 @@ void RecordColumns::clear() {
 
 void RecordColumns::reserve(std::size_t n) {
   ForEachColumn([this, n](auto column) { (this->*column).reserve(n); });
+}
+
+void RecordColumns::resize(std::size_t n) {
+  ForEachColumn([this, n](auto column) { (this->*column).resize(n); });
 }
 
 void RecordColumns::Append(const LogRecord& r) {

@@ -7,8 +7,9 @@
 // 16-byte pairs plus one gather per column, and the buffer moves directly
 // into TraceStore::Builder (resident path) or the partitioned run writer
 // (spill path) without another transpose. `user_ids` holds the *original*
-// 64-bit ids — dense remapping stays where it always lived (TraceStore
-// build / per-run v2 writer / per-slice analysis remap).
+// 64-bit ids. The resident generator resolves them to dense ids from its
+// own per-user row counts; every other path remaps where it always did
+// (TraceStore build / per-run v2 writer / per-slice analysis remap).
 //
 // The resilience tags (outcome, attempt) are runtime-only and not staged,
 // exactly as in the on-disk formats (trace/log_io.cc).
@@ -56,6 +57,9 @@ struct RecordColumns {
 
   void clear();
   void reserve(std::size_t n);
+  /// Every column to `n` rows (new rows zero). Past the capacity, the
+  /// columns grow geometrically, as push_back would.
+  void resize(std::size_t n);
   /// Capacity of the backing storage (rows the buffer can hold without
   /// reallocating) — the pooled-buffer growth diagnostic.
   [[nodiscard]] std::size_t capacity() const { return timestamps.capacity(); }

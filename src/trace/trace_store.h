@@ -189,7 +189,8 @@ struct TraceStore::Builder {
   std::vector<double> avg_rtts;
   std::vector<std::uint8_t> proxied;
 
-  /// Optional pre-resolved dense mapping (v2 files store it): when either
+  /// Optional pre-resolved dense mapping (v2 files store it, and resident
+  /// generation resolves it from its count pass): when either
   /// is non-empty, `dense_users` holds each row's index into the `user_ids`
   /// table, `raw_users` is unused, and no remap pass runs (the table must
   /// be sorted ascending and unique).

@@ -1,13 +1,16 @@
 #include "workload/generator.h"
 
+#include <time.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <iterator>
 #include <span>
-#include <type_traits>
 #include <utility>
 
 #include "trace/partitioned_trace.h"
+#include "util/error.h"
 #include "util/parallel.h"
 #include "util/radix_sort.h"
 #include "workload/calibration.h"
@@ -48,6 +51,79 @@ void SortSessionsByStart(std::vector<SessionPlan>& sessions) {
   sessions = std::move(sorted);
 }
 
+/// CPU seconds the calling thread has run (CLOCK_THREAD_CPUTIME_ID). Time
+/// the thread spends preempted does not count, as it would on a wall clock.
+double ThreadCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// What every generation loop shares: the population, the root of the
+/// per-user session streams, and the models that turn one user into session
+/// plans and records.
+///
+/// Each user's sessions and records are drawn from
+/// Rng::ForStream(session_root, user_id) — a pure function of the seed and
+/// the user id — so neither the chunk a user lands on, nor the thread that
+/// runs it, nor how many times it is planned can perturb any stream.
+class Producer {
+ public:
+  Producer(const WorkloadConfig& config, ThreadPool& pool)
+      : diurnal_(config.model.hour_weights),
+        session_model_(
+            SessionModelConfig{config.trace_start, config.population.days,
+                               config.model},
+            diurnal_) {
+    Rng rng(config.seed);
+    users_ = PopulationBuilder(config.population, config.model)
+                 .Build(rng, &pool);
+    // Root key of all per-user session streams. Drawn after the
+    // population's root so the two stream families never collide.
+    session_root_ = rng.NextU64();
+  }
+  Producer(const Producer&) = delete;
+  Producer& operator=(const Producer&) = delete;
+
+  [[nodiscard]] std::size_t users() const { return users_.size(); }
+  [[nodiscard]] std::vector<UserProfile> TakeUsers() {
+    return std::move(users_);
+  }
+
+  /// Plans users[i] into `scratch`. Returns the user's stream, positioned
+  /// at its first emission draw.
+  Rng Plan(std::size_t i, PlanScratch& scratch) const {
+    Rng rng = Rng::ForStream(session_root_, users_[i].user_id);
+    session_model_.PlanUserInto(users_[i], rng, scratch);
+    return rng;
+  }
+
+  /// Records the sessions planned into `scratch` emit.
+  [[nodiscard]] static std::size_t PlannedRows(const PlanScratch& scratch) {
+    std::size_t rows = 0;
+    for (const SessionPlan& s : scratch.sessions())
+      rows += FastLogEmitter::SessionRows(s);
+    return rows;
+  }
+
+  /// Writes the records of the sessions planned into `scratch` from `row`
+  /// on, drawing from `rng` (Plan's return). Returns the row after them.
+  std::size_t Emit(const PlanScratch& scratch, Rng& rng, RecordColumns& out,
+                   std::size_t row, EmitScratch& emit) const {
+    for (const SessionPlan& s : scratch.sessions())
+      row = emitter_.EmitSessionColumnar(s, rng, out, row, emit);
+    return row;
+  }
+
+ private:
+  DiurnalPattern diurnal_;
+  SessionModel session_model_;  ///< holds a reference to diurnal_
+  FastLogEmitter emitter_;
+  std::vector<UserProfile> users_;
+  std::uint64_t session_root_ = 0;
+};
+
 enum class Mode { kPlans, kRecords };
 
 /// One contiguous user chunk's output plus the pooled scratch that made
@@ -58,78 +134,48 @@ struct Chunk {
   std::vector<SessionPlan> sessions;  ///< kPlans: user order
   PlanScratch plan;
   EmitScratch emit;
-  double plan_s = 0;
-  double emit_s = 0;
+  double cpu_s = 0;  ///< thread CPU of every fill of this slot
   std::size_t growths = 0;
 };
 
 /// Receives one finished window of chunks, in user order.
 using WindowSink = std::function<void(std::span<Chunk>)>;
 
-/// The one loop that plans and emits users. Builds the population, draws
-/// the session root, then plans users in contiguous chunks of
-/// `users_per_chunk` (0: one chunk per pool thread) — and in kRecords mode
-/// emits their records — one window of `chunks_per_thread` chunks per pool
-/// thread at a time, on the caller's `pool`. Each finished window goes to
-/// `sink` in user order; the sink may take what it wants from the chunks,
-/// whose slots are then reused for the next window, and may run its own
-/// work on the pool, which is idle between windows. Returns the population.
-///
-/// Each user's sessions and records are drawn from
-/// Rng::ForStream(session_root, user_id) — a pure function of the seed and
-/// the user id — so neither the chunk a user lands on nor the thread that
-/// runs it can perturb any stream. Chunks cover contiguous ascending user
-/// ranges, so the concatenation of every window's chunks is the
-/// user-ordered emission at every thread count.
+/// The windowed loop of plans mode and the spill path. Plans users in
+/// contiguous chunks of `users_per_chunk` (0: one chunk per pool thread) —
+/// and in kRecords mode emits their records — one window of
+/// `chunks_per_thread` chunks per pool thread at a time, on the caller's
+/// `pool`. Each finished window goes to `sink` in user order; the sink may
+/// take what it wants from the chunks, whose slots are then reused for the
+/// next window, and may run its own work on the pool, which is idle between
+/// windows. Chunks cover contiguous ascending user ranges, so the
+/// concatenation of every window's chunks is the user-ordered emission at
+/// every thread count. Returns the population.
 std::vector<UserProfile> Produce(const WorkloadConfig& config,
                                  ThreadPool& pool, Mode mode,
                                  std::size_t users_per_chunk,
                                  std::size_t chunks_per_thread,
                                  GenTimings* timings, const WindowSink& sink) {
-  Rng rng(config.seed);
-
-  const auto t0 = Clock::now();
-  PopulationBuilder population(config.population, config.model);
-  std::vector<UserProfile> users = population.Build(rng, &pool);
-  if (timings) timings->plan_s += Since(t0);
-  // Root key of all per-user session streams. Drawn after the population's
-  // root so the two stream families never collide.
-  const std::uint64_t session_root = rng.NextU64();
-
-  const DiurnalPattern diurnal(config.model.hour_weights);
-  SessionModelConfig smc;
-  smc.trace_start = config.trace_start;
-  smc.days = config.population.days;
-  smc.model = config.model;
-  const SessionModel session_model(smc, diurnal);
-  const FastLogEmitter emitter;
-
+  Producer producer(config, pool);
+  const std::size_t n_users = producer.users();
   const std::size_t threads = static_cast<std::size_t>(pool.threads());
   if (users_per_chunk == 0)
     users_per_chunk =
-        std::max<std::size_t>(1, (users.size() + threads - 1) / threads);
+        std::max<std::size_t>(1, (n_users + threads - 1) / threads);
   const std::size_t n_chunks =
-      (users.size() + users_per_chunk - 1) / users_per_chunk;
+      (n_users + users_per_chunk - 1) / users_per_chunk;
   const std::size_t window = chunks_per_thread * threads;
   std::vector<Chunk> slots(std::min(window, n_chunks));
   const bool want_timing = timings != nullptr;
 
   const auto fill = [&](std::size_t chunk, Chunk& c) {
+    const double c0 = want_timing ? ThreadCpuSeconds() : 0;
     c.records.clear();
     c.sessions.clear();
     const std::size_t begin = chunk * users_per_chunk;
-    const std::size_t end = std::min(begin + users_per_chunk, users.size());
+    const std::size_t end = std::min(begin + users_per_chunk, n_users);
     for (std::size_t i = begin; i < end; ++i) {
-      const UserProfile& user = users[i];
-      Rng user_rng = Rng::ForStream(session_root, user.user_id);
-      Clock::time_point u0;
-      if (want_timing) u0 = Clock::now();
-      session_model.PlanUserInto(user, user_rng, c.plan);
-      if (want_timing) {
-        const auto u1 = Clock::now();
-        c.plan_s += std::chrono::duration<double>(u1 - u0).count();
-        u0 = u1;
-      }
+      Rng rng = producer.Plan(i, c.plan);
       if (mode == Mode::kPlans) {
         // Move the plans out of the pool (slots re-grow their ops storage
         // on the next user).
@@ -137,12 +183,15 @@ std::vector<UserProfile> Produce(const WorkloadConfig& config,
           c.sessions.push_back(std::move(c.plan.pool[k]));
         continue;
       }
+      // Size the slot for this user's rows. It keeps its capacity from
+      // window to window, so once warm it never reallocates.
+      const std::size_t row = c.records.size();
       const std::size_t cap = c.records.capacity();
-      for (const SessionPlan& s : c.plan.sessions())
-        emitter.EmitSessionColumnar(s, user_rng, c.records, c.emit);
+      c.records.resize(row + Producer::PlannedRows(c.plan));
       if (c.records.capacity() != cap) ++c.growths;
-      if (want_timing) c.emit_s += Since(u0);
+      producer.Emit(c.plan, rng, c.records, row, c.emit);
     }
+    if (want_timing) c.cpu_s += ThreadCpuSeconds() - c0;
   };
 
   for (std::size_t next = 0; next < n_chunks; next += window) {
@@ -153,47 +202,154 @@ std::vector<UserProfile> Produce(const WorkloadConfig& config,
   }
   if (timings) {
     for (const Chunk& c : slots) {
-      timings->plan_s += c.plan_s;
-      timings->emit_s += c.emit_s;
+      // Only the spill path is timed here. It plans and emits user by user,
+      // so a chunk's CPU is planning and emission together.
+      timings->emit_s += c.cpu_s;
       timings->plan_slot_allocs += c.plan.slot_growth;
       timings->record_buffer_growths += c.growths;
     }
   }
-  return users;
+  return producer.TakeUsers();
+}
+
+/// Users per chunk of the resident passes: small enough that the
+/// 1,000-user live-replay input still makes several chunks per thread of a
+/// 4-thread pool, large enough that claiming a chunk costs nothing.
+constexpr std::size_t kResidentChunkUsers = 128;
+
+/// Runs fn(chunk, worker) for every chunk in [0, n_chunks) on `pool`: one
+/// task per worker slot in [0, workers), each claiming the next unclaimed
+/// chunk until none is left, so a chunk of heavy users delays only the
+/// task that drew it. No two running tasks share a worker slot.
+template <typename Fn>
+void ForEachChunk(ThreadPool& pool, std::size_t n_chunks, std::size_t workers,
+                  Fn&& fn) {
+  std::atomic<std::size_t> next{0};
+  pool.Run(workers, [&](std::size_t worker) {
+    for (std::size_t c; (c = next.fetch_add(1)) < n_chunks;) fn(c, worker);
+  });
 }
 
 struct Emitted {
   std::vector<UserProfile> users;
   RecordColumns records;  ///< user order, unsorted
+  /// Records of each user, in population order.
+  std::vector<std::size_t> user_rows;
 };
 
-/// Resident record mode: one chunk per pool thread, one window, every
-/// chunk's records appended to one buffer in user order, one pool task per
-/// column. Each chunk column is freed once copied, so the chunk slots are
-/// gone by the time the caller sorts.
+/// Resident record mode, in three steps, each on `pool`:
+///   1. a count pass plans every user once and counts the rows its
+///      sessions emit;
+///   2. the counts become chunk offsets, and every column is sized to the
+///      total at once, one column per task;
+///   3. an emit pass plans each user again — the same stream gives the
+///      same plans — and writes its records straight into its chunk's row
+///      range.
+/// Chunks of kResidentChunkUsers are claimed dynamically in both passes.
+/// No column ever grows or is copied, and the result is the user-ordered
+/// emission whatever the pool.
 Emitted EmitResident(const WorkloadConfig& config, ThreadPool& pool,
                      GenTimings* timings) {
+  Producer producer(config, pool);
+  const std::size_t n_users = producer.users();
+  const std::size_t n_chunks =
+      (n_users + kResidentChunkUsers - 1) / kResidentChunkUsers;
+  const auto chunk_end = [n_users](std::size_t chunk) {
+    return std::min((chunk + 1) * kResidentChunkUsers, n_users);
+  };
+  struct Worker {
+    PlanScratch plan;
+    EmitScratch emit;
+    double plan_s = 0;
+    double emit_s = 0;
+  };
+  std::vector<Worker> workers(
+      std::min(static_cast<std::size_t>(pool.threads()), n_chunks));
+
   Emitted out;
-  out.users = Produce(
-      config, pool, Mode::kRecords, 0, 1, timings,
-      [&](std::span<Chunk> chunks) {
-        const auto t0 = Clock::now();
-        pool.Run(RecordColumns::kColumnCount, [&](std::size_t c) {
-          RecordColumns::VisitColumn(c, [&](auto column) {
-            auto& dst = out.records.*column;
-            std::size_t n = dst.size();
-            for (const Chunk& k : chunks) n += (k.records.*column).size();
-            dst.reserve(n);
-            for (Chunk& k : chunks) {
-              auto& src = k.records.*column;
-              dst.insert(dst.end(), src.begin(), src.end());
-              src = std::remove_reference_t<decltype(src)>();
-            }
-          });
-        });
-        if (timings) timings->sort_s += Since(t0);
-      });
+  out.user_rows.resize(n_users);
+  ForEachChunk(pool, n_chunks, workers.size(),
+               [&](std::size_t chunk, std::size_t w) {
+                 Worker& k = workers[w];
+                 const double c0 = ThreadCpuSeconds();
+                 for (std::size_t i = chunk * kResidentChunkUsers;
+                      i < chunk_end(chunk); ++i) {
+                   producer.Plan(i, k.plan);
+                   out.user_rows[i] = Producer::PlannedRows(k.plan);
+                 }
+                 k.plan_s += ThreadCpuSeconds() - c0;
+               });
+
+  std::vector<std::size_t> offsets(n_chunks + 1, 0);
+  for (std::size_t c = 0; c < n_chunks; ++c) {
+    std::size_t rows = 0;
+    for (std::size_t i = c * kResidentChunkUsers; i < chunk_end(c); ++i)
+      rows += out.user_rows[i];
+    offsets[c + 1] = offsets[c] + rows;
+  }
+  std::vector<double> size_s(RecordColumns::kColumnCount, 0);
+  pool.Run(RecordColumns::kColumnCount, [&](std::size_t c) {
+    const double c0 = ThreadCpuSeconds();
+    RecordColumns::VisitColumn(c, [&](auto column) {
+      (out.records.*column).resize(offsets.back());
+    });
+    size_s[c] = ThreadCpuSeconds() - c0;
+  });
+
+  ForEachChunk(pool, n_chunks, workers.size(),
+               [&](std::size_t chunk, std::size_t w) {
+                 Worker& k = workers[w];
+                 const double c0 = ThreadCpuSeconds();
+                 std::size_t row = offsets[chunk];
+                 for (std::size_t i = chunk * kResidentChunkUsers;
+                      i < chunk_end(chunk); ++i) {
+                   Rng rng = producer.Plan(i, k.plan);
+                   row = producer.Emit(k.plan, rng, out.records, row, k.emit);
+                 }
+                 MCLOUD_CHECK(row == offsets[chunk + 1],
+                              "a chunk emitted other than its counted rows");
+                 k.emit_s += ThreadCpuSeconds() - c0;
+               });
+
+  if (timings) {
+    for (const Worker& k : workers) {
+      timings->plan_s += k.plan_s;
+      timings->emit_s += k.emit_s;
+      timings->plan_slot_allocs += k.plan.slot_growth;
+    }
+    for (const double s : size_s) timings->emit_s += s;
+  }
+  out.users = producer.TakeUsers();
   return out;
+}
+
+/// The store's user table and dense row index, straight from the count
+/// pass, so TraceStore::Build need not remap: the table holds the ids of the
+/// users with at least one row, ascending because population ids ascend,
+/// and each (time-sorted) row's dense id is one flat-table lookup by its
+/// user id, over row shards of `pool`.
+void ResolveUsers(std::span<const UserProfile> users,
+                  std::span<const std::size_t> user_rows,
+                  std::span<const std::uint64_t> row_users, ThreadPool& pool,
+                  std::vector<std::uint64_t>& table,
+                  std::vector<std::uint32_t>& dense) {
+  // PopulationBuilder numbers users consecutively, so a row's id less the
+  // first id is its user's population index.
+  const std::uint64_t first = users.empty() ? 0 : users.front().user_id;
+  std::vector<std::uint32_t> dense_of(users.size());
+  table.clear();
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    MCLOUD_CHECK(users[i].user_id == first + i,
+                 "population ids must be consecutive");
+    dense_of[i] = static_cast<std::uint32_t>(table.size());
+    if (user_rows[i] != 0) table.push_back(users[i].user_id);
+  }
+  dense.resize(row_users.size());
+  ParallelForShards(pool, row_users.size(),
+                    [&](std::size_t, std::size_t begin, std::size_t end) {
+                      for (std::size_t j = begin; j < end; ++j)
+                        dense[j] = dense_of[row_users[j] - first];
+                    });
 }
 
 }  // namespace
@@ -241,16 +397,19 @@ ColumnarWorkload WorkloadGenerator::GenerateColumnar(
     sort_scratch.sorter.ReleasePairs();
     cols.Permute(perm, sort_scratch, pool);
   }
-  if (timings) timings->sort_s += Since(s0);
 
   // The sorted columns move straight into the store builder — no
-  // record-by-record append, no AoS copy.
+  // record-by-record append, no AoS copy — with the users already
+  // resolved, so Build only validates them.
   TraceStore::Builder b;
   b.day_base = config_.trace_start;
+  ResolveUsers(e.users, e.user_rows, cols.user_ids, pool, b.user_ids,
+               b.dense_users);
+  cols.user_ids = std::vector<std::uint64_t>();
+  if (timings) timings->sort_s += Since(s0);
   b.timestamps = std::move(cols.timestamps);
   b.device_types = std::move(cols.device_types);
   b.device_ids = std::move(cols.device_ids);
-  b.raw_users = std::move(cols.user_ids);
   b.request_types = std::move(cols.request_types);
   b.directions = std::move(cols.directions);
   b.data_volumes = std::move(cols.data_volumes);

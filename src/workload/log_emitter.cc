@@ -102,10 +102,21 @@ void FastLogEmitter::EmitSession(const SessionPlan& session, Rng& rng,
   }
 }
 
-void FastLogEmitter::EmitSessionColumnar(const SessionPlan& session, Rng& rng,
-                                         RecordColumns& out,
-                                         EmitScratch& scratch) const {
+std::size_t FastLogEmitter::SessionRows(const SessionPlan& session) {
+  std::size_t rows = 0;
+  for (const FileOp& op : session.ops)
+    rows += 1 + static_cast<std::size_t>(op.size / kChunkSize) +
+            (op.size % kChunkSize != 0 ? 1 : 0);
+  return rows;
+}
+
+std::size_t FastLogEmitter::EmitSessionColumnar(const SessionPlan& session,
+                                                Rng& rng, RecordColumns& out,
+                                                std::size_t row,
+                                                EmitScratch& scratch) const {
   MCLOUD_REQUIRE(!session.ops.empty(), "session has no operations");
+  const std::size_t rows = SessionRows(session);
+  MCLOUD_REQUIRE(row + rows <= out.size(), "columns too short for session");
 
   // Per-session (≈ per-connection) network characteristics — the scalar
   // draws, in the scalar order.
@@ -113,29 +124,36 @@ void FastLogEmitter::EmitSessionColumnar(const SessionPlan& session, Rng& rng,
   const bool proxied = rng.Bernoulli(cal::kProxiedShare);
 
   // Every draw after `proxied` is a standard normal mapped through
-  // exp(mu + sigma·z): two per file op (metadata T_srv, throughput jitter)
-  // and two per chunk (T_srv, RTT jitter). One batched fill replaces them
-  // all — FillNormal consumes the engine exactly as the scalar calls would.
-  std::size_t n_normals = 0;
-  std::size_t n_records = 0;
-  for (const FileOp& op : session.ops) {
-    const std::size_t chunks =
-        static_cast<std::size_t>(op.size / kChunkSize) +
-        (op.size % kChunkSize != 0 ? 1 : 0);
-    n_normals += 2 + 2 * chunks;
-    n_records += 1 + chunks;
-  }
-  scratch.normals.resize(n_normals);
+  // exp(mu + sigma·z): two per record — a file op's metadata T_srv and
+  // throughput jitter, a chunk's T_srv and RTT jitter. One batched fill
+  // replaces them all — FillNormal consumes the engine exactly as the
+  // scalar calls would.
+  scratch.normals.resize(2 * rows);
   rng.FillNormal(scratch.normals);
   const double* z = scratch.normals.data();
 
-  // Grow geometrically: reserve(size()+n) every session would reallocate
-  // to the exact size each time and turn emission quadratic.
-  if (out.capacity() < out.size() + n_records)
-    out.reserve(std::max(out.size() + n_records, 2 * out.capacity()));
+  std::int64_t* const timestamps = out.timestamps.data();
+  std::uint8_t* const device_types = out.device_types.data();
+  std::uint64_t* const device_ids = out.device_ids.data();
+  std::uint64_t* const user_ids = out.user_ids.data();
+  std::uint8_t* const request_types = out.request_types.data();
+  std::uint8_t* const directions = out.directions.data();
+  std::uint64_t* const data_volumes = out.data_volumes.data();
+  double* const processing_times = out.processing_times.data();
+  double* const server_times = out.server_times.data();
+  double* const avg_rtts = out.avg_rtts.data();
+  std::uint8_t* const proxied_col = out.proxied.data();
+
   const std::uint8_t device_type =
       static_cast<std::uint8_t>(session.device_type);
   const std::uint8_t proxied_u8 = proxied ? 1 : 0;
+  // The fields every record of the session shares.
+  const auto put_session = [&](std::size_t r) {
+    device_types[r] = device_type;
+    device_ids[r] = session.device_id;
+    user_ids[r] = session.user_id;
+    proxied_col[r] = proxied_u8;
+  };
 
   Seconds pipe_free_store = 0;
   Seconds pipe_free_retrieve = 0;
@@ -144,19 +162,16 @@ void FastLogEmitter::EmitSessionColumnar(const SessionPlan& session, Rng& rng,
     const std::uint8_t direction = static_cast<std::uint8_t>(op.direction);
     const Seconds tsrv_op =
         std::exp(kLogTsrvMedian + cal::kTsrvSigma * *z++) * 0.3;
-    out.timestamps.push_back(session.start +
-                             static_cast<UnixSeconds>(op.offset));
-    out.device_types.push_back(device_type);
-    out.device_ids.push_back(session.device_id);
-    out.user_ids.push_back(session.user_id);
-    out.request_types.push_back(
-        static_cast<std::uint8_t>(RequestType::kFileOperation));
-    out.directions.push_back(direction);
-    out.data_volumes.push_back(0);
-    out.processing_times.push_back(tsrv_op + rtt);
-    out.server_times.push_back(tsrv_op);
-    out.avg_rtts.push_back(rtt);
-    out.proxied.push_back(proxied_u8);
+    put_session(row);
+    timestamps[row] = session.start + static_cast<UnixSeconds>(op.offset);
+    request_types[row] =
+        static_cast<std::uint8_t>(RequestType::kFileOperation);
+    directions[row] = direction;
+    data_volumes[row] = 0;
+    processing_times[row] = tsrv_op + rtt;
+    server_times[row] = tsrv_op;
+    avg_rtts[row] = rtt;
+    ++row;
 
     const double rate = BaseThroughput(session.device_type, op.direction) *
                         std::exp(0.0 + 0.45 * *z++);
@@ -175,24 +190,22 @@ void FastLogEmitter::EmitSessionColumnar(const SessionPlan& session, Rng& rng,
       const Seconds transfer = static_cast<double>(chunk) / rate;
       cursor += transfer;
 
-      out.timestamps.push_back(session.start +
-                               static_cast<UnixSeconds>(cursor));
-      out.device_types.push_back(device_type);
-      out.device_ids.push_back(session.device_id);
-      out.user_ids.push_back(session.user_id);
-      out.request_types.push_back(
-          static_cast<std::uint8_t>(RequestType::kChunkRequest));
-      out.directions.push_back(direction);
-      out.data_volumes.push_back(chunk);
-      out.processing_times.push_back(transfer + tsrv);
-      out.server_times.push_back(tsrv);
-      out.avg_rtts.push_back(rtt * std::exp(0.0 + 0.10 * *z++));
-      out.proxied.push_back(proxied_u8);
+      put_session(row);
+      timestamps[row] = session.start + static_cast<UnixSeconds>(cursor);
+      request_types[row] =
+          static_cast<std::uint8_t>(RequestType::kChunkRequest);
+      directions[row] = direction;
+      data_volumes[row] = chunk;
+      processing_times[row] = transfer + tsrv;
+      server_times[row] = tsrv;
+      avg_rtts[row] = rtt * std::exp(0.0 + 0.10 * *z++);
+      ++row;
 
       cursor += tsrv + rtt;
     }
     pipe_free = cursor;
   }
+  return row;
 }
 
 }  // namespace mcloud::workload

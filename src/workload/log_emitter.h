@@ -11,9 +11,11 @@
 //   * EmitSession — scalar AoS reference path, one LogRecord per push_back.
 //   * EmitSessionColumnar — the fast path: all post-connection draws of a
 //     session are standard normals, so one batched FillNormal supplies the
-//     whole session and fields are stored straight into SoA columns.
+//     whole session, and fields are stored straight into rows of SoA
+//     columns that the caller sized beforehand from SessionRows.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "trace/log_record.h"
@@ -37,11 +39,19 @@ class FastLogEmitter {
   void EmitSession(const SessionPlan& session, Rng& rng,
                    std::vector<LogRecord>& out) const;
 
-  /// Columnar twin of EmitSession: appends the same records (same RNG
-  /// stream, bit-identical fields) to SoA columns, drawing the session's
-  /// normals as one batch.
-  void EmitSessionColumnar(const SessionPlan& session, Rng& rng,
-                           RecordColumns& out, EmitScratch& scratch) const;
+  /// Records one session emits: a file-operation record per op plus one
+  /// chunk request per started kChunkSize of its payload. Draws nothing, so
+  /// a caller can count a user's rows before emitting them.
+  [[nodiscard]] static std::size_t SessionRows(const SessionPlan& session);
+
+  /// Columnar twin of EmitSession: writes the same records (same RNG
+  /// stream, bit-identical fields) into rows [row, row + SessionRows) of
+  /// `out`, whose columns must already hold those rows, drawing the
+  /// session's normals as one batch. Returns the row after the last one
+  /// written.
+  std::size_t EmitSessionColumnar(const SessionPlan& session, Rng& rng,
+                                  RecordColumns& out, std::size_t row,
+                                  EmitScratch& scratch) const;
 
   /// Effective application-level throughput (bytes/s) of a device for a
   /// direction, before per-session jitter.

@@ -1,11 +1,21 @@
 // Tests for the live service mode (src/net): the HTTP parser under
 // adversarial framing, the chunked response round-trip, port-0 binding,
 // the chunk protocol against a real loopback server, the replay input
-// formats, and the in-process replay integration (generated trace → live
-// server → matching log).
+// formats, the in-process replay integration (generated trace → live
+// server → matching log), and a server that runs out of descriptors.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/wait.h>
+#include <time.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
+#include <csignal>
 #include <filesystem>
 #include <thread>
 
@@ -391,6 +401,130 @@ TEST_F(LiveServerTest, ServerAnswersMalformedRequestWith400) {
       ExecuteReplay(BuildReplayPlan(trace, {}), replay_options);
   EXPECT_EQ(ok_report.ok, 1u);
   EXPECT_EQ(service_->counters().fileops, 1u);
+}
+
+// --- descriptor exhaustion ------------------------------------------------
+
+/// A blocking loopback TCP client of `port` with a 5 s receive timeout, or
+/// -1.
+int ConnectLoopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Kills and reaps a forked child that the test did not wait for itself.
+struct ChildGuard {
+  pid_t pid = -1;
+  ~ChildGuard() {
+    if (pid <= 0) return;
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+  }
+};
+
+TEST(EpollServerLimits, IdlesAtTheFdLimitAndServesOnceFdsFree) {
+  // A forked child serves with a lowered RLIMIT_NOFILE, and this process
+  // holds more connections to it than that limit. The backlog keeps the
+  // level-triggered listener readable, so a server that merely returns on
+  // EMFILE spins a whole core; this one must idle, then serve again once
+  // the connections close.
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe(pipe_fds), 0);
+  ChildGuard child;
+  child.pid = ::fork();
+  ASSERT_GE(child.pid, 0);
+  if (child.pid == 0) {
+    ::close(pipe_fds[0]);
+    int code = 1;
+    try {
+      // The lowest free descriptor shows how many are open already; leave
+      // room for the server's own three and a dozen connections.
+      const int probe = ::dup(0);
+      ::close(probe);
+      const rlim_t limit = static_cast<rlim_t>(probe) + 16;
+      const rlimit lim{limit, limit};
+      if (::setrlimit(RLIMIT_NOFILE, &lim) == 0) {
+        LiveService service(LiveServiceConfig{});
+        EpollServer server(ServerConfig{}, [&](const HttpRequest& req,
+                                               const RequestContext& ctx) {
+          return service.Handle(req, ctx);
+        });
+        const std::uint32_t ready[2] = {server.Start(),
+                                        static_cast<std::uint32_t>(limit)};
+        EpollServer::InstallStopSignals(&server);
+        if (::write(pipe_fds[1], ready, sizeof(ready)) ==
+            static_cast<ssize_t>(sizeof(ready))) {
+          ::close(pipe_fds[1]);
+          server.Run();
+          code = 0;
+        }
+      }
+    } catch (...) {
+    }
+    ::_exit(code);
+  }
+  ::close(pipe_fds[1]);
+  std::uint32_t ready[2] = {0, 0};
+  const ssize_t got = ::read(pipe_fds[0], ready, sizeof(ready));
+  ::close(pipe_fds[0]);
+  ASSERT_EQ(got, static_cast<ssize_t>(sizeof(ready)));
+  const auto port = static_cast<std::uint16_t>(ready[0]);
+  const std::uint32_t limit = ready[1];
+
+  clockid_t child_clock;
+  ASSERT_EQ(::clock_getcpuclockid(child.pid, &child_clock), 0);
+  const auto child_cpu = [&] {
+    timespec ts{};
+    ::clock_gettime(child_clock, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+  };
+
+  std::vector<int> clients;
+  for (std::uint32_t i = 0; i < limit + 24; ++i) {
+    const int fd = ConnectLoopback(port);
+    if (fd < 0) break;
+    clients.push_back(fd);
+  }
+  ASSERT_EQ(clients.size(), limit + 24);
+  // Let the server accept up to its limit, then watch it hold there.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double cpu0 = child_cpu();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LT(child_cpu() - cpu0, 0.2) << "the server spun at its fd limit";
+
+  for (const int fd : clients) ::close(fd);
+  const int fd = ConnectLoopback(port);
+  ASSERT_GE(fd, 0);
+  const std::string request =
+      "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char buf[512];
+  for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;)
+    response.append(buf, static_cast<std::size_t>(n));
+  ::close(fd);
+  EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
+  EXPECT_NE(response.find("ok"), std::string::npos) << response;
+
+  ASSERT_EQ(::kill(child.pid, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child.pid, &status, 0), child.pid);
+  child.pid = -1;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 }  // namespace

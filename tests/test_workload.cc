@@ -367,13 +367,14 @@ TEST(LogEmitter, ThroughputOrdering) {
 
 TEST(LogEmitter, ColumnarMatchesScalarFieldExact) {
   // The fast path (batched normals, SoA output) must reproduce the scalar
-  // emitter bit for bit — every field, every record, same RNG stream out.
+  // emitter bit for bit — every field, every record, same RNG stream out —
+  // and write exactly the rows SessionRows counted, at the row it is given.
   const DiurnalPattern diurnal(cal::kHourOfDayWeights);
   const SessionModel model(WeekConfig(), diurnal);
   Rng plan_rng(77);
   const FastLogEmitter emitter;
   EmitScratch scratch;
-  std::size_t sessions_checked = 0;
+  std::vector<SessionPlan> sessions;
   for (int u = 0; u < 40; ++u) {
     UserProfile profile;
     profile.user_id = 1000 + static_cast<std::uint64_t>(u);
@@ -387,34 +388,65 @@ TEST(LogEmitter, ColumnarMatchesScalarFieldExact) {
     profile.retrieve_files = static_cast<std::uint64_t>(u) % 13;
     profile.engaged = u % 2 == 1;
     profile.first_active_day = u % 5;
-    for (const SessionPlan& s : model.PlanUser(profile, plan_rng)) {
-      Rng scalar_rng(500 + sessions_checked);
-      Rng columnar_rng(500 + sessions_checked);
-      std::vector<LogRecord> want;
-      emitter.EmitSession(s, scalar_rng, want);
-      RecordColumns cols;
-      emitter.EmitSessionColumnar(s, columnar_rng, cols, scratch);
-      ASSERT_EQ(cols.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        const LogRecord got = cols.RecordAt(i);
-        ASSERT_EQ(got.timestamp, want[i].timestamp);
-        ASSERT_EQ(got.device_type, want[i].device_type);
-        ASSERT_EQ(got.device_id, want[i].device_id);
-        ASSERT_EQ(got.user_id, want[i].user_id);
-        ASSERT_EQ(got.request_type, want[i].request_type);
-        ASSERT_EQ(got.direction, want[i].direction);
-        ASSERT_EQ(got.data_volume, want[i].data_volume);
-        ASSERT_EQ(got.processing_time, want[i].processing_time);  // bit-exact
-        ASSERT_EQ(got.server_time, want[i].server_time);
-        ASSERT_EQ(got.avg_rtt, want[i].avg_rtt);
-        ASSERT_EQ(got.proxied, want[i].proxied);
-      }
-      // Both paths consumed the engine identically.
-      ASSERT_EQ(scalar_rng.NextU64(), columnar_rng.NextU64());
-      ++sessions_checked;
+    for (SessionPlan& s : model.PlanUser(profile, plan_rng))
+      sessions.push_back(std::move(s));
+  }
+  // Payloads on every side of a chunk boundary, in both directions.
+  for (const Direction direction : {Direction::kStore, Direction::kRetrieve}) {
+    SessionPlan s;
+    s.user_id = 7;
+    s.device_id = 8;
+    s.device_type = DeviceType::kIos;
+    s.start = kTraceStart + 3600;
+    double offset = 0;
+    for (const Bytes size : {Bytes{1}, kChunkSize - 1, kChunkSize,
+                             kChunkSize + 1, 3 * kChunkSize}) {
+      s.ops.push_back({direction, size, offset});
+      offset += 1.5;
     }
+    sessions.push_back(s);
+  }
+
+  constexpr std::size_t kPad = 3;  // rows before the session's own
+  RecordColumns zero;
+  zero.resize(1);
+  std::size_t sessions_checked = 0;
+  for (const SessionPlan& s : sessions) {
+    Rng scalar_rng(500 + sessions_checked);
+    Rng columnar_rng(500 + sessions_checked);
+    std::vector<LogRecord> want;
+    emitter.EmitSession(s, scalar_rng, want);
+    const std::size_t rows = FastLogEmitter::SessionRows(s);
+    ASSERT_EQ(rows, want.size());
+    RecordColumns cols;
+    cols.resize(kPad + rows);
+    ASSERT_EQ(emitter.EmitSessionColumnar(s, columnar_rng, cols, kPad,
+                                          scratch),
+              kPad + rows);
+    for (std::size_t i = 0; i < kPad; ++i)
+      ASSERT_EQ(cols.RecordAt(i), zero.RecordAt(0));  // left untouched
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const LogRecord got = cols.RecordAt(kPad + i);
+      ASSERT_EQ(got.timestamp, want[i].timestamp);
+      ASSERT_EQ(got.device_type, want[i].device_type);
+      ASSERT_EQ(got.device_id, want[i].device_id);
+      ASSERT_EQ(got.user_id, want[i].user_id);
+      ASSERT_EQ(got.request_type, want[i].request_type);
+      ASSERT_EQ(got.direction, want[i].direction);
+      ASSERT_EQ(got.data_volume, want[i].data_volume);
+      ASSERT_EQ(got.processing_time, want[i].processing_time);  // bit-exact
+      ASSERT_EQ(got.server_time, want[i].server_time);
+      ASSERT_EQ(got.avg_rtt, want[i].avg_rtt);
+      ASSERT_EQ(got.proxied, want[i].proxied);
+    }
+    // Both paths consumed the engine identically.
+    ASSERT_EQ(scalar_rng.NextU64(), columnar_rng.NextU64());
+    ++sessions_checked;
   }
   EXPECT_GT(sessions_checked, 100u);
+  // 1 B, kChunkSize − 1 and kChunkSize are one chunk each, kChunkSize + 1
+  // two and 3 × kChunkSize three: 5 file ops + 8 chunks.
+  EXPECT_EQ(FastLogEmitter::SessionRows(sessions.back()), 13u);
 }
 
 TEST(SessionModel, PlanUserIntoMatchesPlanUser) {
@@ -465,10 +497,41 @@ TEST(Generator, ColumnarFingerprintMatchesRecords) {
   cfg.population.pc_only_users = 50;
   cfg.seed = 7;
   const auto w = WorkloadGenerator(cfg).Generate();
-  const ColumnarWorkload cw = WorkloadGenerator(cfg).GenerateColumnar();
+  GenTimings gt;
+  const ColumnarWorkload cw = WorkloadGenerator(cfg).GenerateColumnar(&gt);
   ASSERT_EQ(cw.trace.rows(), w.trace.size());
   EXPECT_EQ(TraceFingerprint(std::span<const LogRecord>(w.trace)),
             TraceFingerprint(cw.trace));
+  // Resident columns are sized once from the count pass and never grow.
+  EXPECT_EQ(gt.record_buffer_growths, 0u);
+  EXPECT_GT(gt.plan_s, 0.0);
+  EXPECT_GT(gt.emit_s, 0.0);
+}
+
+TEST(Generator, ResolvedUsersMatchGenericRemap) {
+  // GenerateColumnar hands the store a user table and dense index resolved
+  // from its count pass; they must equal what the generic remap builds from
+  // the same records — also when the pool has more threads than there are
+  // users, and across several resident chunks.
+  for (const std::size_t mobile : {std::size_t{2}, std::size_t{300}}) {
+    for (const int threads : {1, 4}) {
+      WorkloadConfig cfg;
+      cfg.population.mobile_users = mobile;
+      cfg.population.pc_only_users = 1 + mobile / 3;
+      cfg.seed = 13;
+      cfg.threads = threads;
+      const ColumnarWorkload cw = WorkloadGenerator(cfg).GenerateColumnar();
+      const TraceStore want =
+          TraceStore::FromRecords(WorkloadGenerator(cfg).Generate().trace);
+      ASSERT_GT(cw.trace.rows(), 0u);
+      ASSERT_EQ(cw.trace.rows(), want.rows());
+      EXPECT_TRUE(std::ranges::equal(cw.trace.user_ids(), want.user_ids()))
+          << mobile << " users, threads " << threads;
+      EXPECT_TRUE(std::ranges::equal(cw.trace.user_index(), want.user_index()))
+          << mobile << " users, threads " << threads;
+      EXPECT_EQ(TraceFingerprint(cw.trace), TraceFingerprint(want));
+    }
+  }
 }
 
 TEST(Generator, DeterministicForSeed) {
