@@ -76,8 +76,8 @@ struct FusedPerUserResult {
   std::size_t mobile_users = 0;    ///< users with >= 1 mobile record
   std::size_t mobile_devices = 0;  ///< distinct mobile device ids
   /// The distinct mobile device ids themselves, sorted ascending — lets the
-  /// concurrent pipeline union device sets across independently analyzed
-  /// trace slices (a count alone cannot be merged).
+  /// pipeline union device sets across independently walked user ranges
+  /// and trace slices (a count alone cannot be merged).
   std::vector<std::uint64_t> mobile_device_ids;
 };
 

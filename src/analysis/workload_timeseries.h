@@ -15,8 +15,8 @@ namespace mcloud::analysis {
 struct HourBin {
   int hour = 0;  ///< hour since trace start
   // Volumes are kept as exact integer bytes: integer addition is
-  // associative, so partial bins merged across trace slices (the concurrent
-  // analyze-while-generate walk) sum to exactly the same totals as one
+  // associative, so partial bins merged across trace slices and user
+  // ranges (the walk's tasks) sum to exactly the same totals as one
   // resident pass. Figures read the decimal-GB accessors.
   std::uint64_t store_volume_bytes = 0;  ///< chunk payload volume
   std::uint64_t retrieve_volume_bytes = 0;

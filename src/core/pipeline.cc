@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <optional>
-#include <thread>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/stream_engine.h"
@@ -159,10 +157,34 @@ Slice StoreSlice(const TraceStore& store) {
   return {{0, store.users()}, read};
 }
 
-/// What one walk produces, before the report tail.
+/// A sealed producer slice as one slice, read in place: one block per
+/// calendar day, cut as a store's day partitions are.
+Slice SealedSliceOf(const SealedSlice& slice, UnixSeconds day_base) {
+  const auto read = [&slice, day_base](
+                        const PartitionedTrace::BlockSink& sink) {
+    const RecordColumns& r = slice.records;
+    for (const TraceStore::DayPartition& part :
+         TraceStore::DayPartitions(r.timestamps, day_base)) {
+      const std::size_t n = part.end - part.begin;
+      TraceRowBlock block;
+      block.timestamps = std::span(r.timestamps).subspan(part.begin, n);
+      block.device_types = std::span(r.device_types).subspan(part.begin, n);
+      block.device_ids = std::span(r.device_ids).subspan(part.begin, n);
+      block.users = slice.users.subspan(part.begin, n);
+      block.request_types = std::span(r.request_types).subspan(part.begin, n);
+      block.directions = std::span(r.directions).subspan(part.begin, n);
+      block.data_volumes = std::span(r.data_volumes).subspan(part.begin, n);
+      sink(part.day, block);
+    }
+  };
+  return {{0, slice.user_ids.size()}, read};
+}
+
+/// What the walks produce, before the report tail.
 struct WalkResult {
   analysis::FusedRowPassResult row;
-  analysis::FusedPerUserResult per_user;
+  /// Each walk task's per-user results, in ascending user order.
+  std::vector<analysis::FusedPerUserResult> per_user;
   /// The Fig 3 interval fit, when the walk needed it to pick τ.
   std::optional<analysis::IntervalModel> interval_model;
 };
@@ -191,35 +213,42 @@ void MergeRows(analysis::FusedRowPassResult& total,
   total.android_records += part.android_records;
 }
 
-/// Fold the per-user pass of the next user range (or slice) into the
-/// running total. Ranges are contiguous and ascending, so concatenation
-/// keeps the canonical (user, begin) and user orders. The device ids are
-/// only appended: a device id can recur across ranges, so the caller
-/// unions them once with UnionDeviceIds after the last part.
-void MergePerUser(analysis::FusedPerUserResult& total,
-                  analysis::FusedPerUserResult&& part) {
-  auto append = [](auto& dst, auto& src) {
-    if (dst.empty()) {
-      dst = std::move(src);
-      return;
+/// The per-user results of every task, concatenated in task order. Tasks
+/// cover contiguous ascending user ranges, so concatenation keeps the
+/// canonical (user, begin) and user orders. Each list is sized once and
+/// filled by one pool task, which frees the parts' copies as it goes. A
+/// device id can recur across ranges, so the ids are sorted and
+/// deduplicated once, after the last part.
+analysis::FusedPerUserResult MergePerUser(
+    std::vector<analysis::FusedPerUserResult>& parts, ThreadPool& pool) {
+  using Result = analysis::FusedPerUserResult;
+  Result total;
+  const auto concat = [&parts, &total](auto member) {
+    auto& dst = total.*member;
+    std::size_t n = 0;
+    for (const Result& part : parts) n += (part.*member).size();
+    dst.reserve(n);
+    for (Result& part : parts) {
+      auto& src = part.*member;
+      dst.insert(dst.end(), src.begin(), src.end());
+      std::remove_reference_t<decltype(src)>().swap(src);
     }
-    dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-               std::make_move_iterator(src.end()));
   };
-  append(total.sessions, part.sessions);
-  append(total.mobile_sessions, part.mobile_sessions);
-  append(total.usage, part.usage);
-  append(total.mobile_usage, part.mobile_usage);
-  append(total.mobile_device_ids, part.mobile_device_ids);
-  total.mobile_users += part.mobile_users;
-}
-
-/// The distinct count over every merged part's device ids.
-void UnionDeviceIds(analysis::FusedPerUserResult& total) {
-  auto& ids = total.mobile_device_ids;
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  total.mobile_devices = ids.size();
+  ParallelInvoke(pool, {[&] { concat(&Result::sessions); },
+                        [&] { concat(&Result::mobile_sessions); },
+                        [&] { concat(&Result::usage); },
+                        [&] { concat(&Result::mobile_usage); },
+                        [&] {
+                          concat(&Result::mobile_device_ids);
+                          auto& ids = total.mobile_device_ids;
+                          std::sort(ids.begin(), ids.end());
+                          ids.erase(std::unique(ids.begin(), ids.end()),
+                                    ids.end());
+                        }});
+  for (const Result& part : parts) total.mobile_users += part.mobile_users;
+  total.mobile_devices = total.mobile_device_ids.size();
+  parts.clear();
+  return total;
 }
 
 /// One user range's rows of each block, gathered into dense columns a
@@ -291,13 +320,14 @@ class RangeRows {
 /// fewer, each slice is cut into sub-ranges so that every thread gets one.
 /// A task reads its slice itself and, when it is a sub-range, keeps only
 /// its own users' rows. Threads take the tasks dynamically, and the
-/// results merge in task order, so in ascending user order, exactly as
-/// RunConcurrent's slices do: the report is the same for every pool size
-/// and every cut.
-WalkResult Walk(const PipelineOptions& options,
-                std::span<const std::uint64_t> user_ids, UnixSeconds day_base,
-                const std::vector<Slice>& slices, ThreadPool& pool,
-                StageTimings& t) {
+/// results go to `w` in task order, so in ascending user order, after
+/// what `w` holds from the walks before (RunSlices walks one slice at a
+/// time): the report is the same for every pool size and every cut. A walk
+/// with τ = auto starts from an empty `w`.
+void Walk(const PipelineOptions& options,
+          std::span<const std::uint64_t> user_ids, UnixSeconds day_base,
+          const std::vector<Slice>& slices, ThreadPool& pool, StageTimings& t,
+          WalkResult& w) {
   struct Task {
     const Slice* slice;
     analysis::UserRange users;
@@ -345,7 +375,6 @@ WalkResult Walk(const PipelineOptions& options,
     });
   };
 
-  WalkResult w;
   auto t0 = Clock::now();
   walk([&](std::size_t i, std::int64_t day, const TraceRowBlock& rows) {
     row_passes[i].Consume(day, rows);
@@ -367,22 +396,22 @@ WalkResult Walk(const PipelineOptions& options,
     t.sessionize_s += Since(t0);
   }
   t0 = Clock::now();
-  std::vector<analysis::FusedPerUserResult> parts(tasks.size());
+  const std::size_t first = w.per_user.size();
+  w.per_user.resize(first + tasks.size());
   pool.Run(tasks.size(), [&](std::size_t i) {
-    parts[i] = per_user[i]->Finish();
+    w.per_user[first + i] = per_user[i]->Finish();
     per_user[i].reset();
   });
-  for (analysis::FusedPerUserResult& part : parts)
-    MergePerUser(w.per_user, std::move(part));
-  UnionDeviceIds(w.per_user);
   t.sessionize_s += Since(t0);
-  return w;
 }
 
 /// The report tail every entry point shares: the Fig 1 series, the §2.2
 /// counts, the Fig 3 interval fit, then the shared stages.
 FullReport Assemble(ThreadPool& pool, const PipelineOptions& options,
                     std::size_t records, WalkResult&& w, StageTimings& t) {
+  auto t0 = Clock::now();
+  const analysis::FusedPerUserResult p = MergePerUser(w.per_user, pool);
+  t.sessionize_s += Since(t0);
   FullReport report;
   report.records = records;
   report.timeseries = std::move(w.row.timeseries);
@@ -394,15 +423,14 @@ FullReport Assemble(ThreadPool& pool, const PipelineOptions& options,
   if (w.interval_model) {
     report.interval_model = std::move(*w.interval_model);
   } else {
-    const auto t0 = Clock::now();
+    t0 = Clock::now();
     report.interval_model = analysis::FitIntervalModel(w.row.intervals);
     t.fits_s += Since(t0);
   }
   report.sketches.intervals = std::move(w.row.intervals);
-  report.mobile_users = w.per_user.mobile_users;
-  report.mobile_devices = w.per_user.mobile_devices;
+  report.mobile_users = p.mobile_users;
+  report.mobile_devices = p.mobile_devices;
 
-  const analysis::FusedPerUserResult& p = w.per_user;
   RunSharedStages(pool, options, p.usage, p.mobile_usage, p.sessions,
                   p.mobile_sessions, report, t.per_user_s, t.fits_s);
   return report;
@@ -416,35 +444,12 @@ FullReport Analyze(const PipelineOptions& options, std::size_t records,
   const auto t_total = Clock::now();
   StageTimings t;
   ThreadPool pool(ClampThreadsToHardware(options.threads));
-  WalkResult w = Walk(options, user_ids, day_base, slices, pool, t);
+  WalkResult w;
+  Walk(options, user_ids, day_base, slices, pool, t, w);
   FullReport report = Assemble(pool, options, records, std::move(w), t);
   t.total_s = Since(t_total);
   if (timings) *timings = t;
   return report;
-}
-
-/// Fold one slice's walk into the running total. Slices cover contiguous
-/// ascending user ranges, exactly like the walk's own ranges.
-void MergeSlice(WalkResult& total, WalkResult&& slice) {
-  MergeRows(total.row, std::move(slice.row));
-  MergePerUser(total.per_user, std::move(slice.per_user));
-}
-
-/// A producer slice as a store of the analysis columns, built as
-/// GenerateColumnar builds its store: the columns move, nothing is copied.
-TraceStore SliceStore(RecordColumns&& slice, UnixSeconds day_base) {
-  TraceStore::Builder b;
-  b.present = kAnalysisColumns;
-  b.day_base = day_base;
-  b.timestamps = std::move(slice.timestamps);
-  b.device_types = std::move(slice.device_types);
-  b.device_ids = std::move(slice.device_ids);
-  b.raw_users = std::move(slice.user_ids);
-  b.request_types = std::move(slice.request_types);
-  b.directions = std::move(slice.directions);
-  b.data_volumes = std::move(slice.data_volumes);
-  slice = RecordColumns();  // the columns analysis never reads
-  return std::move(b).Build();
 }
 
 }  // namespace
@@ -497,99 +502,49 @@ FullReport AnalysisPipeline::RunStreaming(const PartitionedTrace& trace,
                  trace.user_ids(), trace.day_base(), slices, timings);
 }
 
-// The producer hands over sealed slices through a depth-1 bounded queue; a
-// consumer thread walks each one while the producer builds the next. Every
-// slice is time-sorted and carries a contiguous ascending user range's
-// complete history, so the per-slice walks merge (MergeSlice) into exactly
-// the walk result of the concatenated trace.
-FullReport AnalysisPipeline::RunConcurrent(
-    const std::function<void(const SliceConsumer&)>& produce,
+// Each slice is walked in place on the producer's pool while generation
+// waits. Every slice is time-sorted and carries a contiguous ascending user
+// range's complete history, above the slices before, so walking the slices
+// one after the other into one result is exactly the walk of the
+// concatenated trace.
+FullReport AnalysisPipeline::RunSlices(
+    const std::function<void(const SliceVisitor&)>& produce,
     StageTimings* timings) const {
   MCLOUD_REQUIRE(options_.session_tau > 0,
-                 "analyze-while-generate needs a fixed session tau: the "
-                 "valley-derived tau is only known after the last slice");
-  const auto t_total = Clock::now();
-
-  // State below the line is owned by the consumer thread until join().
+                 "walking slices as they seal needs a fixed session tau: "
+                 "the valley-derived tau is only known after the last one");
   WalkResult total;
   StageTimings t;
   std::size_t records = 0;
-  std::exception_ptr consumer_error;
-
-  // Depth-1 queue: one slice being analyzed, one being generated. The
-  // producer blocks in the sink while the consumer is busy, bounding
-  // resident data to two slices and pacing generation to analysis.
-  std::mutex mu;
-  std::condition_variable cv;
-  RecordColumns slot;
-  bool full = false;
-  bool done = false;
-
-  std::thread consumer([&] {
-    // Each slice is a one-slice walk on a pool of one, inline: the
-    // producer runs its own pool meanwhile, and the slices already split
-    // the users.
-    ThreadPool slice_pool(1);
-    for (;;) {
-      RecordColumns slice;
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return full || done; });
-        if (!full && done) return;
-        slice = std::move(slot);
-        slot.clear();
-        full = false;
-      }
-      cv.notify_all();
-      // After a failure, keep draining so the producer never deadlocks.
-      if (slice.empty() || consumer_error) continue;
-      try {
-        records += slice.size();
-        const auto t0 = Clock::now();
-        const TraceStore store =
-            SliceStore(std::move(slice), options_.trace_start);
-        t.scan_s += Since(t0);
-        MergeSlice(total, Walk(options_, store.user_ids(), store.day_base(),
-                               {StoreSlice(store)}, slice_pool, t));
-      } catch (...) {
-        consumer_error = std::current_exception();
-      }
-    }
+  std::uint64_t last_user = 0;
+  double walk_s = 0;
+  produce([&](const SealedSlice& slice, ThreadPool& pool) {
+    const auto t0 = Clock::now();
+    const std::span<const std::uint64_t> ids = slice.user_ids;
+    // The order check a partitioned trace writer makes, whether or not the
+    // slice is written: each slice's users ascend, above every user before.
+    MCLOUD_REQUIRE(slice.users.size() == slice.records.size() &&
+                       !ids.empty() &&
+                       std::adjacent_find(ids.begin(), ids.end(),
+                                          std::greater_equal<>()) ==
+                           ids.end(),
+                   "a slice needs its users resolved, ascending");
+    MCLOUD_REQUIRE(records == 0 || ids.front() > last_user,
+                   "slice starts at user " + std::to_string(ids.front()) +
+                       ", not above the previous slices' last user " +
+                       std::to_string(last_user));
+    last_user = ids.back();
+    records += slice.records.size();
+    Walk(options_, ids, options_.trace_start,
+         {SealedSliceOf(slice, options_.trace_start)}, pool, t, total);
+    walk_s += Since(t0);
   });
-
-  const SliceConsumer sink = [&](RecordColumns&& slice) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return !full; });
-    slot = std::move(slice);
-    full = true;
-    lock.unlock();
-    cv.notify_all();
-  };
-  try {
-    produce(sink);
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done = true;
-    }
-    cv.notify_all();
-    consumer.join();
-    throw;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
-  }
-  cv.notify_all();
-  consumer.join();
-  if (consumer_error) std::rethrow_exception(consumer_error);
   MCLOUD_REQUIRE(records > 0, "empty trace");
 
-  UnionDeviceIds(total.per_user);
-
+  const auto t0 = Clock::now();
   ThreadPool pool(ClampThreadsToHardware(options_.threads));
   FullReport report = Assemble(pool, options_, records, std::move(total), t);
-  t.total_s = Since(t_total);
+  t.total_s = walk_s + Since(t0);
   if (timings) *timings = t;
   return report;
 }

@@ -16,8 +16,9 @@
 //   * RunStreaming(const PartitionedTrace&) — a partitioned on-disk trace
 //     gives one slice per spill group, read under the `max_memory_mb`
 //     staging budget.
-//   * RunConcurrent(produce) — each slice a producer hands over while it
-//     generates the next one.
+//   * RunSlices(produce) — each slice a producer seals, walked in place on
+//     the producer's own pool before generation goes on: no thread, no
+//     queue, and no file unless the producer writes one.
 // With a fixed session τ one walk feeds both cores. With τ = auto
 // (session_tau == 0) the per-user core needs the valley τ of the complete
 // interval sketch, so the walk reads the trace twice. Every entry point
@@ -95,24 +96,19 @@ class AnalysisPipeline {
   [[nodiscard]] FullReport RunStreaming(const PartitionedTrace& trace,
                                         StageTimings* timings = nullptr) const;
 
-  /// Sink for RunConcurrent's producer: hand over one sealed, time-sorted
-  /// trace slice in columnar (SoA) form — the generator fast path's native
-  /// layout, so no transpose happens on the analysis side. Blocks while the
-  /// analysis side is busy (bounded queue, depth 1), which backpressures
-  /// generation to the analysis rate.
-  using SliceConsumer = std::function<void(RecordColumns&&)>;
-
-  /// Analyze-while-generate: `produce` emits sealed trace slices into a
-  /// bounded queue; a consumer thread moves each slice into a TraceStore and
-  /// walks it while the producer builds the next one, and the merged
-  /// results feed the same report tail. Requires a fixed
-  /// `session_tau` (> 0) and slices that (a) are time-sorted internally,
-  /// (b) partition the user space into contiguous ascending ranges — every
-  /// user's full history in exactly one slice — as
-  /// GenerateToPartitions' spill slices do. Under those invariants the
-  /// FullReport is bit-identical to Run on the concatenated trace.
-  [[nodiscard]] FullReport RunConcurrent(
-      const std::function<void(const SliceConsumer&)>& produce,
+  /// Analyze while generating: `produce` hands each sealed slice to the
+  /// visitor it is given (GenerateToPartitions(spill, visit) does), and the
+  /// visitor walks the slice in place on the pool that comes with it,
+  /// before it returns; the merged results feed the same report tail.
+  /// Requires a fixed `session_tau` (> 0) and slices that (a) are
+  /// time-sorted internally, (b) partition the user space into contiguous
+  /// ascending ranges — every user's full history in exactly one slice.
+  /// Throws Error when a slice's users do not ascend above the previous
+  /// slice's. Under those invariants the FullReport is bit-identical to Run
+  /// on the concatenated trace. `timings` counts the walks (in scan_s and
+  /// sessionize_s) and the report tail, not the producer's own time.
+  [[nodiscard]] FullReport RunSlices(
+      const std::function<void(const SliceVisitor&)>& produce,
       StageTimings* timings = nullptr) const;
 
   [[nodiscard]] const PipelineOptions& options() const { return options_; }

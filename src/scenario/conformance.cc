@@ -9,8 +9,6 @@
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "stats/tdigest.h"
-#include "trace/partitioned_trace.h"
-#include "util/error.h"
 #include "validate/gof.h"
 #include "validate/tolerance.h"
 #include "workload/generator.h"
@@ -100,20 +98,20 @@ ConformanceRun RunConformance(const WorkloadSpec& spec,
   po.days = cfg.population.days;
   po.session_tau = kHour;
   po.threads = options.threads;
-  po.max_memory_mb = options.max_memory_mb;
 
   const workload::WorkloadGenerator gen(cfg);
   const core::AnalysisPipeline pipeline(po);
   core::FullReport report;
   if (options.out_of_core) {
-    MCLOUD_REQUIRE(!options.spill_dir.empty(),
-                   "out-of-core conformance needs a spill dir");
     workload::SpillConfig spill;
-    spill.dir = options.spill_dir;
-    std::filesystem::create_directories(spill.dir);
+    if (!options.spill_dir.empty()) {
+      spill.dir = options.spill_dir;
+      std::filesystem::create_directories(spill.dir);
+    }
     spill.max_buffer_bytes = workload::SpillBufferBytes(options.max_memory_mb);
-    (void)gen.GenerateToPartitions(spill);
-    report = pipeline.RunStreaming(PartitionedTrace::Open(spill.dir));
+    report = pipeline.RunSlices([&](const SliceVisitor& visit) {
+      (void)gen.GenerateToPartitions(spill, visit);
+    });
   } else {
     report = pipeline.Run(gen.GenerateColumnar().trace);
   }

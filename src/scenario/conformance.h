@@ -23,15 +23,15 @@ struct ConformanceOptions {
   /// PC-only population scales proportionally. Lets tests/CI run paper2016
   /// at 4k users under the ctest budget.
   std::size_t users_override = 0;
-  /// Generate to a partitioned on-disk trace and analyze it with the
-  /// streaming engine instead of holding the trace resident — the path
-  /// that lets specs declare paper-scale populations. Needs `spill_dir`,
-  /// which is created (with its parents) when it does not exist.
+  /// Generate under a bounded spill buffer and walk each sealed slice as
+  /// it seals instead of holding the trace resident — the path that lets
+  /// specs declare paper-scale populations. The partitioned trace is
+  /// written only into a given `spill_dir`, which is created (with its
+  /// parents) when it does not exist.
   bool out_of_core = false;
   std::string spill_dir;
   /// Approximate resident budget (MB) of out-of-core generation+analysis:
-  /// it sizes the spill buffer (workload::SpillBufferBytes) and the
-  /// streaming staging.
+  /// it sizes the spill buffer (workload::SpillBufferBytes).
   std::size_t max_memory_mb = 2048;
 };
 

@@ -63,25 +63,17 @@ void PartitionedTraceWriter::WriteSortedSlice(const RecordColumns& slice,
                 ", not above the previous slices' last user " +
                 std::to_string(last_user_) + ": " + dir_.string());
 
-  // Timestamps are non-decreasing within the slice, so each calendar day's
-  // rows are the prefix of the rest that shares the first row's day: one
-  // binary search per day, as TraceStore's day partitions are cut. Each
-  // segment becomes one run file, named in day order before any is written.
+  // Each calendar day of the sorted slice, cut as a store's day partitions
+  // are, becomes one run file, named in day order before any is written.
   std::vector<RunEntry> runs;
   std::vector<std::size_t> starts;  // each run's first row in the slice
-  const auto first = slice.timestamps.begin();
-  for (auto begin = first; begin != slice.timestamps.end();) {
-    const std::int64_t day = FloorDayIndex(*begin - day_base_);
-    const auto end = std::partition_point(
-        begin, slice.timestamps.end(), [&](std::int64_t t) {
-          return FloorDayIndex(t - day_base_) == day;
-        });
+  for (const TraceStore::DayPartition& part :
+       TraceStore::DayPartitions(slice.timestamps, day_base_)) {
     char name[32];
     std::snprintf(name, sizeof(name), "run-%06zu.v2",
                   runs_.size() + runs.size());
-    runs.push_back({day, static_cast<std::uint64_t>(end - begin), name});
-    starts.push_back(static_cast<std::size_t>(begin - first));
-    begin = end;
+    runs.push_back({part.day, part.end - part.begin, name});
+    starts.push_back(part.begin);
   }
 
   // The days' run files are independent: one task each, with its own

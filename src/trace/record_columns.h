@@ -7,15 +7,17 @@
 // 16-byte pairs plus one gather per column, and the buffer moves directly
 // into TraceStore::Builder (resident path) or the partitioned run writer
 // (spill path) without another transpose. `user_ids` holds the *original*
-// 64-bit ids. The resident generator resolves them to dense ids from its
-// own per-user row counts; every other path remaps where it always did
-// (TraceStore build / per-run v2 writer / per-slice analysis remap).
+// 64-bit ids. The generator resolves them to dense ids itself, for its
+// resident store and for each spill slice it hands to a SliceVisitor;
+// every other path remaps where it always did (TraceStore build / per-run
+// v2 writer).
 //
 // The resilience tags (outcome, attempt) are runtime-only and not staged,
 // exactly as in the on-disk formats (trace/log_io.cc).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -121,6 +123,22 @@ struct RecordColumns {
     for (std::size_t c = 0; c < kColumnCount; ++c) VisitColumn(c, fn);
   }
 };
+
+/// One sealed spill slice, as the spill producer hands it over: records
+/// sorted by the record time order that hold the complete history of a
+/// contiguous range of users, above the previous slice's, with those users
+/// already resolved.
+struct SealedSlice {
+  const RecordColumns& records;
+  /// The ascending original ids of the slice's users (those with rows).
+  std::span<const std::uint64_t> user_ids;
+  /// Each row's index into `user_ids`.
+  std::span<const std::uint32_t> users;
+};
+
+/// Receives each sealed slice together with the producer's pool, which is
+/// idle until the visitor returns.
+using SliceVisitor = std::function<void(const SealedSlice&, ThreadPool&)>;
 
 /// Canonical FNV-1a fingerprint of a trace's Table 1 content, independent
 /// of representation (times folded as the on-disk microsecond integers).

@@ -154,7 +154,7 @@ TraceStore TraceStore::Builder::Build(ThreadPool* pool) && {
   } else {
     s.FinalizeFromRawUsers(raw_users);
   }
-  s.BuildDayPartitions();
+  s.partitions_ = DayPartitions(s.timestamps_, s.day_base_);
   return s;
 }
 
@@ -190,23 +190,23 @@ void TraceStore::FinalizeFromRawUsers(std::span<const std::uint64_t> raw) {
   for (std::size_t i = 0; i < n; ++i) user_index_[i] = rank_of[seen_index[i]];
 }
 
-void TraceStore::BuildDayPartitions() {
-  // The store is time-sorted, so the calendar day never decreases along the
-  // rows and each day's rows are the prefix of the rest that shares the
-  // first row's day: one binary search per day, not a division per row.
-  partitions_.clear();
-  const auto first = timestamps_.begin();
-  auto begin = first;
-  while (begin != timestamps_.end()) {
-    const std::int64_t day = FloorDayIndex(*begin - day_base_);
+std::vector<TraceStore::DayPartition> TraceStore::DayPartitions(
+    std::span<const std::int64_t> timestamps, UnixSeconds day_base) {
+  MCLOUD_REQUIRE(timestamps.size() <= UINT32_MAX,
+                 "day partitions index rows in 32 bits");
+  std::vector<DayPartition> parts;
+  const auto first = timestamps.begin();
+  for (auto begin = first; begin != timestamps.end();) {
+    const std::int64_t day = FloorDayIndex(*begin - day_base);
     const auto end = std::partition_point(
-        begin, timestamps_.end(), [&](std::int64_t t) {
-          return FloorDayIndex(t - day_base_) == day;
+        begin, timestamps.end(), [&](std::int64_t t) {
+          return FloorDayIndex(t - day_base) == day;
         });
-    partitions_.push_back({day, static_cast<std::uint32_t>(begin - first),
-                           static_cast<std::uint32_t>(end - first)});
+    parts.push_back({day, static_cast<std::uint32_t>(begin - first),
+                     static_cast<std::uint32_t>(end - first)});
     begin = end;
   }
+  return parts;
 }
 
 TraceStore TraceStore::FromRecords(std::span<const LogRecord> records,

@@ -72,6 +72,13 @@ class TraceStore {
     std::uint32_t end = 0;
   };
 
+  /// The day partitions of non-decreasing `timestamps` (at most UINT32_MAX
+  /// of them), relative to `day_base`, in row order. Each day's rows are
+  /// the prefix of the rest that shares the first row's day, so this costs
+  /// one binary search per day, not a division per row.
+  [[nodiscard]] static std::vector<DayPartition> DayPartitions(
+      std::span<const std::int64_t> timestamps, UnixSeconds day_base);
+
   TraceStore() = default;
 
   /// Build the columnar store from a time-sorted AoS trace. `day_base`
@@ -149,7 +156,6 @@ class TraceStore {
 
   /// Assigns the canonical dense remap from a raw original-id user column.
   void FinalizeFromRawUsers(std::span<const std::uint64_t> raw_users);
-  void BuildDayPartitions();
 
   std::uint32_t present_ = 0;
   UnixSeconds day_base_ = kTraceStart;

@@ -1,7 +1,5 @@
 #include "validate/validator.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
 #include <chrono>
@@ -12,7 +10,6 @@
 
 #include "cloud/storage_service.h"
 #include "core/pipeline.h"
-#include "trace/partitioned_trace.h"
 #include "model/paper_params.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -96,7 +93,7 @@ void AppendOutcome(std::string& out, const CheckOutcome& o) {
 
 void AppendRun(std::string& out, const ValidationRun& r) {
   Append(out, "{\n  \"users\": %zu,\n  \"seed\": %llu,\n"
-              "  \"out_of_core\": %s,\n  \"concurrent\": %s,\n"
+              "  \"out_of_core\": %s,\n"
               "  \"fleet_flows\": %zu,\n  \"checks\": %zu,\n"
               "  \"passed\": %zu,\n  \"all_passed\": %s,\n"
               "  \"fingerprint\": \"%016llx\",\n"
@@ -107,7 +104,6 @@ void AppendRun(std::string& out, const ValidationRun& r) {
               " \"per_shard\": [",
          r.options.users, static_cast<unsigned long long>(r.options.seed),
          r.options.out_of_core ? "true" : "false",
-         r.options.concurrent ? "true" : "false",
          r.options.fleet_flows, r.outcomes.size(), r.Passed(),
          r.AllPassed() ? "true" : "false",
          static_cast<unsigned long long>(ManifestFingerprint(r)),
@@ -161,45 +157,25 @@ ValidationInputs BuildValidationInputs(const ValidateOptions& options,
   const workload::WorkloadGenerator generator(cfg);
   core::PipelineOptions popts;
   popts.threads = options.threads;
-  if (options.concurrent || options.out_of_core) {
-    // Both bounded-memory modes spill the generation into a partitioned
-    // trace directory under options.max_memory_mb.
-    namespace fs = std::filesystem;
-    const bool owned = options.spill_dir.empty();
-    const fs::path dir =
-        owned ? fs::temp_directory_path() /
-                    ("mcloud-spill-" + std::to_string(::getpid()) + "-" +
-                     std::to_string(options.seed) + "-" +
-                     std::to_string(options.users))
-              : fs::path(options.spill_dir);
-    fs::create_directories(dir);
+  if (options.out_of_core) {
+    // Each spill slice is walked as it seals, on the generator's pool; the
+    // partitioned trace is written only into a given spill directory.
     workload::SpillConfig spill;
-    spill.dir = dir;
-    spill.max_buffer_bytes =
-        workload::SpillBufferBytes(options.max_memory_mb, options.concurrent);
-    popts.max_memory_mb = options.max_memory_mb;
-    const core::AnalysisPipeline pipeline(popts);
-    if (options.concurrent) {
-      // Analyze-while-generate: the spill slices feed the concurrent
-      // pipeline as they seal, so generation and analysis share one
-      // overlapped walk (generate_s stays 0 — there is no separate
-      // generation phase).
-      in.report = pipeline.RunConcurrent(
-          [&](const core::AnalysisPipeline::SliceConsumer& consume) {
-            (void)generator.GenerateToPartitions(spill, consume);
-          });
-    } else {
-      // Two phases: spill everything, then stream it back through
-      // RunStreaming.
-      (void)generator.GenerateToPartitions(spill);
-      if (timings) timings->generate_s = Since(t0);
-      t0 = Clock::now();
-      in.report = pipeline.RunStreaming(PartitionedTrace::Open(dir));
+    if (!options.spill_dir.empty()) {
+      spill.dir = options.spill_dir;
+      std::filesystem::create_directories(spill.dir);
     }
-    if (timings) timings->analyze_s = Since(t0);
-    if (owned) {
-      std::error_code ec;
-      fs::remove_all(dir, ec);  // best-effort cleanup of the temp spill
+    spill.max_buffer_bytes = workload::SpillBufferBytes(options.max_memory_mb);
+    workload::GenTimings gt;
+    core::StageTimings st;
+    in.report = core::AnalysisPipeline(popts).RunSlices(
+        [&](const SliceVisitor& visit) {
+          (void)generator.GenerateToPartitions(spill, visit, &gt);
+        },
+        &st);
+    if (timings) {
+      timings->generate_s = gt.total_s;
+      timings->analyze_s = st.total_s;
     }
   } else {
     const workload::ColumnarWorkload workload = generator.GenerateColumnar();

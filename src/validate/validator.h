@@ -44,22 +44,16 @@ struct ValidateOptions {
   /// independently of `threads` (see cloud/fleet.h). Part of the sample
   /// identity: changing it reseeds the fleet.
   std::uint32_t fleet_shards = 8;
-  /// Out-of-core mode: generate with bounded-memory spilling into a
-  /// partitioned on-disk trace and analyze it via RunStreaming. Execution
+  /// Out-of-core mode: generate under a bounded spill buffer and walk each
+  /// sealed slice as it seals (AnalysisPipeline::RunSlices). Execution
   /// strategy, not sample identity — none of these three knobs enter
   /// ManifestFingerprint, and an out-of-core run fingerprints identically
   /// to the resident run it mirrors (the CI smoke job checks exactly that).
   bool out_of_core = false;
-  /// Analyze-while-generate mode: generation spills sealed slices into the
-  /// concurrent pipeline (AnalysisPipeline::RunConcurrent) instead of
-  /// running generation and analysis as two phases. Like `out_of_core`,
-  /// pure execution strategy — the manifest fingerprint is identical to the
-  /// resident run's.
-  bool concurrent = false;
   /// Approximate resident budget (MB) for out-of-core generation+analysis.
   std::size_t max_memory_mb = 2048;
-  /// Spill directory for out-of-core mode; empty = a unique temp directory,
-  /// removed when the run finishes.
+  /// Out of core, the directory that also receives the partitioned trace
+  /// (created with its parents); empty = write nothing.
   std::string spill_dir;
 };
 
@@ -67,9 +61,12 @@ struct ValidateOptions {
 struct ValidationRun {
   ValidateOptions options;
   std::vector<CheckOutcome> outcomes;
-  double generate_s = 0;  ///< workload generation (0 in concurrent mode —
-                          ///< generation overlaps analysis there)
-  double analyze_s = 0;   ///< analysis pipeline
+  /// Workload generation. Out of core the slices are walked inside
+  /// generation, and this leaves those walks out.
+  double generate_s = 0;
+  /// Analysis pipeline. Out of core: the slice walks and the report tail,
+  /// so generate_s + analyze_s covers the run once.
+  double analyze_s = 0;
   double fleet_s = 0;     ///< §4 service simulation + Fig 13 flows
   double checks_s = 0;    ///< all FigureCheck evaluations
   double total_s = 0;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <iterator>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -79,6 +80,10 @@ class Producer {
     Rng rng(config.seed);
     users_ = PopulationBuilder(config.population, config.model)
                  .Build(rng, &pool);
+    // ResolveRows' flat user lookup relies on consecutive ids.
+    for (std::size_t i = 0; i < users_.size(); ++i)
+      MCLOUD_CHECK(users_[i].user_id == users_.front().user_id + i,
+                   "population ids must be consecutive");
     // Root key of all per-user session streams. Drawn after the
     // population's root so the two stream families never collide.
     session_root_ = rng.NextU64();
@@ -87,6 +92,9 @@ class Producer {
   Producer& operator=(const Producer&) = delete;
 
   [[nodiscard]] std::size_t users() const { return users_.size(); }
+  [[nodiscard]] std::uint64_t user_id(std::size_t i) const {
+    return users_[i].user_id;
+  }
   [[nodiscard]] std::vector<UserProfile> TakeUsers() {
     return std::move(users_);
   }
@@ -131,6 +139,7 @@ enum class Mode { kPlans, kRecords };
 /// chunk processing allocates nothing.
 struct Chunk {
   RecordColumns records;              ///< kRecords: emitted, user order
+  std::vector<std::uint64_t> users;   ///< kRecords: ids of users with rows
   std::vector<SessionPlan> sessions;  ///< kPlans: user order
   PlanScratch plan;
   EmitScratch emit;
@@ -171,6 +180,7 @@ std::vector<UserProfile> Produce(const WorkloadConfig& config,
   const auto fill = [&](std::size_t chunk, Chunk& c) {
     const double c0 = want_timing ? ThreadCpuSeconds() : 0;
     c.records.clear();
+    c.users.clear();
     c.sessions.clear();
     const std::size_t begin = chunk * users_per_chunk;
     const std::size_t end = std::min(begin + users_per_chunk, n_users);
@@ -186,9 +196,12 @@ std::vector<UserProfile> Produce(const WorkloadConfig& config,
       // Size the slot for this user's rows. It keeps its capacity from
       // window to window, so once warm it never reallocates.
       const std::size_t row = c.records.size();
+      const std::size_t rows = Producer::PlannedRows(c.plan);
+      if (rows == 0) continue;  // no session: nothing to emit
       const std::size_t cap = c.records.capacity();
-      c.records.resize(row + Producer::PlannedRows(c.plan));
+      c.records.resize(row + rows);
       if (c.records.capacity() != cap) ++c.growths;
+      c.users.push_back(producer.user_id(i));
       producer.Emit(c.plan, rng, c.records, row, c.emit);
     }
     if (want_timing) c.cpu_s += ThreadCpuSeconds() - c0;
@@ -323,27 +336,19 @@ Emitted EmitResident(const WorkloadConfig& config, ThreadPool& pool,
   return out;
 }
 
-/// The store's user table and dense row index, straight from the count
-/// pass, so TraceStore::Build need not remap: the table holds the ids of the
-/// users with at least one row, ascending because population ids ascend,
-/// and each (time-sorted) row's dense id is one flat-table lookup by its
-/// user id, over row shards of `pool`.
-void ResolveUsers(std::span<const UserProfile> users,
-                  std::span<const std::size_t> user_rows,
-                  std::span<const std::uint64_t> row_users, ThreadPool& pool,
-                  std::vector<std::uint64_t>& table,
-                  std::vector<std::uint32_t>& dense) {
-  // PopulationBuilder numbers users consecutively, so a row's id less the
-  // first id is its user's population index.
-  const std::uint64_t first = users.empty() ? 0 : users.front().user_id;
-  std::vector<std::uint32_t> dense_of(users.size());
-  table.clear();
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    MCLOUD_CHECK(users[i].user_id == first + i,
-                 "population ids must be consecutive");
-    dense_of[i] = static_cast<std::uint32_t>(table.size());
-    if (user_rows[i] != 0) table.push_back(users[i].user_id);
-  }
+/// Each row's dense id: its index into `table`, the ascending ids of the
+/// users with rows, which the producer knows without a remap. Population
+/// ids are consecutive, so a flat table over the ids from the first to the
+/// last turns each row's id into its index with one lookup, over row
+/// shards of `pool`.
+void ResolveRows(std::span<const std::uint64_t> table,
+                 std::span<const std::uint64_t> row_users, ThreadPool& pool,
+                 std::vector<std::uint32_t>& dense) {
+  const std::uint64_t first = table.empty() ? 0 : table.front();
+  std::vector<std::uint32_t> dense_of(
+      table.empty() ? 0 : table.back() - first + 1);
+  for (std::size_t k = 0; k < table.size(); ++k)
+    dense_of[table[k] - first] = static_cast<std::uint32_t>(k);
   dense.resize(row_users.size());
   ParallelForShards(pool, row_users.size(),
                     [&](std::size_t, std::size_t begin, std::size_t end) {
@@ -403,8 +408,9 @@ ColumnarWorkload WorkloadGenerator::GenerateColumnar(
   // resolved, so Build only validates them.
   TraceStore::Builder b;
   b.day_base = config_.trace_start;
-  ResolveUsers(e.users, e.user_rows, cols.user_ids, pool, b.user_ids,
-               b.dense_users);
+  for (std::size_t i = 0; i < e.users.size(); ++i)
+    if (e.user_rows[i] != 0) b.user_ids.push_back(e.users[i].user_id);
+  ResolveRows(b.user_ids, cols.user_ids, pool, b.dense_users);
   cols.user_ids = std::vector<std::uint64_t>();
   if (timings) timings->sort_s += Since(s0);
   b.timestamps = std::move(cols.timestamps);
@@ -447,24 +453,25 @@ Workload WorkloadGenerator::GeneratePlansOnly() const {
 
 // Bounded-memory consumer of the same producer: chunks of
 // `spill.users_per_chunk` users, two per pool thread per window, appended
-// in user order to a buffer that is flushed as a stably-sorted slice when
+// in user order to a buffer that is sealed as a stably-sorted slice when
 // the next chunk would overflow it. The buffer therefore always holds a
-// contiguous user range, so every spill is a stably-sorted contiguous
+// contiguous user range, so every slice is a stably-sorted contiguous
 // partition of the user-ordered emission — one group of the partitioned
-// reader. The pool is idle between windows, so the sink appends, sorts and
-// writes each spill on it. Chunk boundaries and flush points depend only on
-// the config, never on the thread count.
+// reader. The pool is idle between windows, so the sink appends, sorts,
+// writes and visits each slice on it. Chunk boundaries and flush points
+// depend only on the config, never on the thread count.
 SpillSummary WorkloadGenerator::GenerateToPartitions(
     const SpillConfig& spill, GenTimings* timings) const {
-  return GenerateToPartitions(spill, SliceSink{}, timings);
+  return GenerateToPartitions(spill, SliceVisitor{}, timings);
 }
 
 SpillSummary WorkloadGenerator::GenerateToPartitions(
-    const SpillConfig& spill, const SliceSink& slice_sink,
+    const SpillConfig& spill, const SliceVisitor& visit,
     GenTimings* timings) const {
   const auto t_total = Clock::now();
   ThreadPool pool(config_.threads);
-  PartitionedTraceWriter writer(spill.dir, config_.trace_start);
+  std::optional<PartitionedTraceWriter> writer;
+  if (!spill.dir.empty()) writer.emplace(spill.dir, config_.trace_start);
 
   // Still accounted in AoS LogRecord bytes: flush boundaries are part of
   // the deterministic spill layout and must not shift with the emitter's
@@ -475,28 +482,33 @@ SpillSummary WorkloadGenerator::GenerateToPartitions(
   SpillSummary sum;
   RecordColumns buffer;
   RecordColumnsScratch sort_scratch;
+  std::vector<std::uint64_t> slice_users;  // the buffer's users with rows
+  std::vector<std::uint32_t> dense;
   std::size_t buffer_growths = 0;
+  double visit_s = 0;
   const auto flush = [&] {
     if (buffer.empty()) return;
     auto f0 = Clock::now();
     buffer.SortByTimeOrder(sort_scratch, pool);
+    if (visit) ResolveRows(slice_users, buffer.user_ids, pool, dense);
     if (timings) {
       const auto f1 = Clock::now();
       timings->sort_s += std::chrono::duration<double>(f1 - f0).count();
       f0 = f1;
     }
-    writer.WriteSortedSlice(buffer, &pool);
-    if (timings) timings->write_s += Since(f0);
-    ++sum.spills;
-    if (slice_sink) {
-      // Hand the sealed slice to the analysis side; a blocking sink is the
-      // backpressure that keeps generation at the analysis rate.
-      slice_sink(std::move(buffer));
-      buffer = RecordColumns();
-    } else {
-      // Pooled: keep the capacity for the next fill cycle.
-      buffer.clear();
+    if (writer) {
+      writer->WriteSortedSlice(buffer, &pool);
+      if (timings) timings->write_s += Since(f0);
     }
+    ++sum.spills;
+    if (visit) {
+      const auto v0 = Clock::now();
+      visit(SealedSlice{buffer, slice_users, dense}, pool);
+      visit_s += Since(v0);
+    }
+    // Pooled: keep the capacity for the next fill cycle.
+    buffer.clear();
+    slice_users.clear();
   };
 
   sum.users =
@@ -517,17 +529,21 @@ SpillSummary WorkloadGenerator::GenerateToPartitions(
                   // window; one column per task, as the pool is idle here.
                   buffer.AppendCopy(c.records, &pool);
                   if (buffer.capacity() != cap) ++buffer_growths;
+                  slice_users.insert(slice_users.end(), c.users.begin(),
+                                     c.users.end());
                 }
               })
           .size();
   flush();
   const auto t0 = Clock::now();
-  writer.Finish();
-  sum.run_files = writer.run_files();
+  if (writer) {
+    writer->Finish();
+    sum.run_files = writer->run_files();
+  }
   if (timings) {
     timings->write_s += Since(t0);
     timings->record_buffer_growths += buffer_growths;
-    timings->total_s += Since(t_total);
+    timings->total_s += Since(t_total) - visit_s;
   }
   return sum;
 }

@@ -55,9 +55,19 @@ TEST(Pipeline, RejectsEmptyTrace) {
   EXPECT_THROW((void)pipeline.Run(std::span<const LogRecord>{}), Error);
   EXPECT_THROW((void)pipeline.Run(TraceStore{}), Error);
   // A producer that never hands over a slice.
-  EXPECT_THROW((void)pipeline.RunConcurrent(
-                   [](const AnalysisPipeline::SliceConsumer&) {}),
+  EXPECT_THROW((void)pipeline.RunSlices([](const SliceVisitor&) {}), Error);
+}
+
+TEST(Pipeline, RunSlicesNeedsAFixedTau) {
+  // τ = auto needs the whole interval sketch before the per-user walk, and
+  // each slice is walked as it seals: the producer must not even start.
+  PipelineOptions opts;
+  opts.session_tau = 0;
+  bool produced = false;
+  EXPECT_THROW((void)AnalysisPipeline(opts).RunSlices(
+                   [&](const SliceVisitor&) { produced = true; }),
                Error);
+  EXPECT_FALSE(produced);
 }
 
 TEST(Pipeline, DataDerivedTauWorks) {

@@ -247,15 +247,21 @@ TEST_F(Goldens, ReportAtFixedTau) {
     EXPECT_EQ(core::FingerprintReport(p.RunStreaming(part)), kReportFixedTau)
         << "RunStreaming threads=" << threads;
 
-    const auto dir = FreshDir("mcloud_goldens_concurrent");
-    const core::FullReport concurrent = p.RunConcurrent(
-        [&](const core::AnalysisPipeline::SliceConsumer& consume) {
-          (void)workload::WorkloadGenerator(GoldenConfig(threads))
-              .GenerateToPartitions(GoldenSpill(dir), consume);
+    // The slices walked as they seal, written as they go: the report and
+    // the spill are both the golden ones.
+    const auto dir = FreshDir("mcloud_goldens_slices");
+    workload::SpillSummary spill;
+    const core::FullReport sliced =
+        p.RunSlices([&](const SliceVisitor& visit) {
+          spill = workload::WorkloadGenerator(GoldenConfig(threads))
+                      .GenerateToPartitions(GoldenSpill(dir), visit);
         });
+    EXPECT_EQ(core::FingerprintReport(sliced), kReportFixedTau)
+        << "RunSlices threads=" << threads;
+    EXPECT_EQ(spill.spills, kSpills) << "RunSlices threads=" << threads;
+    EXPECT_EQ(SpillBytesHash(dir), kSpillBytes)
+        << "RunSlices threads=" << threads;
     std::filesystem::remove_all(dir);
-    EXPECT_EQ(core::FingerprintReport(concurrent), kReportFixedTau)
-        << "RunConcurrent threads=" << threads;
   }
 }
 
@@ -339,13 +345,14 @@ TEST(GoldenManifest, OutOfCore) {
   o.out_of_core = true;
   o.max_memory_mb = 64;
   ExpectValidateGoldens(o, "--out-of-core --max-memory-mb 64");
-}
-
-TEST(GoldenManifest, Concurrent) {
-  validate::ValidateOptions o = ValidateAt4k();
-  o.concurrent = true;
-  o.max_memory_mb = 64;
-  ExpectValidateGoldens(o, "--concurrent --max-memory-mb 64");
+  // With a spill directory, which does not exist yet: the slices are also
+  // written, and nothing else changes.
+  const auto dir = FreshDir("mcloud_goldens_validate_spill");
+  o.spill_dir = (dir / "nested" / "spill").string();
+  ExpectValidateGoldens(o, "--out-of-core --max-memory-mb 64 --spill-dir");
+  EXPECT_TRUE(std::filesystem::exists(
+      std::filesystem::path(o.spill_dir) / "MANIFEST"));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,17 +1,25 @@
 // The out-of-core pipeline's determinism contract: spill-generate +
-// RunStreaming must produce the bit-identical FullReport of the resident
-// GenerateColumnar + Run path, at every thread count and every spill-buffer
-// size, with a fixed τ (one walk) and with τ = auto (two walks; DESIGN.md,
-// "Out-of-core pipeline").
+// RunStreaming, and the slices walked as they seal (RunSlices), must
+// produce the bit-identical FullReport of the resident GenerateColumnar +
+// Run path, at every thread count and every spill-buffer size, with a
+// fixed τ (one walk) and, through RunStreaming, with τ = auto (two walks;
+// DESIGN.md, "Out-of-core pipeline").
 #include <gtest/gtest.h>
+
+#include <stdlib.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "trace/partitioned_trace.h"
+#include "util/error.h"
 #include "validate/validator.h"
 #include "workload/generator.h"
 
@@ -31,6 +39,34 @@ std::filesystem::path SpillDir(const char* name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// Every file of `dir` by name, with its bytes.
+std::map<std::string, std::string> DirBytes(const std::filesystem::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    files[entry.path().filename().string()].assign(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return files;
+}
+
+/// Runs `fn` with TMPDIR and the working directory pointed at `dir`, and
+/// puts both back afterwards.
+template <typename Fn>
+void InDirectory(const std::filesystem::path& dir, Fn&& fn) {
+  const char* tmpdir = ::getenv("TMPDIR");
+  const std::string saved_tmpdir = tmpdir ? tmpdir : "";
+  const std::filesystem::path saved_cwd = std::filesystem::current_path();
+  ::setenv("TMPDIR", dir.c_str(), 1);
+  std::filesystem::current_path(dir);
+  fn();
+  std::filesystem::current_path(saved_cwd);
+  if (tmpdir)
+    ::setenv("TMPDIR", saved_tmpdir.c_str(), 1);
+  else
+    ::unsetenv("TMPDIR");
 }
 
 core::PipelineOptions ValleyTau() {
@@ -110,7 +146,7 @@ TEST(OutOfCore, RunStreamingMatchesResidentReport) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(OutOfCore, RunConcurrentMatchesResidentReport) {
+TEST(OutOfCore, RunSlicesMatchesResidentReport) {
   const workload::WorkloadConfig cfg = SmallConfig();
   const workload::ColumnarWorkload resident =
       workload::WorkloadGenerator(cfg).GenerateColumnar();
@@ -118,35 +154,95 @@ TEST(OutOfCore, RunConcurrentMatchesResidentReport) {
       core::AnalysisPipeline(core::PipelineOptions{}).Run(resident.trace);
   const std::uint64_t want_fp = core::FingerprintReport(want);
 
-  // Analyze-while-generate: generation spills sealed slices straight into
-  // the bounded queue; the overlapped walk must still produce the resident
-  // report bit-for-bit, independent of threads and slice boundaries.
+  // Each sealed slice is walked on the generator's pool as it seals. The
+  // report must be the resident one bit for bit, independent of threads
+  // and slice boundaries, whether the slices are written or not.
   for (const int threads : {1, 3}) {
-    const auto dir = SpillDir("mcloud_ooc_concurrent_test");
     workload::SpillConfig spill;
-    spill.dir = dir;
     spill.max_buffer_bytes = 1;  // clamped to the 64k-record floor
     spill.users_per_chunk = 64;
     workload::WorkloadConfig gen_cfg = cfg;
     gen_cfg.threads = threads;
-
     core::PipelineOptions opts;
     opts.threads = threads;
-    core::StageTimings st;
+    const auto run = [&](workload::SpillSummary& summary) {
+      core::StageTimings st;
+      const core::FullReport got = core::AnalysisPipeline(opts).RunSlices(
+          [&](const SliceVisitor& visit) {
+            summary = workload::WorkloadGenerator(gen_cfg)
+                          .GenerateToPartitions(spill, visit);
+          },
+          &st);
+      EXPECT_GT(st.scan_s, 0.0);
+      return core::FingerprintReport(got);
+    };
+
+    // No directory: nothing may be written, not even a temp file.
+    const auto scratch = SpillDir("mcloud_ooc_slices_nowrite");
     workload::SpillSummary summary;
-    const core::FullReport got =
-        core::AnalysisPipeline(opts).RunConcurrent(
-            [&](const core::AnalysisPipeline::SliceConsumer& consume) {
-              summary = workload::WorkloadGenerator(gen_cfg)
-                            .GenerateToPartitions(spill, consume);
-            },
-            &st);
+    InDirectory(scratch, [&] {
+      EXPECT_EQ(run(summary), want_fp) << "no dir, threads=" << threads;
+    });
+    EXPECT_TRUE(std::filesystem::is_empty(scratch)) << "threads=" << threads;
     EXPECT_EQ(summary.records, resident.trace.rows());
     EXPECT_GT(summary.spills, 1u) << "buffer too big to exercise slicing";
-    EXPECT_EQ(core::FingerprintReport(got), want_fp)
-        << "threads=" << threads;
-    std::filesystem::remove_all(dir);
+    EXPECT_EQ(summary.run_files, 0u);
+    std::filesystem::remove_all(scratch);
+
+    // A directory: the same bytes a plain spill writes.
+    const auto plain = SpillDir("mcloud_ooc_slices_plain");
+    spill.dir = plain;
+    const workload::SpillSummary want_summary =
+        workload::WorkloadGenerator(gen_cfg).GenerateToPartitions(spill);
+    spill.dir = SpillDir("mcloud_ooc_slices_written");
+    EXPECT_EQ(run(summary), want_fp) << "dir, threads=" << threads;
+    EXPECT_EQ(summary.spills, want_summary.spills);
+    EXPECT_EQ(summary.run_files, want_summary.run_files);
+    EXPECT_GT(summary.run_files, 0u);
+    EXPECT_EQ(DirBytes(spill.dir), DirBytes(plain)) << "threads=" << threads;
+    std::filesystem::remove_all(spill.dir);
+    std::filesystem::remove_all(plain);
   }
+}
+
+// The check a partitioned trace writer makes runs without one: slices
+// whose users do not ascend, within a slice or from one slice to the next,
+// are an error.
+TEST(OutOfCore, RunSlicesRejectsUsersThatDoNotAscend) {
+  RecordColumns rows;
+  LogRecord r;
+  r.timestamp = kTraceStart + 600;
+  r.user_id = 7;
+  rows.Append(r);
+  r.timestamp += 60;
+  rows.Append(r);
+  const std::uint64_t three[] = {3};
+  const std::uint64_t seven[] = {7};
+  const std::uint64_t seven_three[] = {7, 3};
+  const std::uint32_t zeros[] = {0, 0};
+  const std::uint32_t zero_one[] = {0, 1};
+  ThreadPool pool(2);
+  const core::AnalysisPipeline pipeline;
+  // Whether handing over the slices threw. Two rows are too few for the
+  // report tail's fits, so every run throws in the end; only a rejected
+  // slice throws while it is handed over.
+  const auto rejected = [&](const std::vector<SealedSlice>& slices) {
+    bool threw = false;
+    EXPECT_THROW((void)pipeline.RunSlices([&](const SliceVisitor& visit) {
+      try {
+        for (const SealedSlice& slice : slices) visit(slice, pool);
+      } catch (const Error&) {
+        threw = true;
+        throw;
+      }
+    }),
+                 Error);
+    return threw;
+  };
+  EXPECT_FALSE(rejected({{rows, seven, zeros}}));
+  EXPECT_TRUE(rejected({{rows, seven, zeros}, {rows, three, zeros}}));
+  EXPECT_TRUE(rejected({{rows, seven, zeros}, {rows, seven, zeros}}));
+  EXPECT_TRUE(rejected({{rows, seven_three, zero_one}}));
 }
 
 TEST(OutOfCore, ValidatorFingerprintMatchesResident) {
@@ -167,16 +263,11 @@ TEST(OutOfCore, ValidatorFingerprintMatchesResident) {
   // out-of-core run must fingerprint identically to the resident run.
   EXPECT_EQ(validate::ManifestFingerprint(ooc),
             validate::ManifestFingerprint(resident));
-
-  opt.out_of_core = false;
-  opt.concurrent = true;
-  validate::ValidationRun concurrent;
-  (void)validate::BuildValidationInputs(opt, &concurrent);
-  EXPECT_EQ(validate::ManifestFingerprint(concurrent),
-            validate::ManifestFingerprint(resident));
-  EXPECT_GT(concurrent.sketch_bytes, 0u);
-  EXPECT_EQ(concurrent.generate_s, 0.0)
-      << "generation should overlap analysis in concurrent mode";
+  EXPECT_GT(ooc.sketch_bytes, 0u);
+  // The slices are walked inside generation, and each phase counts its own
+  // seconds.
+  EXPECT_GT(ooc.generate_s, 0.0);
+  EXPECT_GT(ooc.analyze_s, 0.0);
 }
 
 TEST(OutOfCore, GenerateToPartitionsIsIdenticalAcrossThreadCounts) {

@@ -1,13 +1,17 @@
 #!/bin/sh
 # Numeric flags of mcloudctl, mcloudd and mcloudload take only a number that
-# fills its token and fits the field it is stored in. Anything else exits 2
-# before the tool prints or writes anything; an accepted value still runs.
+# fills its token and fits the field it is stored in, and each mcloudctl
+# command takes only its own flags. Anything else exits 2 before the tool
+# prints or writes anything; an accepted value or flag still runs.
 #
 #   check_strict_numbers.sh MCLOUDCTL MCLOUDD MCLOUDLOAD SCRATCH_DIR
 ctl=$1 daemon=$2 load=$3 dir=$4
 out=$dir/out
+trace=$dir/trace.v2
+specs=$(dirname "$0")/../specs
 failed=0
 rm -rf "$dir" && mkdir -p "$dir" || exit 1
+"$ctl" generate --users 50 --seed 3 "$trace" 2> /dev/null || exit 1
 
 # CMD exits 2, prints nothing on stdout and creates no $out.
 rejects() {
@@ -26,6 +30,18 @@ accepts() {
   rm -rf "$out"
 }
 
+# CMD takes its flags: it runs and creates $out, though at this scale its
+# checks may fail (exit 1).
+parses() {
+  "$@" > /dev/null 2>&1
+  status=$?
+  if [ "$status" -gt 1 ] || [ ! -e "$out" ]; then
+    echo "exit $status, want 0 or 1 and $out: $*"
+    failed=1
+  fi
+  rm -rf "$out"
+}
+
 for v in '' abc 1e3x 2x00; do
   rejects "$ctl" generate --users "$v" --seed 3 "$out"
   rejects "$ctl" generate --users 200 --threads "$v" --seed 3 "$out"
@@ -41,14 +57,53 @@ done
 rejects "$ctl" simulate --fail-rate 0.01 --shards 4294967297 --users 20
 rejects "$daemon" --port 70000 --self-check --log "$out"
 rejects "$daemon" --port 1x --self-check --log "$out"
-# validate runs one execution mode: out of core or concurrent, not both.
-rejects "$ctl" validate --out-of-core --concurrent --users 200 --json "$out"
 
-accepts "$ctl" generate --users 200 --threads 2 --seed 3 "$out"
+# A flag the command does not take, misspelt or retired, exits 2 and names
+# the flag and the command. --analyze-while-generate and --concurrent are
+# retired: grow and validate --out-of-core take the one out-of-core path.
+rejects "$ctl" generate --users 1000 --bogus 3 --thread 2 "$out"
+rejects "$ctl" generate --users 200 --thread 2 "$out"
+rejects "$ctl" analyze --users 5 "$trace"
+rejects "$ctl" sessions "$trace" --threads 2
+rejects "$ctl" grow --users 200 --analyze-while-generate --seed 3 "$out"
+rejects "$ctl" validate --users 200 --concurrent --json "$out"
+rejects "$ctl" validate --out-of-core --concurrent --users 200 --json "$out"
+"$ctl" generate --users 200 --bogus 3 "$out" 2>&1 |
+  grep -q 'generate does not take --bogus' ||
+  { echo "no message naming generate and --bogus"; failed=1; }
+
+# Every flag the README, CI, perfbench and the ctest smoke runs pass.
+accepts "$ctl" generate --users 200 --pc 10 --threads 2 --seed 3 "$out"
 accepts "$ctl" generate --users 200 --out-of-core --max-memory-mb 64 "$out"
-accepts "$ctl" grow --users 200 --max-memory-mb 64 "$out"
-accepts sh -c '"$0" simulate --fail-rate 0.01 --shards 4 --users 20 > "$1"' \
-  "$ctl" "$out"
+accepts "$ctl" generate --users 20 --spec photo-backup-heavy \
+  --specs-dir "$specs" --anonymize key "$out"
+accepts "$ctl" generate --users 20 --pc 0 --faults --fail-rate 0.01 \
+  --loss-burst 0.01 --degraded 0.01 --fault-seed 5 --hedge "$out"
+accepts "$ctl" grow --users 200 --pc 10 --seed 3 --threads 2 --tau 1800 \
+  --max-memory-mb 64 "$out"
+accepts sh -c '"$0" analyze "$1" --tau auto --threads 2 --max-memory-mb 64 \
+  > "$2"' "$ctl" "$trace" "$out"
+accepts sh -c '"$0" sessions "$1" --tau 1800 --top 5 > "$2"' \
+  "$ctl" "$trace" "$out"
+accepts "$ctl" convert "$trace" "$out"
+accepts "$ctl" anonymize "$trace" "$out" --key key
+accepts sh -c '"$0" simulate --fail-rate 0.01 --loss-burst 0.01 --hedge \
+  --degraded 0.01 --no-retry --fault-seed 5 --users 20 --pc 0 --threads 2 \
+  --shards 4 --seed 1 > "$1"' "$ctl" "$out"
+accepts sh -c '"$0" simulate --device ios --direction retrieve --file-mb 1 \
+  --seed 2 --no-ssai --pace > "$1"' "$ctl" "$out"
+accepts sh -c '"$0" specs --specs-dir "$1" > "$2"' "$ctl" "$specs" "$out"
+parses "$ctl" validate --users 200 --seed 42 --seeds 1 --threads 2 \
+  --flows 20 --shards 2 --out-of-core --max-memory-mb 64 \
+  --spill-dir "$dir/spill" --json "$out"
+parses "$ctl" validate --users 200 --spec paper2016 --specs-dir "$specs" \
+  --flows 20 --json "$out"
+parses "$ctl" conform enterprise-sync --specs-dir "$specs" --users 200 \
+  --seed 1 --threads 2 --out-of-core --max-memory-mb 64 \
+  --spill-dir "$dir/spill" --json "$out"
+parses "$ctl" matrix paper2016 --specs-dir "$specs" --grids none \
+  --connections baseline --chunks paper --users 20 --seed 1 --threads 2 \
+  --shards 2 --json "$out"
 accepts "$daemon" --port 0 --self-check --log "$out"
 accepts "$load" --users 5 --qps 2000 --spawn "$daemon" --json "$out"
 exit $failed

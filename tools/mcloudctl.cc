@@ -5,8 +5,7 @@
 //                       [--loss-burst R] [--degraded R] [--hedge]
 //                       [--out-of-core [--max-memory-mb M]] OUT
 //   mcloudctl grow      --users N [--pc N] [--seed S] [--threads N]
-//                       [--tau SECONDS] [--max-memory-mb M]
-//                       [--analyze-while-generate] OUT
+//                       [--tau SECONDS] [--max-memory-mb M] OUT
 //   mcloudctl analyze   TRACE [--tau SECONDS|auto] [--threads N]
 //                       [--max-memory-mb M]
 //   mcloudctl sessions  TRACE [--tau SECONDS] [--top N]
@@ -19,11 +18,12 @@
 //                       [--threads N] [--shards K]
 //   mcloudctl validate  [--users N] [--seed S] [--seeds K] [--threads N]
 //                       [--flows N] [--shards K] [--json FILE]
-//                       [--out-of-core | --concurrent] [--max-memory-mb M]
-//                       [--spill-dir D] [--spec NAME] [--specs-dir D]
+//                       [--out-of-core [--max-memory-mb M] [--spill-dir D]]
+//                       [--spec NAME] [--specs-dir D]
 //   mcloudctl specs     [--specs-dir D]
 //   mcloudctl conform   SPEC [--users N] [--seed S] [--threads N]
-//                       [--out-of-core [--spill-dir D]] [--json FILE]
+//                       [--out-of-core [--max-memory-mb M] [--spill-dir D]]
+//                       [--specs-dir D] [--json FILE]
 //   mcloudctl matrix    SPEC... [--grids A,B] [--connections A,B]
 //                       [--chunks A,B] [--users N] [--seed S] [--threads N]
 //                       [--shards K] [--json FILE]
@@ -51,23 +51,21 @@
 // Out-of-core mode: `generate --out-of-core OUT` writes a *partitioned
 // trace directory* (per-day sorted run files + MANIFEST, see
 // trace/partitioned_trace.h) under a bounded emission buffer, and `analyze`
-// and `validate` stream such a directory through RunStreaming — same
-// reports/fingerprints as the resident paths, at any --max-memory-mb.
+// streams such a directory through RunStreaming — same reports as the
+// resident paths, at any --max-memory-mb.
 //
-// Online mode: `grow OUT` generates a partitioned trace *and* produces the
-// findings report in one command — two-phase by default (spill, then
-// RunStreaming), or fully overlapped with --analyze-while-generate (each
-// sealed spill slice is analyzed while the next one is generated; see
-// AnalysisPipeline::RunConcurrent). `validate --concurrent` validates
-// through the overlapped pipeline and fingerprints identically to the
-// resident run.
+// `grow OUT`, `validate --out-of-core` and `conform --out-of-core` walk each
+// spill slice on the generator's pool as it seals (RunSlices) and read
+// nothing back; grow writes the slices into OUT, validate and conform only
+// into a given --spill-dir. Each command takes only its own flags
+// (kCommands); any other flag exits 2 before any output.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/availability.h"
@@ -104,26 +102,43 @@ mcloud::fault::FaultConfig FaultsFrom(const Args& args) {
   return f;
 }
 
-Args Parse(int argc, char** argv, int first) {
-  // Flags that never take a value, so a following positional (e.g. the
-  // output path after `--faults`) is not swallowed as their argument.
-  static const std::set<std::string> kBooleanFlags = {
-      "no-ssai", "pace",      "faults",    "hedge",
-      "no-retry", "out-of-core", "analyze-while-generate", "concurrent"};
+/// Whether `key` is one of the space-separated names in `list`.
+bool Lists(std::string_view list, const std::string& key) {
+  return (" " + std::string(list) + " ").find(" " + key + " ") !=
+         std::string::npos;
+}
+
+/// One command: what runs it, and the flags it takes.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::string_view flags;     ///< space-separated; each takes a value
+  std::string_view switches;  ///< space-separated; each takes no value
+};
+
+/// The arguments after the command. A value flag takes the next token
+/// unless that starts with '-'; a switch takes none, so a positional after
+/// it (the output path after `--faults`) stays positional. A flag the
+/// command does not take prints a message naming both and exits 2.
+Args Parse(int argc, char** argv, const Command& cmd) {
   Args args;
   args.tool = "mcloudctl";
-  for (int i = first; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     const std::string_view a = argv[i];
-    if (a.rfind("--", 0) == 0) {
-      const std::string key(a.substr(2));
-      // Boolean flags take no value; value flags consume the next token.
-      if (!kBooleanFlags.count(key) && i + 1 < argc && argv[i + 1][0] != '-') {
-        args.flags[key] = argv[++i];
-      } else {
-        args.flags[key] = "";
-      }
-    } else {
+    if (a.rfind("--", 0) != 0) {
       args.positional.emplace_back(a);
+      continue;
+    }
+    const std::string key(a.substr(2));
+    if (Lists(cmd.switches, key)) {
+      args.flags[key] = "";
+    } else if (Lists(cmd.flags, key)) {
+      args.flags[key] = i + 1 < argc && argv[i + 1][0] != '-' ? argv[++i] : "";
+    } else {
+      std::fprintf(stderr, "mcloudctl: %.*s does not take --%s\n",
+                   static_cast<int>(cmd.name.size()), cmd.name.data(),
+                   key.c_str());
+      std::exit(2);
     }
   }
   return args;
@@ -152,8 +167,7 @@ int Usage() {
       "            [--loss-burst R] [--degraded R] [--hedge]\n"
       "            [--out-of-core [--max-memory-mb M]] OUT\n"
       "  grow      --users N [--pc N] [--seed S] [--threads N]\n"
-      "            [--tau SECONDS] [--max-memory-mb M]\n"
-      "            [--analyze-while-generate] OUT\n"
+      "            [--tau SECONDS] [--max-memory-mb M] OUT\n"
       "  analyze   TRACE [--tau SECONDS|auto] [--threads N]\n"
       "            [--max-memory-mb M]\n"
       "  sessions  TRACE [--tau SECONDS] [--top N]\n"
@@ -166,11 +180,11 @@ int Usage() {
       "            [--shards K]\n"
       "  validate  [--users N] [--seed S] [--seeds K] [--threads N]\n"
       "            [--flows N] [--shards K] [--json FILE]\n"
-      "            [--out-of-core | --concurrent] [--max-memory-mb M]\n"
-      "            [--spill-dir D] [--spec NAME] [--specs-dir D]\n"
+      "            [--out-of-core [--max-memory-mb M] [--spill-dir D]]\n"
+      "            [--spec NAME] [--specs-dir D]\n"
       "  specs     [--specs-dir D]\n"
       "  conform   SPEC [--users N] [--seed S] [--threads N]\n"
-      "            [--out-of-core [--spill-dir D] [--max-memory-mb M]]\n"
+      "            [--out-of-core [--max-memory-mb M] [--spill-dir D]]\n"
       "            [--specs-dir D] [--json FILE]\n"
       "  matrix    SPEC... [--grids A,B] [--connections A,B] [--chunks A,B]\n"
       "            [--users N] [--seed S] [--threads N] [--shards K]\n"
@@ -187,13 +201,13 @@ int Usage() {
       "row-wise v1 format. With --out-of-core, generate's OUT (and\n"
       "analyze's TRACE) is a partitioned trace *directory*;\n"
       "--max-memory-mb bounds the resident footprint. Only analyze reads\n"
-      "a directory. grow writes a partitioned directory AND\n"
-      "prints the findings report — two disk phases by default, one\n"
-      "overlapped walk with --analyze-while-generate. analyze and grow\n"
-      "print the stage timings with the sketch footprint; validate\n"
-      "--concurrent validates through the overlapped pipeline. --threads 0\n"
-      "(the default) uses all hardware threads; output is identical for every\n"
-      "thread count, memory budget, and execution strategy.\n",
+      "a directory. grow writes a partitioned directory AND prints the\n"
+      "findings report, walking each spill slice as it seals; validate and\n"
+      "conform --out-of-core walk the same way and write the slices only\n"
+      "into --spill-dir. analyze and grow print the stage timings with the\n"
+      "sketch footprint. --threads 0 (the default) uses all hardware\n"
+      "threads; output is identical for every thread count, memory budget,\n"
+      "and execution strategy. A flag the command does not take exits 2.\n",
       stderr);
   return 2;
 }
@@ -393,11 +407,11 @@ int CmdAnalyze(const Args& args) {
   return 0;
 }
 
-/// Generate a partitioned trace directory AND produce its findings report.
-/// Two-phase by default (spill everything, then RunStreaming); with
-/// --analyze-while-generate each sealed spill slice feeds the
-/// concurrent pipeline while the next slice is generated, so the report is
-/// ready moments after the last record is written.
+/// Generate a partitioned trace directory AND produce its findings report:
+/// each sealed spill slice is written, then walked on the generator's pool,
+/// so the report is ready when the last slice is written, and nothing is
+/// read back. The two timings lines count each second once: the walks are
+/// in `timings`, not in `gen timings`.
 int CmdGrow(const Args& args) {
   if (args.positional.size() != 1) return Usage();
   core::PipelineOptions popts;
@@ -410,51 +424,35 @@ int CmdGrow(const Args& args) {
   cfg.seed = args.GetU64("seed", 42);
   cfg.threads = args.GetU64<int>("threads", 0);
 
-  const bool overlapped = args.Has("analyze-while-generate");
-  const std::size_t budget_mb = std::max<std::size_t>(
-      args.GetU64<std::size_t>("max-memory-mb", 2048, kMaxMiB), 64);
   workload::SpillConfig spill;
   spill.dir = args.positional[0];
-  spill.max_buffer_bytes = workload::SpillBufferBytes(budget_mb, overlapped);
+  spill.max_buffer_bytes = workload::SpillBufferBytes(
+      args.GetU64<std::size_t>("max-memory-mb", 2048, kMaxMiB));
   std::filesystem::create_directories(spill.dir);
 
   popts.threads = cfg.threads;
-  popts.max_memory_mb = budget_mb;
-  const core::AnalysisPipeline pipeline(popts);
   const workload::WorkloadGenerator generator(cfg);
 
-  std::fprintf(stderr,
-               "growing %s: %zu mobile users, %zu PC-only, seed %llu (%s)\n",
+  std::fprintf(stderr, "growing %s: %zu mobile users, %zu PC-only, seed %llu\n",
                args.positional[0].c_str(), cfg.population.mobile_users,
                cfg.population.pc_only_users,
-               static_cast<unsigned long long>(cfg.seed),
-               overlapped ? "analyze-while-generate" : "two-phase");
+               static_cast<unsigned long long>(cfg.seed));
 
-  core::FullReport report;
   core::StageTimings st;
   workload::SpillSummary sum;
   workload::GenTimings gt;
-  double read_s = 0;  // the overlapped walk reads nothing back
-  if (overlapped) {
-    report = pipeline.RunConcurrent(
-        [&](const core::AnalysisPipeline::SliceConsumer& consume) {
-          sum = generator.GenerateToPartitions(spill, consume, &gt);
-        },
-        &st);
-  } else {
-    sum = generator.GenerateToPartitions(spill, &gt);
-    const auto r0 = std::chrono::steady_clock::now();
-    const PartitionedTrace trace = PartitionedTrace::Open(spill.dir);
-    read_s = SecondsSince(r0);
-    report = pipeline.RunStreaming(trace, &st);
-  }
+  const core::FullReport report = core::AnalysisPipeline(popts).RunSlices(
+      [&](const SliceVisitor& visit) {
+        sum = generator.GenerateToPartitions(spill, visit, &gt);
+      },
+      &st);
   std::fprintf(stderr,
                "wrote %llu records to %s (%zu spills, %zu run files)\n",
                static_cast<unsigned long long>(sum.records),
                args.positional[0].c_str(), sum.spills, sum.run_files);
   std::fputs(core::RenderFindings(report).c_str(), stdout);
   PrintGenTimings(gt);
-  PrintStageTimings(st, report, read_s);
+  PrintStageTimings(st, report, 0);
   return 0;
 }
 
@@ -637,16 +635,7 @@ int CmdConform(const Args& args) {
   opts.spill_dir = args.Get("spill-dir");
   opts.max_memory_mb =
       args.GetU64<std::size_t>("max-memory-mb", opts.max_memory_mb, kMaxMiB);
-  std::filesystem::path owned_spill;
-  if (opts.out_of_core && opts.spill_dir.empty()) {
-    owned_spill = std::filesystem::temp_directory_path() /
-                  ("mcloud-conform-" + spec.name + "-" +
-                   std::to_string(opts.seed));
-    std::filesystem::remove_all(owned_spill);
-    opts.spill_dir = owned_spill.string();
-  }
   const scenario::ConformanceRun run = scenario::RunConformance(spec, opts);
-  if (!owned_spill.empty()) std::filesystem::remove_all(owned_spill);
   std::fputs(scenario::RenderText(run).c_str(), stdout);
   WriteJsonFile(args.Get("json"), scenario::ToJson(run));
   return run.AllPassed() ? 0 : 1;
@@ -698,12 +687,6 @@ int CmdValidate(const Args& args) {
   opts.fleet_flows = args.GetU64("flows", opts.fleet_flows);
   opts.fleet_shards = args.GetU64<std::uint32_t>("shards", opts.fleet_shards);
   opts.out_of_core = args.Has("out-of-core");
-  opts.concurrent = args.Has("concurrent");
-  if (opts.out_of_core && opts.concurrent) {
-    std::fprintf(stderr, "mcloudctl: validate takes --out-of-core or "
-                         "--concurrent, not both\n");
-    return 2;
-  }
   opts.max_memory_mb =
       args.GetU64<std::size_t>("max-memory-mb", opts.max_memory_mb, kMaxMiB);
   opts.spill_dir = args.Get("spill-dir");
@@ -733,31 +716,51 @@ int CmdValidate(const Args& args) {
   return sweep.run_pass_rate >= 0.95 ? 0 : 1;
 }
 
+/// Every command, the flags it takes and which of them take no value.
+constexpr Command kCommands[] = {
+    {"generate", CmdGenerate,
+     "users pc seed threads spec specs-dir anonymize fail-rate loss-burst "
+     "degraded fault-seed max-memory-mb",
+     "faults hedge out-of-core"},
+    {"grow", CmdGrow, "users pc seed threads tau max-memory-mb", ""},
+    {"analyze", CmdAnalyze, "tau threads max-memory-mb", ""},
+    {"sessions", CmdSessions, "tau top", ""},
+    {"convert", CmdConvert, "", ""},
+    {"anonymize", CmdAnonymize, "key", ""},
+    {"simulate", CmdSimulate,
+     "device direction file-mb seed fail-rate loss-burst degraded fault-seed "
+     "users pc threads shards",
+     "no-ssai pace hedge no-retry"},
+    {"specs", CmdSpecs, "specs-dir", ""},
+    {"conform", CmdConform,
+     "users seed threads max-memory-mb spill-dir specs-dir json",
+     "out-of-core"},
+    {"matrix", CmdMatrix,
+     "grids connections chunks users seed threads shards specs-dir json", ""},
+    {"validate", CmdValidate,
+     "users seed seeds threads flows shards json max-memory-mb spill-dir "
+     "spec specs-dir",
+     "out-of-core"},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string_view cmd = argv[1];
-  const Args args = Parse(argc, argv, 2);
-  try {
-    if (cmd == "generate") return CmdGenerate(args);
-    if (cmd == "grow") return CmdGrow(args);
-    if (cmd == "analyze") return CmdAnalyze(args);
-    if (cmd == "sessions") return CmdSessions(args);
-    if (cmd == "convert") return CmdConvert(args);
-    if (cmd == "anonymize") return CmdAnonymize(args);
-    if (cmd == "simulate") return CmdSimulate(args);
-    if (cmd == "specs") return CmdSpecs(args);
-    if (cmd == "conform") return CmdConform(args);
-    if (cmd == "matrix") return CmdMatrix(args);
-    if (cmd == "validate") return CmdValidate(args);
-    if (cmd == "help" || cmd == "--help") {
-      Usage();
-      return 0;
+  const std::string_view name = argv[1];
+  if (name == "help" || name == "--help") {
+    Usage();
+    return 0;
+  }
+  for (const Command& cmd : kCommands) {
+    if (cmd.name != name) continue;
+    const Args args = Parse(argc, argv, cmd);
+    try {
+      return cmd.run(args);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "mcloudctl: %s\n", e.what());
+      return 1;
     }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mcloudctl: %s\n", e.what());
-    return 1;
   }
   return Usage();
 }
