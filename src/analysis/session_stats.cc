@@ -74,16 +74,6 @@ std::vector<SessionSizeBin> SessionSizeByOpCount(
   return out;
 }
 
-std::vector<double> OpCountSample(std::span<const Session> sessions,
-                                  Session::Type type) {
-  std::vector<double> out;
-  for (const Session& s : sessions) {
-    if (s.SessionType() == type && s.FileOps() > 0)
-      out.push_back(static_cast<double>(s.FileOps()));
-  }
-  return out;
-}
-
 std::vector<double> AvgFileSizeSample(std::span<const Session> sessions,
                                       Session::Type type) {
   std::vector<double> out;

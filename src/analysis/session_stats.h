@@ -38,17 +38,16 @@ struct SessionSizeBin {
   double median_mb = 0;
   double p25_mb = 0;
   double p75_mb = 0;
+
+  bool operator==(const SessionSizeBin&) const = default;
 };
 
 /// Volume-vs-op-count bins for sessions of one type, up to `max_ops` file
-/// operations (the paper plots 1..100).
+/// operations (the paper plots 1..100); their session counts are also
+/// Fig 5a's CDF.
 [[nodiscard]] std::vector<SessionSizeBin> SessionSizeByOpCount(
     std::span<const Session> sessions, Session::Type type,
     std::size_t max_ops = 100);
-
-/// File-operation counts of sessions of one type (Fig 5a's CDF sample).
-[[nodiscard]] std::vector<double> OpCountSample(
-    std::span<const Session> sessions, Session::Type type);
 
 /// Per-session average file size (MB) for sessions of one type — the sample
 /// that Table 2's mixture-exponential models describe. Sessions with zero

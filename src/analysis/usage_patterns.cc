@@ -112,6 +112,37 @@ std::vector<double> RatioSampleByDevices(std::span<const UserUsage> usage,
   return out;
 }
 
+void RatioCdf::Add(double log10_ratio) {
+  ++users;
+  for (int k = kLo; k <= kHi; ++k)
+    if (log10_ratio <= k) ++at_or_below[static_cast<std::size_t>(k - kLo)];
+}
+
+double RatioCdf::Cdf(int k) const {
+  return users == 0 ? 0.0
+                    : static_cast<double>(
+                          at_or_below[static_cast<std::size_t>(k - kLo)]) /
+                          static_cast<double>(users);
+}
+
+std::array<RatioCdf, kRatioGroups> RatioCdfs(
+    std::span<const UserUsage> usage) {
+  const auto at = [](RatioGroup g) { return static_cast<std::size_t>(g); };
+  std::array<RatioCdf, kRatioGroups> out;
+  for (const UserUsage& u : usage) {
+    if (u.store_volume == 0 && u.retrieve_volume == 0) continue;
+    const double r = std::log10(u.VolumeRatio());
+    if (u.MobileAndPc()) out[at(RatioGroup::kMobileAndPc)].Add(r);
+    if (u.PcOnly()) out[at(RatioGroup::kPcOnly)].Add(r);
+    if (!u.MobileOnly()) continue;
+    out[at(RatioGroup::kMobileOnly)].Add(r);
+    if (u.mobile_devices >= 1) out[at(RatioGroup::kOneDevicePlus)].Add(r);
+    if (u.mobile_devices >= 2) out[at(RatioGroup::kTwoDevicesPlus)].Add(r);
+    if (u.mobile_devices >= 3) out[at(RatioGroup::kThreeDevicesPlus)].Add(r);
+  }
+  return out;
+}
+
 UserTypeColumn BuildUserTypeColumn(std::span<const UserUsage> usage,
                                    DeviceProfile profile) {
   UserTypeColumn col;

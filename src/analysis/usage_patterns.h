@@ -3,6 +3,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -52,6 +53,38 @@ enum class DeviceProfile { kMobileOnly, kMobileAndPc, kPcOnly };
 /// devices (Fig 7b series).
 [[nodiscard]] std::vector<double> RatioSampleByDevices(
     std::span<const UserUsage> usage, std::size_t min_devices);
+
+/// One Fig 7 series in O(1) state: how many of a group's log10 volume
+/// ratios lie at or below each integer k = -10..10 (the paper's x axis; the
+/// saturated ratios sit at exactly -10 and 10).
+struct RatioCdf {
+  static constexpr int kLo = -10;
+  static constexpr int kHi = 10;
+  std::uint64_t users = 0;  ///< the group's sample size
+  std::array<std::uint64_t, kHi - kLo + 1> at_or_below{};
+
+  void Add(double log10_ratio);
+  /// P(log10 ratio <= k), 0 for an empty group.
+  [[nodiscard]] double Cdf(int k) const;
+  bool operator==(const RatioCdf&) const = default;
+};
+
+/// The six Fig 7 series, in RatioCdfs' order: (a) mobile & PC, mobile
+/// only, PC only; (b) mobile-only users with 1+, >1 and >2 devices.
+enum class RatioGroup {
+  kMobileAndPc,
+  kMobileOnly,
+  kPcOnly,
+  kOneDevicePlus,
+  kTwoDevicesPlus,
+  kThreeDevicesPlus,
+};
+inline constexpr std::size_t kRatioGroups = 6;
+
+/// RatioSample and RatioSampleByDevices of every group, counted in one pass
+/// without materializing the samples.
+[[nodiscard]] std::array<RatioCdf, kRatioGroups> RatioCdfs(
+    std::span<const UserUsage> usage);
 
 /// One column of Table 3.
 struct UserTypeColumn {

@@ -35,6 +35,7 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
                      FullReport& report, double& per_user_s, double& fits_s) {
   double t_columns = 0;
   double t_stats = 0;
+  double t_sizes = 0;
   double t_store_fit = 0;
   double t_retrieve_fit = 0;
   double t_engagement = 0;
@@ -50,6 +51,7 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
                 usage, analysis::DeviceProfile::kMobileAndPc);
             report.pc_only_column = analysis::BuildUserTypeColumn(
                 usage, analysis::DeviceProfile::kPcOnly);
+            report.ratio_cdfs = analysis::RatioCdfs(usage);
             // Fig 7a counters: RatioSample's membership tests, without
             // materializing the sample (usage is canonical, so the counts
             // are source- and thread-count-independent).
@@ -73,6 +75,14 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
               if (s.FileOps() > 20) ++report.sketches.over20_op_sessions;
             }
             t_stats = Since(t0);
+          },
+          [&] {
+            const auto t0 = Clock::now();
+            report.store_session_sizes = analysis::SessionSizeByOpCount(
+                mobile_sessions, analysis::Session::Type::kStoreOnly);
+            report.retrieve_session_sizes = analysis::SessionSizeByOpCount(
+                mobile_sessions, analysis::Session::Type::kRetrieveOnly);
+            t_sizes = Since(t0);
           },
           [&] {
             const auto t0 = Clock::now();
@@ -131,7 +141,7 @@ void RunSharedStages(ThreadPool& pool, const PipelineOptions& options,
       sk.store_avg_mb, sk.store_avg_mb_digest, {}, &pool);
   report.retrieve_size_model = analysis::FitFileSizeModel(
       sk.retrieve_avg_mb, sk.retrieve_avg_mb_digest, {}, &pool);
-  per_user_s += t_columns + t_stats + t_engagement;
+  per_user_s += t_columns + t_stats + t_sizes + t_engagement;
   fits_s += t_store_fit + t_retrieve_fit + t_activity + Since(t0);
 }
 

@@ -184,6 +184,19 @@ void HashUserTypeColumn(Fnv& f, const analysis::UserTypeColumn& c) {
   for (const double v : c.retrieve_share) f.D(v);
 }
 
+void HashSessionSizes(Fnv& f,
+                      const std::vector<analysis::SessionSizeBin>& bins) {
+  f.Size(bins.size());
+  for (const analysis::SessionSizeBin& b : bins) {
+    f.Size(b.file_ops);
+    f.Size(b.sessions);
+    f.D(b.avg_mb);
+    f.D(b.median_mb);
+    f.D(b.p25_mb);
+    f.D(b.p75_mb);
+  }
+}
+
 void HashActivity(Fnv& f, const analysis::ActivityModelResult& a) {
   f.D(a.se.c);
   f.D(a.se.a);
@@ -308,6 +321,13 @@ std::uint64_t FingerprintReport(const FullReport& r) {
   f.U64(r.sketches.over20_op_sessions);
   f.U64(r.sketches.ratio_middle_users);
   f.U64(r.sketches.ratio_sample_users);
+
+  HashSessionSizes(f, r.store_session_sizes);
+  HashSessionSizes(f, r.retrieve_session_sizes);
+  for (const analysis::RatioCdf& c : r.ratio_cdfs) {
+    f.U64(c.users);
+    for (const std::uint64_t n : c.at_or_below) f.U64(n);
+  }
   return f.hash();
 }
 

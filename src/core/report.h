@@ -3,6 +3,7 @@
 // summary of findings and implications.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -65,6 +66,10 @@ struct FullReport {
       Histogram(0.0, 6.0, 60), {}, 0, 0, 0, 0};
   analysis::SessionTypeSplit session_split;
   std::vector<analysis::BurstinessGroup> burstiness;
+  /// Fig 5: mobile store-only / retrieve-only sessions binned by file
+  /// operation count (SessionSizeByOpCount, at most 100 bins each).
+  std::vector<analysis::SessionSizeBin> store_session_sizes;
+  std::vector<analysis::SessionSizeBin> retrieve_session_sizes;
   analysis::FileSizeModel store_size_model;
   analysis::FileSizeModel retrieve_size_model;
 
@@ -72,6 +77,8 @@ struct FullReport {
   analysis::UserTypeColumn mobile_only_column;
   analysis::UserTypeColumn mobile_pc_column;
   analysis::UserTypeColumn pc_only_column;
+  /// Fig 7: the six volume-ratio CDFs, in RatioGroup order.
+  std::array<analysis::RatioCdf, analysis::kRatioGroups> ratio_cdfs;
   std::vector<analysis::EngagementCurve> engagement;
   std::vector<analysis::RetrievalReturnCurve> retrieval_returns;
   analysis::ActivityModelResult store_activity;

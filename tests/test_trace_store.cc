@@ -15,10 +15,12 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/session_stats.h"
 #include "analysis/sessionizer.h"
 #include "analysis/stream_engine.h"
 #include "analysis/usage_patterns.h"
 #include "analysis/workload_timeseries.h"
+#include "core/pipeline.h"
 #include "trace/filters.h"
 #include "trace/log_io.h"
 #include "trace/log_record.h"
@@ -565,6 +567,55 @@ TEST(StreamingPasses, MatchReferenceStagesOnGeneratedTrace) {
   const auto w = workload::WorkloadGenerator(cfg).Generate();
   ASSERT_FALSE(w.trace.empty());
   ExpectPassesMatchReference(w.trace);
+}
+
+// The report's Fig 5 bins and Fig 7 CDFs against the plain functions on
+// the AoS trace: SessionSizeByOpCount over Sessionize(MobileOnly(trace)),
+// and each group's RatioSample over BuildUserUsage(trace), counted.
+TEST(StreamingPasses, ReportSessionSizesAndRatioCdfsMatchReference) {
+  workload::WorkloadConfig cfg;
+  cfg.population.mobile_users = 400;
+  cfg.population.pc_only_users = 120;
+  cfg.seed = 11;
+  const auto w = workload::WorkloadGenerator(cfg).Generate();
+  const core::FullReport report = core::AnalysisPipeline().Run(w.trace);
+
+  using Type = analysis::Session::Type;
+  const auto sessions =
+      analysis::Sessionizer().Sessionize(MobileOnly(w.trace));
+  const auto store = analysis::SessionSizeByOpCount(sessions, Type::kStoreOnly);
+  ASSERT_FALSE(store.empty());
+  EXPECT_EQ(report.store_session_sizes, store);
+  EXPECT_EQ(report.retrieve_session_sizes,
+            analysis::SessionSizeByOpCount(sessions, Type::kRetrieveOnly));
+
+  using analysis::DeviceProfile;
+  using analysis::RatioGroup;
+  const auto usage = analysis::BuildUserUsage(w.trace);
+  const auto counted = [](const std::vector<double>& log_ratios) {
+    analysis::RatioCdf cdf;
+    for (const double r : log_ratios) cdf.Add(r);
+    return cdf;
+  };
+  const auto at = [&](RatioGroup g) {
+    return report.ratio_cdfs[static_cast<std::size_t>(g)];
+  };
+  EXPECT_EQ(at(RatioGroup::kMobileAndPc),
+            counted(analysis::RatioSample(usage, DeviceProfile::kMobileAndPc)));
+  EXPECT_EQ(at(RatioGroup::kMobileOnly),
+            counted(analysis::RatioSample(usage, DeviceProfile::kMobileOnly)));
+  EXPECT_EQ(at(RatioGroup::kPcOnly),
+            counted(analysis::RatioSample(usage, DeviceProfile::kPcOnly)));
+  for (const auto& [group, devices] :
+       {std::pair{RatioGroup::kOneDevicePlus, 1},
+        std::pair{RatioGroup::kTwoDevicesPlus, 2},
+        std::pair{RatioGroup::kThreeDevicesPlus, 3}}) {
+    EXPECT_EQ(at(group), counted(analysis::RatioSampleByDevices(
+                             usage, static_cast<std::size_t>(devices))))
+        << devices << " devices";
+  }
+  EXPECT_GT(at(RatioGroup::kMobileOnly).users, 0u);
+  EXPECT_GT(at(RatioGroup::kPcOnly).users, 0u);
 }
 
 TEST(StreamingPasses, UserRangesSplitTheUnrestrictedResult) {
