@@ -44,8 +44,8 @@ constexpr std::size_t kSpills = 12;
 constexpr std::size_t kRunFiles = 96;
 constexpr std::uint64_t kSpillBytes = 0xc9affc8183d6433dULL;
 // FingerprintReport at τ = 3600 s and at the Fig 3 valley τ (τ = auto).
-constexpr std::uint64_t kReportFixedTau = 0x554fad1b9ebfb5e9ULL;
-constexpr std::uint64_t kReportValleyTau = 0xde48c77813d0c3dcULL;
+constexpr std::uint64_t kReportFixedTau = 0xedea12f482750445ULL;
+constexpr std::uint64_t kReportValleyTau = 0xc603a15870839f52ULL;
 // `mcloudctl validate --users 4000 --seed 42`: manifest and fleet result.
 constexpr std::uint64_t kManifest = 0xdf5f260bcc123623ULL;
 constexpr std::uint64_t kFleet = 0x40cb9a0803d52fd4ULL;
