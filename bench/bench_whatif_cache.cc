@@ -6,16 +6,30 @@
 #include "bench_util.h"
 
 #include "cloud/cache.h"
+#include "cloud/fleet.h"
+#include "validate/validator.h"
 
 int main(int argc, char** argv) {
   using namespace mcloud;
   bench::Header("§3.1.4 what-if", "front-end LRU cache for retrievals");
 
-  // A retrieval-heavy service day: many download sessions, shared-content
-  // heavy (the paper's 28% ~150 MB objects are URL-shared videos).
-  cloud::ServiceConfig service_cfg;
-  service_cfg.shared_content_prob = 0.6;
-  const auto result = bench::Section4Result(argc, argv, service_cfg);
+  // The §4 fleet of `mcloudctl validate` (FleetPlans; positional args:
+  // flows, seed), with shared-content-heavy retrievals: the paper's 28%
+  // ~150 MB objects are URL-shared videos.
+  validate::ValidateOptions opts;
+  const char* flows = bench::Positional(argc, argv, 1);
+  const char* seed = bench::Positional(argc, argv, 2);
+  if (flows) opts.fleet_flows = std::strtoul(flows, nullptr, 10);
+  if (seed) opts.seed = std::strtoull(seed, nullptr, 10);
+  std::printf("# the validate fleet: %zu flows, seed %llu\n",
+              opts.fleet_flows, static_cast<unsigned long long>(opts.seed));
+  cloud::FleetConfig fleet;
+  fleet.service.seed = opts.seed;
+  fleet.service.shared_content_prob = 0.6;
+  fleet.shards = opts.fleet_shards;
+  fleet.threads = bench::ParseThreads(argc, argv);
+  const auto result =
+      cloud::ExecuteFleet(fleet, validate::FleetPlans(opts)).result;
 
   Bytes total = 0;
   Bytes shared = 0;

@@ -7,8 +7,10 @@
 #include "bench_util.h"
 
 #include <map>
+#include <vector>
 
 #include "trace/filters.h"
+#include "util/summary.h"
 
 int main(int argc, char** argv) {
   using namespace mcloud;

@@ -4,7 +4,7 @@
 // chi-square validation.
 #pragma once
 
-#include <span>
+#include <vector>
 
 #include "stats/chi_square.h"
 #include "stats/em_exponential.h"
@@ -31,20 +31,7 @@ struct FileSizeModelOptions {
   double weight_floor = 2e-3;
   std::size_t chi_square_bins = 40;
   std::size_t grid_points = 48;
-  /// Samples at or above this count are collapsed into `fit_bins` log-spaced
-  /// (mean, count) pairs before EM, making every iteration O(bins) instead
-  /// of O(n). Chi-square and the CCDF series always use the full sample.
-  /// Set to 0 to disable binned fitting.
-  std::size_t binned_fit_threshold = 8192;
-  std::size_t fit_bins = 2048;
 };
-
-/// Fit the full Fig 6 pipeline to per-session average file sizes (MB).
-/// The EM candidates run on `pool` (see SelectMixtureExponential); the
-/// model is the same for every pool.
-[[nodiscard]] FileSizeModel FitFileSizeModel(
-    std::span<const double> avg_sizes_mb,
-    const FileSizeModelOptions& options = {}, ThreadPool* pool = nullptr);
 
 /// Fixed geometry of the size sketch: 96 log10 bins per decade over
 /// [1e-4 MB, 1e5 MB); out-of-range sizes clamp into the edge bins, whose
@@ -56,12 +43,14 @@ struct FileSizeModelOptions {
   return LogBins(-4.0, 5.0, 9 * 96);
 }
 
-/// Sketch-backed variant of the Fig 6 pipeline: the weighted EM consumes the
-/// sketch's exact per-bin (mean, count) moments, goodness-of-fit becomes a
-/// grouped chi-square over the same bins (each bin's count assigned to the
-/// model-quantile interval containing its mean), and the empirical CCDF
-/// series is read off the t-digest. Memory and fit time are O(bins), not
-/// O(sessions).
+/// Fit the Fig 6 pipeline to per-session average file sizes (MB), held in
+/// a size sketch and a t-digest of the same sample: the weighted EM
+/// consumes the sketch's exact per-bin (mean, count) moments, goodness of
+/// fit is a grouped chi-square over the same bins (each bin's count
+/// assigned to the model-quantile interval containing its mean), and the
+/// empirical CCDF series is read off the t-digest. Memory and fit time are
+/// O(bins), not O(sessions). The EM candidates run on `pool` (see
+/// SelectMixtureExponential); the model is the same for every pool.
 [[nodiscard]] FileSizeModel FitFileSizeModel(
     const LogBins& sketch, const TDigest& digest,
     const FileSizeModelOptions& options = {}, ThreadPool* pool = nullptr);

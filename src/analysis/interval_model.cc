@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "util/rng.h"
 #include "util/error.h"
 
 namespace mcloud::analysis {
@@ -25,47 +24,6 @@ double MixtureCrossover(const GaussianMixture& mixture) {
     }
   }
   return 0.5 * (a + b);
-}
-
-IntervalModel FitIntervalModel(std::span<const double> intervals_seconds,
-                               const IntervalModelOptions& options) {
-  MCLOUD_REQUIRE(!intervals_seconds.empty(), "no intervals to model");
-
-  // Log timestamps are quantized to one second (Table 1); de-quantize with
-  // uniform jitter before taking logs, or the point mass at exactly 1 s
-  // collapses an EM component into a zero-variance singularity.
-  Rng rng(0x1f1f1f);
-  std::vector<double> log_intervals;
-  log_intervals.reserve(intervals_seconds.size());
-  for (double s : intervals_seconds) {
-    if (s <= 0) continue;
-    const double dequantized =
-        s >= 1.0 ? std::max(0.5, s + rng.Uniform(-0.5, 0.5)) : s;
-    log_intervals.push_back(std::log10(dequantized));
-  }
-  if (log_intervals.size() < 10)
-    throw FitError("too few positive intervals for the Fig 3 pipeline");
-
-  IntervalModel model{
-      Histogram(options.log10_min, options.log10_max,
-                options.histogram_bins),
-      {}, 0, 0, 0, 0};
-  for (double x : log_intervals) model.log10_histogram.Add(x);
-
-  // Valley → τ.
-  const std::size_t valley = model.log10_histogram.DeepestValley();
-  if (valley < model.log10_histogram.bins()) {
-    model.valley_tau =
-        std::pow(10.0, model.log10_histogram.BinCenter(valley));
-  }
-
-  // Two-component GMM over log10 intervals.
-  model.gmm = FitGaussianMixture(log_intervals, 2);
-  const auto& comps = model.gmm.mixture.components();
-  model.intra_mean_seconds = std::pow(10.0, comps[0].mean);
-  model.inter_mean_seconds = std::pow(10.0, comps[1].mean);
-  model.gmm_tau = std::pow(10.0, MixtureCrossover(model.gmm.mixture));
-  return model;
 }
 
 IntervalModel FitIntervalModel(const LogBins& sketch,

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <vector>
 
 #include "stats/em_gaussian.h"
@@ -35,15 +34,9 @@ struct IntervalModelOptions {
   double log10_max = 6.0;   ///< ~11.6 days
 };
 
-/// Fit the full Fig 3 pipeline on raw inter-op intervals (seconds).
-[[nodiscard]] IntervalModel FitIntervalModel(
-    std::span<const double> intervals_seconds,
-    const IntervalModelOptions& options = {});
-
 // --- Streaming interval sketch ---------------------------------------------
 //
-// The online engine replaces the retained interval vector with a LogBins
-// sketch. Log timestamps are quantized to one second (Table 1), so intervals
+// The engine keeps the intervals in a LogBins sketch, not a vector. Log timestamps are quantized to one second (Table 1), so intervals
 // are de-quantized with uniform jitter before binning — without it, log bins
 // that contain no integer stay empty and fake histogram valleys appear. The
 // jitter is a *stateless hash* of (user_id, timestamp): every engine and
@@ -93,9 +86,8 @@ inline void AddIntervalToSketch(LogBins& sketch, std::uint64_t user_id,
 
 /// Fit the Fig 3 pipeline from the interval sketch: the coarse histogram is
 /// reconstructed exactly from fine-bin counts (fine centers below
-/// `log10_min` land in underflow, matching the raw path's treatment of
-/// sub-second jittered values) and the GMM is fit to the weighted
-/// (fine-bin log10 center, count) pairs.
+/// `log10_min`, the sub-second jittered gaps, land in underflow) and the
+/// GMM is fit to the weighted (fine-bin log10 center, count) pairs.
 [[nodiscard]] IntervalModel FitIntervalModel(
     const LogBins& sketch, const IntervalModelOptions& options = {});
 

@@ -1,6 +1,7 @@
 // Every number the paper reports, in one place, with section/figure
 // citations. The workload generator is calibrated from these constants and
-// the benches print them as the "paper" column next to measured values.
+// the paper report (`mcloudctl validate`) prints them as the "paper" column
+// next to measured values.
 //
 // Where the paper publishes a fitted model (Table 2 mixtures, Fig 10 SE
 // models, Fig 3 GMM component means), builder functions return the
@@ -59,6 +60,7 @@ inline constexpr double kMixedSessionShare = 0.019;
 /// sessions with >20 ops issue everything within 3% of the session length.
 inline constexpr double kBurstyOperatingTimeQuantile = 0.80;
 inline constexpr double kBurstyOperatingTimeBound = 0.10;
+inline constexpr double kManyOpOperatingTimeMedian = 0.03;
 
 // ---------------------------------------------------------------------------
 // §3.1.3 Session size (Fig 5)
@@ -110,12 +112,16 @@ inline constexpr double kBothUploadOnlyShare = 0.537;
 inline constexpr double kBothDownloadOnlyShare = 0.151;
 inline constexpr double kBothOccasionalShare = 0.132;
 inline constexpr double kBothMixedShare = 0.180;
+inline constexpr double kBothUploadOnlyStoreVolume = 0.813;
+inline constexpr double kBothDownloadOnlyRetrieveVolume = 0.665;
 
 /// Table 3, "PC only" column.
 inline constexpr double kPcUploadOnlyShare = 0.316;
 inline constexpr double kPcDownloadOnlyShare = 0.172;
 inline constexpr double kPcOccasionalShare = 0.341;
 inline constexpr double kPcMixedShare = 0.191;
+inline constexpr double kPcUploadOnlyStoreVolume = 0.748;
+inline constexpr double kPcDownloadOnlyRetrieveVolume = 0.755;
 
 // ---------------------------------------------------------------------------
 // §3.2.2 User engagement (Fig 8, Fig 9)

@@ -1,7 +1,7 @@
 // Summary statistics: running moments, percentiles, empirical CDF/CCDF.
 //
 // Every figure in the paper is a CDF, CCDF, histogram, or percentile series;
-// these helpers are the shared vocabulary for all of bench/ and analysis/.
+// these helpers are the shared vocabulary of analysis/ and the paper report.
 #pragma once
 
 #include <algorithm>

@@ -23,35 +23,6 @@ double Since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// The §4 fleet: `flows` single-file sessions (78.4% android, 60/40
-/// store/retrieve, photo-batch uploads vs larger downloads), mirroring the
-/// paper's packet-trace collection at one front-end and the bench_util
-/// Section4Result recipe.
-std::vector<workload::SessionPlan> FleetPlans(const ValidateOptions& o) {
-  Rng rng(o.seed ^ 0x53454331u);  // independent of the workload streams
-  std::vector<workload::SessionPlan> plans;
-  plans.reserve(o.fleet_flows);
-  for (std::size_t i = 0; i < o.fleet_flows; ++i) {
-    workload::SessionPlan s;
-    s.user_id = i + 1;
-    s.device_id = i + 1;
-    s.device_type = rng.Bernoulli(paper::kAndroidShare) ? DeviceType::kAndroid
-                                                        : DeviceType::kIos;
-    s.start = kTraceStart + static_cast<UnixSeconds>(i * 30);
-    workload::FileOp op;
-    if (rng.Bernoulli(0.6)) {
-      op.direction = Direction::kStore;
-      op.size = FromMB(1.0 + rng.ExponentialMean(4.0));
-    } else {
-      op.direction = Direction::kRetrieve;
-      op.size = FromMB(2.0 + rng.ExponentialMean(20.0));
-    }
-    s.ops.push_back(op);
-    plans.push_back(s);
-  }
-  return plans;
-}
-
 void AppendEscaped(std::string& out, const std::string& s) {
   for (const char c : s) {
     switch (c) {
@@ -141,6 +112,33 @@ std::size_t ValidationRun::Passed() const {
   return n;
 }
 
+// The one §4 recipe: the validate run, the paper report's §4 sections and
+// bench_whatif_cache all execute these plans.
+std::vector<workload::SessionPlan> FleetPlans(const ValidateOptions& o) {
+  Rng rng(o.seed ^ 0x53454331u);  // independent of the workload streams
+  std::vector<workload::SessionPlan> plans;
+  plans.reserve(o.fleet_flows);
+  for (std::size_t i = 0; i < o.fleet_flows; ++i) {
+    workload::SessionPlan s;
+    s.user_id = i + 1;
+    s.device_id = i + 1;
+    s.device_type = rng.Bernoulli(paper::kAndroidShare) ? DeviceType::kAndroid
+                                                        : DeviceType::kIos;
+    s.start = kTraceStart + static_cast<UnixSeconds>(i * 30);
+    workload::FileOp op;
+    if (rng.Bernoulli(0.6)) {
+      op.direction = Direction::kStore;
+      op.size = FromMB(1.0 + rng.ExponentialMean(4.0));
+    } else {
+      op.direction = Direction::kRetrieve;
+      op.size = FromMB(2.0 + rng.ExponentialMean(20.0));
+    }
+    s.ops.push_back(op);
+    plans.push_back(s);
+  }
+  return plans;
+}
+
 ValidationInputs BuildValidationInputs(const ValidateOptions& options,
                                        ValidationRun* timings) {
   ValidationInputs in;
@@ -220,9 +218,10 @@ ValidationRun RunValidation(const ValidateOptions& options) {
   const auto t_total = Clock::now();
   ValidationRun run;
   run.options = options;
-  const ValidationInputs inputs = BuildValidationInputs(options, &run);
+  run.inputs = std::make_shared<const ValidationInputs>(
+      BuildValidationInputs(options, &run));
   const auto t0 = Clock::now();
-  run.outcomes = EvaluateChecks(inputs);
+  run.outcomes = EvaluateChecks(*run.inputs);
   run.checks_s = Since(t0);
   run.total_s = Since(t_total);
   return run;
@@ -238,6 +237,7 @@ SeedSweep RunSeedSweep(const ValidateOptions& options, std::size_t seeds) {
     ValidateOptions o = options;
     o.seed = options.seed + i;
     ValidationRun run = RunValidation(o);
+    run.inputs.reset();
     pass_indicator.push_back(run.AllPassed() ? 1.0 : 0.0);
     for (const auto& c : run.outcomes)
       if (!c.passed) ++failures[c.id];
@@ -341,40 +341,6 @@ std::string ToJson(const SeedSweep& sweep) {
     out += i + 1 < sweep.runs.size() ? ",\n" : "\n";
   }
   out += "  ]\n}\n";
-  return out;
-}
-
-std::string RenderText(const ValidationRun& run) {
-  std::string out;
-  Append(out, "=== paper-fidelity validation: %zu users, seed %llu ===\n",
-         run.options.users,
-         static_cast<unsigned long long>(run.options.seed));
-  Append(out, "%-24s %-10s %-14s %12s %12s  %s\n", "check", "figure",
-         "metric", "statistic", "threshold", "verdict");
-  for (const auto& o : run.outcomes) {
-    Append(out, "%-24s %-10s %-14s %12.5g %12.5g  %s\n", o.id.c_str(),
-           o.figure.c_str(), o.result.metric.c_str(), o.result.statistic,
-           o.result.threshold, o.passed ? "PASS" : "FAIL");
-    if (!o.passed) Append(out, "    %s\n", o.result.detail.c_str());
-  }
-  Append(out, "--- %zu/%zu checks passed; generate %.1fs analyze %.1fs "
-              "fleet %.1fs checks %.1fs (total %.1fs); sketches %.1f KiB\n",
-         run.Passed(), run.outcomes.size(), run.generate_s, run.analyze_s,
-         run.fleet_s, run.checks_s, run.total_s,
-         static_cast<double>(run.sketch_bytes) / 1024.0);
-  if (!run.fleet_shards.empty()) {
-    std::uint64_t events = 0, cancelled = 0;
-    for (const cloud::ShardTelemetry& t : run.fleet_shards) {
-      events += t.queue.executed;
-      cancelled += t.queue.cancelled;
-    }
-    Append(out, "--- fleet: %zu shards, %llu events executed "
-                "(%llu cancelled); manifest fingerprint %016llx\n",
-           run.fleet_shards.size(),
-           static_cast<unsigned long long>(events),
-           static_cast<unsigned long long>(cancelled),
-           static_cast<unsigned long long>(ManifestFingerprint(run)));
-  }
   return out;
 }
 

@@ -1,14 +1,16 @@
 // The validation driver behind `mcloudctl validate`: generate a trace
 // through the columnar path, run the analysis pipeline (the checks read its
 // streaming sketches), execute the §4 fleet simulation, evaluate every
-// FigureCheck, and
-// emit a machine-readable pass/fail manifest. A seed-sweep mode re-runs the
-// whole thing across seeds and bootstraps a pass-rate confidence interval,
-// which is how the tolerance slacks in figure_checks.cc are calibrated to a
-// false-positive rate (DESIGN.md §7).
+// FigureCheck, and emit a machine-readable pass/fail manifest; the paper
+// report (paper_report.h) renders every figure and table from the same
+// inputs. A seed-sweep mode re-runs the whole thing across seeds and
+// bootstraps a pass-rate confidence interval, which is how the tolerance
+// slacks in figure_checks.cc are calibrated to a false-positive rate
+// (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "util/units.h"
 #include "validate/figure_checks.h"
 #include "workload/model_params.h"
+#include "workload/session_plan.h"
 
 namespace mcloud::validate {
 
@@ -77,6 +80,9 @@ struct ValidationRun {
   std::vector<cloud::ShardTelemetry> fleet_shards;
   /// FingerprintServiceResult of the merged fleet ServiceResult.
   std::uint64_t fleet_fingerprint = 0;
+  /// What the checks read, kept for the paper report; a seed sweep drops
+  /// it after each run.
+  std::shared_ptr<const ValidationInputs> inputs;
 
   [[nodiscard]] std::size_t Passed() const;
   [[nodiscard]] bool AllPassed() const {
@@ -93,17 +99,27 @@ struct SeedSweep {
   std::vector<std::pair<std::string, std::size_t>> failures_by_check;
 };
 
+/// The §4 fleet: `fleet_flows` single-file sessions (78.4% android, 60/40
+/// store/retrieve, photo-batch uploads against larger downloads), the
+/// paper's packet-trace collection at one front-end. Seeded from
+/// `options.seed` only, independently of the workload streams; the one
+/// recipe for every §4 number.
+[[nodiscard]] std::vector<workload::SessionPlan> FleetPlans(
+    const ValidateOptions& options);
+
 /// Generate the workload, run the analyses and the §4 fleet, and package
 /// everything the checks read. Deterministic in (users, seed, fleet knobs);
 /// thread count never changes the result.
 [[nodiscard]] ValidationInputs BuildValidationInputs(
     const ValidateOptions& options, ValidationRun* timings = nullptr);
 
-/// BuildValidationInputs + EvaluateChecks, with phase timings.
+/// BuildValidationInputs + EvaluateChecks, with phase timings; the run
+/// keeps the inputs.
 [[nodiscard]] ValidationRun RunValidation(const ValidateOptions& options);
 
 /// Run `seeds` validations at seed, seed+1, ... and bootstrap the run-level
-/// pass rate (the calibration target: >= 95% of seeds must pass).
+/// pass rate (the calibration target: >= 95% of seeds must pass). The runs
+/// keep no inputs.
 [[nodiscard]] SeedSweep RunSeedSweep(const ValidateOptions& options,
                                      std::size_t seeds);
 
@@ -118,8 +134,5 @@ struct SeedSweep {
 /// Machine-readable manifests (stable field names; consumed by CI).
 [[nodiscard]] std::string ToJson(const ValidationRun& run);
 [[nodiscard]] std::string ToJson(const SeedSweep& sweep);
-
-/// Aligned per-check text table for terminal output.
-[[nodiscard]] std::string RenderText(const ValidationRun& run);
 
 }  // namespace mcloud::validate

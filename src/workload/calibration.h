@@ -51,8 +51,9 @@ inline constexpr double kRetrieveFromPcShareSmall = 0.04;  // 1-2 files
 /// Scale x0 of the stretched-exponential store-activity law. Derived from
 /// the paper's fit: a = x0^c with a = 0.448, c = 0.2 ⇒ x0 = 0.448^5 ≈ 0.018.
 /// Sampling X ~ SE(x0, c) conditioned on X >= 1 preserves the linearity of
-/// the rank plot in log–y^c space with the *same* slope a, so the refit in
-/// bench_fig10 recovers the published a and c (b depends on population size).
+/// the rank plot in log–y^c space with the *same* slope a, so the report's
+/// Fig 10 refit (the `validate` section Fig 10) recovers the published a
+/// and c (b depends on population size).
 inline constexpr double kStoreActivityX0 = 0.01806;
 inline constexpr double kStoreActivityC = paper::kStoreActivitySe.c;
 

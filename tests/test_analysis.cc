@@ -131,13 +131,16 @@ TEST(IntervalModel, RecoversBimodalStructure) {
   // Synthesize intervals: intra-session around 3 s, inter-session around a
   // day, and verify the full Fig 3 pipeline finds both.
   Rng rng(1);
-  std::vector<double> intervals;
-  for (int i = 0; i < 30000; ++i)
-    intervals.push_back(std::pow(10.0, rng.Normal(0.5, 0.4)));
-  for (int i = 0; i < 5000; ++i)
-    intervals.push_back(std::pow(10.0, rng.Normal(4.9, 0.4)));
+  LogBins sketch = MakeIntervalSketch();
+  std::uint64_t gap = 0;
+  const auto add = [&](double seconds) {
+    ++gap;  // a distinct (user, timestamp) jitter key per gap
+    AddIntervalToSketch(sketch, gap, gap, seconds);
+  };
+  for (int i = 0; i < 30000; ++i) add(std::pow(10.0, rng.Normal(0.5, 0.4)));
+  for (int i = 0; i < 5000; ++i) add(std::pow(10.0, rng.Normal(4.9, 0.4)));
 
-  const auto model = FitIntervalModel(intervals);
+  const auto model = FitIntervalModel(sketch);
   EXPECT_NEAR(model.intra_mean_seconds, 3.16, 1.0);
   EXPECT_GT(model.inter_mean_seconds, 0.5 * kDay);
   // Valley and GMM crossover both land between the modes.
@@ -408,9 +411,14 @@ TEST(Timeseries, PeakHourOfDay) {
 TEST(FileSizeModel, FitsMixtureAndCcdfSeries) {
   Rng rng(4);
   const MixtureExponential truth({{0.9, 1.5}, {0.1, 30.0}});
-  std::vector<double> sizes;
-  for (int i = 0; i < 30000; ++i) sizes.push_back(truth.Sample(rng));
-  const auto model = FitFileSizeModel(sizes);
+  LogBins sketch = MakeSizeSketch();
+  TDigest digest;
+  for (int i = 0; i < 30000; ++i) {
+    const double size = truth.Sample(rng);
+    sketch.Add(size);
+    digest.Add(size);
+  }
+  const auto model = FitFileSizeModel(sketch, digest);
   EXPECT_GE(model.selection.selected_n, 2u);
   EXPECT_EQ(model.grid_mb.size(), model.empirical_ccdf.size());
   EXPECT_EQ(model.grid_mb.size(), model.model_ccdf.size());

@@ -205,9 +205,14 @@ TEST(Properties, OwnUploadRetrievalMatchesStoredContent) {
 
 TEST(Properties, SmallSampleFileSizeFitSkipsChiSquare) {
   Rng rng(5);
-  std::vector<double> sizes;
-  for (int i = 0; i < 120; ++i) sizes.push_back(rng.ExponentialMean(1.5));
-  const auto model = analysis::FitFileSizeModel(sizes);
+  LogBins sketch = analysis::MakeSizeSketch();
+  TDigest digest;
+  for (int i = 0; i < 120; ++i) {
+    const double size = rng.ExponentialMean(1.5);
+    sketch.Add(size);
+    digest.Add(size);
+  }
+  const auto model = analysis::FitFileSizeModel(sketch, digest);
   EXPECT_FALSE(model.chi_square_valid);
   EXPECT_GE(model.selection.selected_n, 1u);
   EXPECT_FALSE(model.grid_mb.empty());

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "stats/chi_square.h"
@@ -15,6 +18,7 @@
 #include "util/rng.h"
 #include "validate/figure_checks.h"
 #include "validate/gof.h"
+#include "validate/paper_report.h"
 #include "validate/tolerance.h"
 #include "validate/validator.h"
 
@@ -257,8 +261,11 @@ TEST(Manifest, JsonCarriesVerdictsAndPerCheckWallTimes) {
     ++wall_fields;
   EXPECT_EQ(wall_fields, run.outcomes.size());
 
-  const std::string text = validate::RenderText(run);
-  EXPECT_NE(text.find("fig02_session_split"), std::string::npos);
+  // The golden inputs outlive the run; the report borrows them.
+  run.inputs = std::shared_ptr<const validate::ValidationInputs>(
+      &GoldenInputs(), [](const validate::ValidationInputs*) {});
+  const std::string text = validate::RenderReport(run);
+  EXPECT_NE(text.find("check fig02_session_split:"), std::string::npos);
   EXPECT_NE(text.find("PASS"), std::string::npos);
 }
 
@@ -289,6 +296,84 @@ TEST(Manifest, FingerprintIdenticalAcrossThreadCounts) {
   for (auto& t : scrubbed.fleet_shards) t.wall_s = 0;
   EXPECT_EQ(validate::ManifestFingerprint(scrubbed),
             validate::ManifestFingerprint(serial));
+}
+
+// ---------------------------------------------------------------------------
+// Paper report
+// ---------------------------------------------------------------------------
+
+/// `validate --users 4000 --seed 42` at `threads`, resident or out of core
+/// under a 64 MB budget.
+validate::ValidationRun RunAt4k(int threads, bool out_of_core) {
+  validate::ValidateOptions o;
+  o.users = 4000;
+  o.threads = threads;
+  o.out_of_core = out_of_core;
+  o.max_memory_mb = 64;
+  return validate::RunValidation(o);
+}
+
+/// The report without its one wall-clock line (the closing summary).
+std::string ReportWithoutTimings(const validate::ValidationRun& run) {
+  std::istringstream in(validate::RenderReport(run));
+  std::string out;
+  for (std::string line; std::getline(in, line);)
+    if (line.find("checks passed;") == std::string::npos) out += line + "\n";
+  return out;
+}
+
+TEST(PaperReport, SameBytesAtEveryThreadCountAndMode) {
+  const std::string want = ReportWithoutTimings(RunAt4k(1, false));
+  EXPECT_NE(want.find("## Table 4:"), std::string::npos);
+  EXPECT_NE(want.find("--- fleet:"), std::string::npos);
+  EXPECT_EQ(ReportWithoutTimings(RunAt4k(3, false)), want) << "threads 3";
+  EXPECT_EQ(ReportWithoutTimings(RunAt4k(1, true)), want)
+      << "out of core, threads 1";
+  EXPECT_EQ(ReportWithoutTimings(RunAt4k(3, true)), want)
+      << "out of core, threads 3";
+}
+
+TEST(PaperReport, EveryCheckInExactlyOneSection) {
+  const std::string text = validate::RenderReport(RunAt4k(0, false));
+  std::vector<std::string> sections;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) sections.emplace_back();
+    if (!sections.empty()) sections.back() += line + "\n";
+  }
+  EXPECT_EQ(sections.size(), 17u);
+  for (const validate::FigureCheck& check : validate::FigureChecks()) {
+    const std::string needle = "  check " + check.id + ": ";
+    std::size_t found = 0;
+    for (const std::string& section : sections) {
+      for (std::size_t p = section.find(needle); p != std::string::npos;
+           p = section.find(needle, p + 1))
+        ++found;
+    }
+    EXPECT_EQ(found, 1u) << check.id;
+  }
+}
+
+TEST(PaperReport, NoFleetFlowsPrintsNoSamples) {
+  validate::ValidateOptions o;
+  o.users = 4000;
+  o.fleet_flows = 0;
+  const validate::ValidationRun run = validate::RunValidation(o);
+  std::string text;
+  ASSERT_NO_THROW(text = validate::RenderReport(run));
+  const std::size_t fig12 = text.find("## Fig 12:");
+  ASSERT_NE(fig12, std::string::npos);
+  EXPECT_NE(text.find("no samples", fig12), std::string::npos);
+}
+
+TEST(PaperReport, SeedSweepKeepsNoInputs) {
+  validate::ValidateOptions o;
+  o.users = 400;
+  o.fleet_flows = 100;
+  const validate::SeedSweep sweep = validate::RunSeedSweep(o, 2);
+  ASSERT_EQ(sweep.runs.size(), 2u);
+  for (const validate::ValidationRun& run : sweep.runs)
+    EXPECT_EQ(run.inputs, nullptr);
 }
 
 TEST(Manifest, RunIsDeterministicInSeed) {

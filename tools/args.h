@@ -1,13 +1,17 @@
-// The parsed command line of mcloudctl, mcloudd and mcloudload: `--key
-// value` flags plus positional arguments. Each tool keeps its own Parse
-// (which flags exist, which take no value); the getters here are shared.
+// The command line of mcloudctl, mcloudd and mcloudload: `--key value`
+// flags, `--key` switches and positional arguments, parsed by one loop
+// (Parse) from each tool's or command's table of the flags it takes.
 //
-// Numeric getters are strict: a value must be a number that fills its
-// token and fits the field it is stored in. Anything else prints a message
-// naming the flag and exits 2, so every tool reads its numbers before it
-// creates any output.
+// The grammar is strict, and everything it rejects prints a message naming
+// the flag and exits 2 before the tool creates any output:
+//   * a flag the table does not list;
+//   * a value flag whose value is missing, empty or another flag;
+//   * a positional argument where the tool takes none;
+//   * a numeric value that does not fill its token or fit its field (the
+//     getters below; every tool reads its numbers before any output).
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -19,6 +23,7 @@
 #include <string_view>
 #include <system_error>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace mcloud::tools {
@@ -35,6 +40,23 @@ inline bool ParseNumber(std::string_view text, double& out) {
 /// GetU64 flag that the caller scales from MiB into bytes.
 inline constexpr std::uint64_t kMaxMiB =
     std::numeric_limits<std::uint64_t>::max() >> 20;
+
+/// The flags one tool or command takes.
+struct FlagTable {
+  std::string_view values;    ///< space-separated; each takes a value
+  std::string_view switches;  ///< space-separated; each takes no value
+  bool positional = true;     ///< whether it takes positional arguments
+
+  /// Whether `key` is one of the space-separated names in `list`.
+  static bool Lists(std::string_view list, std::string_view key) {
+    for (std::size_t at = 0; at < list.size();) {
+      const std::size_t end = std::min(list.find(' ', at), list.size());
+      if (list.substr(at, end - at) == key) return true;
+      at = end + 1;
+    }
+    return false;
+  }
+};
 
 struct Args {
   std::string tool;  ///< prefixes every error message
@@ -88,5 +110,44 @@ struct Args {
     std::exit(2);
   }
 };
+
+/// argv[first..argc) under `table`: a value flag takes the next token, a
+/// switch takes none (so a positional after it stays positional), and any
+/// other token not starting with "--" is positional. `who` names the tool
+/// or command in the messages; a rejected command line exits 2.
+inline Args Parse(std::string tool, std::string_view who,
+                  const FlagTable& table, int argc, char** argv, int first) {
+  Args args;
+  args.tool = std::move(tool);
+  const auto fail = [&](const std::string& message) {
+    std::fprintf(stderr, "%s: %s\n", args.tool.c_str(), message.c_str());
+    std::exit(2);
+  };
+  for (int i = first; i < argc; ++i) {
+    const std::string_view a = argv[i];
+    if (a.rfind("--", 0) != 0) {
+      if (!table.positional)
+        fail(std::string(who) + " takes no argument '" + std::string(a) +
+             "'");
+      args.positional.emplace_back(a);
+      continue;
+    }
+    const std::string key(a.substr(2));
+    if (FlagTable::Lists(table.switches, key)) {
+      args.flags[key] = "";
+    } else if (FlagTable::Lists(table.values, key)) {
+      const std::string_view value = i + 1 < argc ? argv[i + 1] : "";
+      if (i + 1 >= argc || value.empty() || value.rfind("--", 0) == 0) {
+        fail(std::string(who) + " --" + key + " needs a value" +
+             (i + 1 < argc ? ", not '" + std::string(value) + "'" : ""));
+      }
+      args.flags[key] = value;
+      ++i;
+    } else {
+      fail(std::string(who) + " does not take --" + key);
+    }
+  }
+  return args;
+}
 
 }  // namespace mcloud::tools

@@ -1,8 +1,10 @@
 #!/bin/sh
-# Numeric flags of mcloudctl, mcloudd and mcloudload take only a number that
-# fills its token and fits the field it is stored in, and each mcloudctl
-# command takes only its own flags. Anything else exits 2 before the tool
-# prints or writes anything; an accepted value or flag still runs.
+# The one grammar of mcloudctl, mcloudd and mcloudload (tools/args.h): each
+# tool or command takes only its own flags, a value flag needs a value that
+# is neither empty nor another flag, and a numeric flag takes only a number
+# that fills its token and fits the field it is stored in. Anything else
+# exits 2 before the tool prints or writes anything; an accepted value or
+# flag still runs.
 #
 #   check_strict_numbers.sh MCLOUDCTL MCLOUDD MCLOUDLOAD SCRATCH_DIR
 ctl=$1 daemon=$2 load=$3 dir=$4
@@ -71,6 +73,28 @@ rejects "$ctl" validate --out-of-core --concurrent --users 200 --json "$out"
 "$ctl" generate --users 200 --bogus 3 "$out" 2>&1 |
   grep -q 'generate does not take --bogus' ||
   { echo "no message naming generate and --bogus"; failed=1; }
+rejects "$daemon" --bogus
+rejects "$daemon" --port 0 --self-check stray
+rejects "$load" --bogus 1 --users 5 --spawn "$daemon" --json "$out"
+rejects "$load" --users 5 --spawn "$daemon" --json "$out" stray
+
+# A value flag whose value is missing, empty or another flag exits 2 naming
+# the flag. `anonymize --key` with no key used to write the trace under the
+# empty key, an unkeyed mapping anyone can invert by enumerating ids.
+rejects "$ctl" anonymize "$trace" "$out" --key
+rejects "$ctl" anonymize "$trace" "$out" --key ''
+rejects "$ctl" anonymize "$trace" "$out" --key --json
+rejects "$ctl" generate --users 20 "$out" --anonymize
+rejects "$ctl" generate --users 20 --anonymize '' "$out"
+rejects "$ctl" validate --users 200 --flows 20 --json
+rejects "$ctl" validate --users 200 --flows 20 --json --out-of-core
+rejects "$ctl" validate --users 200 --out-of-core --spill-dir
+rejects "$daemon" --port 0 --log
+rejects "$daemon" --port 0 --self-check --stats-json ''
+rejects "$load" --users 5 --spawn "$daemon" --json
+"$ctl" anonymize "$trace" "$out" --key 2>&1 |
+  grep -q 'anonymize --key needs a value' ||
+  { echo "no message naming anonymize and --key"; failed=1; }
 
 # Every flag the README, CI, perfbench and the ctest smoke runs pass.
 accepts "$ctl" generate --users 200 --pc 10 --threads 2 --seed 3 "$out"

@@ -58,7 +58,8 @@
 // spill slice on the generator's pool as it seals (RunSlices) and read
 // nothing back; grow writes the slices into OUT, validate and conform only
 // into a given --spill-dir. Each command takes only its own flags
-// (kCommands); any other flag exits 2 before any output.
+// (kCommands, parsed by tools::Parse); any other flag, or a value flag
+// without its value, exits 2 before any output.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -81,6 +82,7 @@
 #include "scenario/workload_spec.h"
 #include "trace/partitioned_trace.h"
 #include "util/parallel.h"
+#include "validate/paper_report.h"
 #include "validate/validator.h"
 #include "workload/generator.h"
 
@@ -102,47 +104,12 @@ mcloud::fault::FaultConfig FaultsFrom(const Args& args) {
   return f;
 }
 
-/// Whether `key` is one of the space-separated names in `list`.
-bool Lists(std::string_view list, const std::string& key) {
-  return (" " + std::string(list) + " ").find(" " + key + " ") !=
-         std::string::npos;
-}
-
 /// One command: what runs it, and the flags it takes.
 struct Command {
   std::string_view name;
   int (*run)(const Args&);
-  std::string_view flags;     ///< space-separated; each takes a value
-  std::string_view switches;  ///< space-separated; each takes no value
+  tools::FlagTable flags;
 };
-
-/// The arguments after the command. A value flag takes the next token
-/// unless that starts with '-'; a switch takes none, so a positional after
-/// it (the output path after `--faults`) stays positional. A flag the
-/// command does not take prints a message naming both and exits 2.
-Args Parse(int argc, char** argv, const Command& cmd) {
-  Args args;
-  args.tool = "mcloudctl";
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a.rfind("--", 0) != 0) {
-      args.positional.emplace_back(a);
-      continue;
-    }
-    const std::string key(a.substr(2));
-    if (Lists(cmd.switches, key)) {
-      args.flags[key] = "";
-    } else if (Lists(cmd.flags, key)) {
-      args.flags[key] = i + 1 < argc && argv[i + 1][0] != '-' ? argv[++i] : "";
-    } else {
-      std::fprintf(stderr, "mcloudctl: %.*s does not take --%s\n",
-                   static_cast<int>(cmd.name.size()), cmd.name.data(),
-                   key.c_str());
-      std::exit(2);
-    }
-  }
-  return args;
-}
 
 /// Comma-separated axis lists for `matrix` (e.g. --grids none,frontend-flaky).
 std::vector<std::string> SplitList(const std::string& csv) {
@@ -207,7 +174,9 @@ int Usage() {
       "into --spill-dir. analyze and grow print the stage timings with the\n"
       "sketch footprint. --threads 0 (the default) uses all hardware\n"
       "threads; output is identical for every thread count, memory budget,\n"
-      "and execution strategy. A flag the command does not take exits 2.\n",
+      "and execution strategy. A flag the command does not take, or a\n"
+      "value flag without its value, exits 2. validate prints the paper\n"
+      "report: every figure and table of the paper with its checks.\n",
       stderr);
   return 2;
 }
@@ -664,8 +633,9 @@ int CmdMatrix(const Args& args) {
 }
 
 /// Paper-fidelity validation: generate → analyze → fleet-simulate → run
-/// every FigureCheck. Exit 0 iff all checks pass (single run) or the
-/// run-level pass rate is >= 95% (--seeds sweep). --json writes the
+/// every FigureCheck, then print the paper report: every figure and table
+/// from the inputs the checks read. Exit 0 iff all checks pass (single run)
+/// or the run-level pass rate is >= 95% (--seeds sweep). --json writes the
 /// machine-readable manifest CI archives.
 int CmdValidate(const Args& args) {
   validate::ValidateOptions opts;
@@ -694,7 +664,7 @@ int CmdValidate(const Args& args) {
 
   if (seeds <= 1) {
     const validate::ValidationRun run = validate::RunValidation(opts);
-    std::fputs(validate::RenderText(run).c_str(), stdout);
+    std::fputs(validate::RenderReport(run).c_str(), stdout);
     WriteJsonFile(args.Get("json"), validate::ToJson(run));
     return run.AllPassed() ? 0 : 1;
   }
@@ -719,28 +689,29 @@ int CmdValidate(const Args& args) {
 /// Every command, the flags it takes and which of them take no value.
 constexpr Command kCommands[] = {
     {"generate", CmdGenerate,
-     "users pc seed threads spec specs-dir anonymize fail-rate loss-burst "
-     "degraded fault-seed max-memory-mb",
-     "faults hedge out-of-core"},
-    {"grow", CmdGrow, "users pc seed threads tau max-memory-mb", ""},
-    {"analyze", CmdAnalyze, "tau threads max-memory-mb", ""},
-    {"sessions", CmdSessions, "tau top", ""},
-    {"convert", CmdConvert, "", ""},
-    {"anonymize", CmdAnonymize, "key", ""},
+     {"users pc seed threads spec specs-dir anonymize fail-rate loss-burst "
+      "degraded fault-seed max-memory-mb",
+      "faults hedge out-of-core"}},
+    {"grow", CmdGrow, {"users pc seed threads tau max-memory-mb", ""}},
+    {"analyze", CmdAnalyze, {"tau threads max-memory-mb", ""}},
+    {"sessions", CmdSessions, {"tau top", ""}},
+    {"convert", CmdConvert, {"", ""}},
+    {"anonymize", CmdAnonymize, {"key", ""}},
     {"simulate", CmdSimulate,
-     "device direction file-mb seed fail-rate loss-burst degraded fault-seed "
-     "users pc threads shards",
-     "no-ssai pace hedge no-retry"},
-    {"specs", CmdSpecs, "specs-dir", ""},
+     {"device direction file-mb seed fail-rate loss-burst degraded "
+      "fault-seed users pc threads shards",
+      "no-ssai pace hedge no-retry"}},
+    {"specs", CmdSpecs, {"specs-dir", ""}},
     {"conform", CmdConform,
-     "users seed threads max-memory-mb spill-dir specs-dir json",
-     "out-of-core"},
+     {"users seed threads max-memory-mb spill-dir specs-dir json",
+      "out-of-core"}},
     {"matrix", CmdMatrix,
-     "grids connections chunks users seed threads shards specs-dir json", ""},
+     {"grids connections chunks users seed threads shards specs-dir json",
+      ""}},
     {"validate", CmdValidate,
-     "users seed seeds threads flows shards json max-memory-mb spill-dir "
-     "spec specs-dir",
-     "out-of-core"},
+     {"users seed seeds threads flows shards json max-memory-mb spill-dir "
+      "spec specs-dir",
+      "out-of-core"}},
 };
 
 }  // namespace
@@ -754,7 +725,8 @@ int main(int argc, char** argv) {
   }
   for (const Command& cmd : kCommands) {
     if (cmd.name != name) continue;
-    const Args args = Parse(argc, argv, cmd);
+    const Args args = tools::Parse("mcloudctl", cmd.name, cmd.flags, argc,
+                                   argv, 2);
     try {
       return cmd.run(args);
     } catch (const std::exception& e) {

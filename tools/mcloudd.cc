@@ -19,7 +19,6 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -35,27 +34,10 @@ namespace {
 using namespace mcloud;
 using tools::Args;
 
-Args Parse(int argc, char** argv) {
-  static const std::set<std::string> kBooleanFlags = {"self-check", "help"};
-  static const std::set<std::string> kValueFlags = {
-      "port", "bind", "front-ends", "log", "stats-json", "max-body-mb"};
-  Args args;
-  args.tool = "mcloudd";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    const bool is_flag = a.rfind("--", 0) == 0;
-    const std::string key(is_flag ? a.substr(2) : a);
-    if (!is_flag || (!kBooleanFlags.count(key) && !kValueFlags.count(key))) {
-      throw Error("mcloudd: unknown argument: " + std::string(a));
-    }
-    if (kValueFlags.count(key) && i + 1 < argc && argv[i + 1][0] != '-') {
-      args.flags[key] = argv[++i];
-    } else {
-      args.flags[key] = "";
-    }
-  }
-  return args;
-}
+/// The flags mcloudd takes; it takes no positional argument.
+constexpr tools::FlagTable kFlags = {
+    "port bind front-ends log stats-json max-body-mb", "self-check help",
+    false};
 
 void Usage() {
   std::fprintf(stderr,
@@ -67,14 +49,7 @@ void Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  try {
-    args = Parse(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    Usage();
-    return 2;
-  }
+  const Args args = tools::Parse("mcloudd", "mcloudd", kFlags, argc, argv, 1);
   if (args.Has("help")) {
     Usage();
     return 0;

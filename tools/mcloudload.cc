@@ -33,7 +33,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -49,30 +48,11 @@ namespace {
 using namespace mcloud;
 using tools::Args;
 
-Args Parse(int argc, char** argv) {
-  static const std::set<std::string> kBooleanFlags = {"per-request",
-                                                      "no-verify", "help"};
-  static const std::set<std::string> kValueFlags = {
-      "trace", "users",        "pc",   "seed", "days",       "port",
-      "spawn", "qps",          "duration",     "connections", "host",
-      "json",  "max-chunk-kb", "server-log"};
-  Args args;
-  args.tool = "mcloudload";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    const bool is_flag = a.rfind("--", 0) == 0;
-    const std::string key(is_flag ? a.substr(2) : a);
-    if (!is_flag || (!kBooleanFlags.count(key) && !kValueFlags.count(key))) {
-      throw Error("mcloudload: unknown argument: " + std::string(a));
-    }
-    if (kValueFlags.count(key) && i + 1 < argc && argv[i + 1][0] != '-') {
-      args.flags[key] = argv[++i];
-    } else {
-      args.flags[key] = "";
-    }
-  }
-  return args;
-}
+/// The flags mcloudload takes; it takes no positional argument.
+constexpr tools::FlagTable kFlags = {
+    "trace users pc seed days port spawn qps duration connections host json "
+    "max-chunk-kb server-log",
+    "per-request no-verify help", false};
 
 void Usage() {
   std::fprintf(
@@ -135,14 +115,8 @@ struct SpawnedServer {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  try {
-    args = Parse(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    Usage();
-    return 2;
-  }
+  const Args args =
+      tools::Parse("mcloudload", "mcloudload", kFlags, argc, argv, 1);
   if (args.Has("help")) {
     Usage();
     return 0;
