@@ -101,20 +101,16 @@ ConformanceRun RunConformance(const WorkloadSpec& spec,
 
   const workload::WorkloadGenerator gen(cfg);
   const core::AnalysisPipeline pipeline(po);
-  core::FullReport report;
-  if (options.out_of_core) {
-    workload::SpillConfig spill;
-    if (!options.spill_dir.empty()) {
-      spill.dir = options.spill_dir;
-      std::filesystem::create_directories(spill.dir);
-    }
-    spill.max_buffer_bytes = workload::SpillBufferBytes(options.max_memory_mb);
-    report = pipeline.RunSlices([&](const SliceVisitor& visit) {
-      (void)gen.GenerateToPartitions(spill, visit);
-    });
-  } else {
-    report = pipeline.Run(gen.GenerateColumnar().trace);
+  workload::SpillConfig spill;
+  if (!options.spill_dir.empty()) {
+    spill.dir = options.spill_dir;
+    std::filesystem::create_directories(spill.dir);
   }
+  spill.max_buffer_bytes = workload::SpillBufferBytes(options.max_memory_mb);
+  const core::FullReport report =
+      pipeline.RunSlices([&](const SliceVisitor& visit) {
+        (void)gen.GenerateToPartitions(spill, visit);
+      });
 
   ConformanceRun run;
   run.spec_name = spec.name;

@@ -23,16 +23,14 @@ struct ConformanceOptions {
   /// PC-only population scales proportionally. Lets tests/CI run paper2016
   /// at 4k users under the ctest budget.
   std::size_t users_override = 0;
-  /// Generate under a bounded spill buffer and walk each sealed slice as
-  /// it seals instead of holding the trace resident — the path that lets
-  /// specs declare paper-scale populations. The partitioned trace is
-  /// written only into a given `spill_dir`, which is created (with its
-  /// parents) when it does not exist.
-  bool out_of_core = false;
-  std::string spill_dir;
-  /// Approximate resident budget (MB) of out-of-core generation+analysis:
-  /// it sizes the spill buffer (workload::SpillBufferBytes).
+  /// Approximate resident budget (MB) of generation + analysis: it sizes
+  /// the spill buffer (workload::SpillBufferBytes), and each slice is
+  /// walked as it seals, which lets specs declare paper-scale populations.
+  /// Every budget gives the same report.
   std::size_t max_memory_mb = 2048;
+  /// The directory that also receives the partitioned trace, created (with
+  /// its parents) when it does not exist; empty = write nothing.
+  std::string spill_dir;
 };
 
 struct ConformanceRun {

@@ -9,7 +9,7 @@
 // excluded from the fingerprints. Each spec's session plans are generated
 // once (plans only — no trace emission, so memory scales with sessions, not
 // records) and shared by all of its cells; paper-scale *analysis* of a spec
-// goes through the out-of-core conformance path instead
+// goes through conformance's bounded slice walk instead
 // (scenario/conformance.h).
 #pragma once
 

@@ -11,14 +11,10 @@
 namespace mcloud {
 
 // VisitColumn must name every column: one left out of its switch would be
-// skipped by clear, reserve, resize, AppendCopy, the gather and the
-// resident generator's column sizing.
+// skipped by reserve, resize, the gather and the generator's column
+// sizing.
 static_assert(sizeof(RecordColumns) ==
               RecordColumns::kColumnCount * sizeof(std::vector<std::uint8_t>));
-
-void RecordColumns::clear() {
-  ForEachColumn([this](auto column) { (this->*column).clear(); });
-}
 
 void RecordColumns::reserve(std::size_t n) {
   ForEachColumn([this, n](auto column) { (this->*column).reserve(n); });
@@ -66,16 +62,6 @@ std::vector<LogRecord> RecordColumns::ToRecords(
   return out;
 }
 
-void RecordColumns::AppendCopy(const RecordColumns& other, ThreadPool* pool) {
-  RunTasks(pool, kColumnCount, [&](std::size_t c) {
-    VisitColumn(c, [&](auto column) {
-      auto& dst = this->*column;
-      const auto& src = other.*column;
-      dst.insert(dst.end(), src.begin(), src.end());
-    });
-  });
-}
-
 std::span<const std::uint32_t> RecordColumns::TimeOrderPerm(
     RecordColumnsScratch& scratch, ThreadPool& pool) const {
   const RadixKey keys[3] = {
@@ -97,12 +83,13 @@ void RecordColumns::Permute(std::span<const std::uint32_t> perm,
   const std::size_t n = size();
   MCLOUD_REQUIRE(perm.size() == n, "permutation length must match the rows");
 
-  // One gather target per element type, grown (and zero-filled) at once,
+  // One gather target per element type, sized (and zero-filled) at once,
   // one task each. Then one column at a time, each over row shards, so no
   // more targets are ever live.
   std::apply(
       [&](auto&... target) {
-        ParallelInvoke(pool, {[&target, n] { target.resize(n); }...});
+        ParallelInvoke(pool,
+                       {[&target, n] { ResizeForOverwrite(target, n); }...});
       },
       scratch.targets);
   ForEachColumn([&](auto column) {

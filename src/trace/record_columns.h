@@ -30,6 +30,16 @@ namespace mcloud {
 
 struct RecordColumns;
 
+/// `v` to `n` elements that the caller is about to overwrite. Past its
+/// capacity, `v` frees its storage before it takes exactly `n` elements: no
+/// geometric growth, no copy of stale values, never two blocks at once.
+/// Within its capacity it keeps the capacity.
+template <typename T>
+void ResizeForOverwrite(std::vector<T>& v, std::size_t n) {
+  if (n > v.capacity()) v = std::vector<T>();
+  v.resize(n);
+}
+
 /// Reusable scratch for RecordColumns::SortByTimeOrder: the radix sorter
 /// plus one gather target per column element type, picked by type. Keep one
 /// per worker: the targets and the permutation keep their capacity across
@@ -57,7 +67,6 @@ struct RecordColumns {
   [[nodiscard]] std::size_t size() const { return timestamps.size(); }
   [[nodiscard]] bool empty() const { return timestamps.empty(); }
 
-  void clear();
   void reserve(std::size_t n);
   /// Every column to `n` rows (new rows zero). Past the capacity, the
   /// columns grow geometrically, as push_back would.
@@ -77,11 +86,6 @@ struct RecordColumns {
   /// 11-column gather entirely.
   [[nodiscard]] std::vector<LogRecord> ToRecords(
       std::span<const std::uint32_t> perm) const;
-
-  /// Append rows of `other` by copy, leaving `other`'s capacity intact
-  /// (the pooled chunk-buffer path): one task per column on `pool`, inline
-  /// when null.
-  void AppendCopy(const RecordColumns& other, ThreadPool* pool = nullptr);
 
   /// Stable sort by LogRecordTimeOrder — (timestamp, user_id, device_id),
   /// ties in current order — via a radix permutation on `pool` and

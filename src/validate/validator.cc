@@ -64,7 +64,6 @@ void AppendOutcome(std::string& out, const CheckOutcome& o) {
 
 void AppendRun(std::string& out, const ValidationRun& r) {
   Append(out, "{\n  \"users\": %zu,\n  \"seed\": %llu,\n"
-              "  \"out_of_core\": %s,\n"
               "  \"fleet_flows\": %zu,\n  \"checks\": %zu,\n"
               "  \"passed\": %zu,\n  \"all_passed\": %s,\n"
               "  \"fingerprint\": \"%016llx\",\n"
@@ -74,7 +73,6 @@ void AppendRun(std::string& out, const ValidationRun& r) {
               "    \"fleet_shards\": %zu, \"fleet_fingerprint\": \"%016llx\","
               " \"per_shard\": [",
          r.options.users, static_cast<unsigned long long>(r.options.seed),
-         r.options.out_of_core ? "true" : "false",
          r.options.fleet_flows, r.outcomes.size(), r.Passed(),
          r.AllPassed() ? "true" : "false",
          static_cast<unsigned long long>(ManifestFingerprint(r)),
@@ -143,7 +141,6 @@ ValidationInputs BuildValidationInputs(const ValidateOptions& options,
                                        ValidationRun* timings) {
   ValidationInputs in;
 
-  auto t0 = Clock::now();
   workload::WorkloadConfig cfg;
   cfg.seed = options.seed;
   cfg.population.mobile_users = options.users;
@@ -155,37 +152,28 @@ ValidationInputs BuildValidationInputs(const ValidateOptions& options,
   const workload::WorkloadGenerator generator(cfg);
   core::PipelineOptions popts;
   popts.threads = options.threads;
-  if (options.out_of_core) {
-    // Each spill slice is walked as it seals, on the generator's pool; the
-    // partitioned trace is written only into a given spill directory.
-    workload::SpillConfig spill;
-    if (!options.spill_dir.empty()) {
-      spill.dir = options.spill_dir;
-      std::filesystem::create_directories(spill.dir);
-    }
-    spill.max_buffer_bytes = workload::SpillBufferBytes(options.max_memory_mb);
-    workload::GenTimings gt;
-    core::StageTimings st;
-    in.report = core::AnalysisPipeline(popts).RunSlices(
-        [&](const SliceVisitor& visit) {
-          (void)generator.GenerateToPartitions(spill, visit, &gt);
-        },
-        &st);
-    if (timings) {
-      timings->generate_s = gt.total_s;
-      timings->analyze_s = st.total_s;
-    }
-  } else {
-    const workload::ColumnarWorkload workload = generator.GenerateColumnar();
-    if (timings) timings->generate_s = Since(t0);
-
-    t0 = Clock::now();
-    in.report = core::AnalysisPipeline(popts).Run(workload.trace);
-    if (timings) timings->analyze_s = Since(t0);
+  // Each slice is walked as it seals, on the generator's pool; the
+  // partitioned trace is written only into a given spill directory.
+  workload::SpillConfig spill;
+  if (!options.spill_dir.empty()) {
+    spill.dir = options.spill_dir;
+    std::filesystem::create_directories(spill.dir);
   }
-  if (timings) timings->sketch_bytes = in.report.sketches.MemoryBytes();
+  spill.max_buffer_bytes = workload::SpillBufferBytes(options.max_memory_mb);
+  workload::GenTimings gt;
+  core::StageTimings st;
+  in.report = core::AnalysisPipeline(popts).RunSlices(
+      [&](const SliceVisitor& visit) {
+        (void)generator.GenerateToPartitions(spill, visit, &gt);
+      },
+      &st);
+  if (timings) {
+    timings->generate_s = gt.total_s;
+    timings->analyze_s = st.total_s;
+    timings->sketch_bytes = in.report.sketches.MemoryBytes();
+  }
 
-  t0 = Clock::now();
+  const auto t0 = Clock::now();
   cloud::FleetConfig fleet_cfg;
   fleet_cfg.service.seed = options.seed;
   fleet_cfg.shards = options.fleet_shards;

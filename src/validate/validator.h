@@ -1,6 +1,7 @@
 // The validation driver behind `mcloudctl validate`: generate a trace
-// through the columnar path, run the analysis pipeline (the checks read its
-// streaming sketches), execute the §4 fleet simulation, evaluate every
+// slice by slice under a memory budget, walk each slice through the
+// analysis pipeline as it seals (the checks read its streaming sketches),
+// execute the §4 fleet simulation, evaluate every
 // FigureCheck, and emit a machine-readable pass/fail manifest; the paper
 // report (paper_report.h) renders every figure and table from the same
 // inputs. A seed-sweep mode re-runs the whole thing across seeds and
@@ -47,16 +48,15 @@ struct ValidateOptions {
   /// independently of `threads` (see cloud/fleet.h). Part of the sample
   /// identity: changing it reseeds the fleet.
   std::uint32_t fleet_shards = 8;
-  /// Out-of-core mode: generate under a bounded spill buffer and walk each
-  /// sealed slice as it seals (AnalysisPipeline::RunSlices). Execution
-  /// strategy, not sample identity — none of these three knobs enter
-  /// ManifestFingerprint, and an out-of-core run fingerprints identically
-  /// to the resident run it mirrors (the CI smoke job checks exactly that).
-  bool out_of_core = false;
-  /// Approximate resident budget (MB) for out-of-core generation+analysis.
+  /// Approximate resident budget (MB) of generation + analysis. It sizes
+  /// the spill buffer (workload::SpillBufferBytes), and each slice is walked
+  /// as it seals (AnalysisPipeline::RunSlices); at the default a 20k-user
+  /// run is one slice. Execution strategy, not sample identity: neither
+  /// this knob nor `spill_dir` enters ManifestFingerprint, and every budget
+  /// gives the same manifest.
   std::size_t max_memory_mb = 2048;
-  /// Out of core, the directory that also receives the partitioned trace
-  /// (created with its parents); empty = write nothing.
+  /// The directory that also receives the partitioned trace (created with
+  /// its parents); empty = write nothing.
   std::string spill_dir;
 };
 
@@ -64,11 +64,11 @@ struct ValidateOptions {
 struct ValidationRun {
   ValidateOptions options;
   std::vector<CheckOutcome> outcomes;
-  /// Workload generation. Out of core the slices are walked inside
-  /// generation, and this leaves those walks out.
+  /// Workload generation. The slices are walked inside generation, and
+  /// this leaves those walks out.
   double generate_s = 0;
-  /// Analysis pipeline. Out of core: the slice walks and the report tail,
-  /// so generate_s + analyze_s covers the run once.
+  /// Analysis pipeline: the slice walks and the report tail, so
+  /// generate_s + analyze_s covers the run once.
   double analyze_s = 0;
   double fleet_s = 0;     ///< §4 service simulation + Fig 13 flows
   double checks_s = 0;    ///< all FigureCheck evaluations

@@ -8,6 +8,7 @@
 
 #include <stdlib.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,8 @@
 #include "core/pipeline.h"
 #include "core/report.h"
 #include "trace/partitioned_trace.h"
+#include "trace/record_columns.h"
+#include "trace/trace_store.h"
 #include "util/error.h"
 #include "validate/validator.h"
 #include "workload/generator.h"
@@ -245,29 +248,82 @@ TEST(OutOfCore, RunSlicesRejectsUsersThatDoNotAscend) {
   EXPECT_TRUE(rejected({{rows, seven_three, zero_one}}));
 }
 
-TEST(OutOfCore, ValidatorFingerprintMatchesResident) {
+TEST(OutOfCore, ValidatorFingerprintSameAtEveryBudget) {
   validate::ValidateOptions opt;
   opt.users = 800;
   opt.seed = 5;
   opt.fleet_flows = 200;
 
-  validate::ValidationRun resident;
-  (void)validate::BuildValidationInputs(opt, &resident);
+  validate::ValidationRun one_slice;  // the default budget: one slice
+  (void)validate::BuildValidationInputs(opt, &one_slice);
 
-  opt.out_of_core = true;
   opt.max_memory_mb = 64;
-  validate::ValidationRun ooc;
-  (void)validate::BuildValidationInputs(opt, &ooc);
+  validate::ValidationRun small;
+  (void)validate::BuildValidationInputs(opt, &small);
 
-  // The execution-strategy knobs are not part of the sample identity: an
-  // out-of-core run must fingerprint identically to the resident run.
-  EXPECT_EQ(validate::ManifestFingerprint(ooc),
-            validate::ManifestFingerprint(resident));
-  EXPECT_GT(ooc.sketch_bytes, 0u);
-  // The slices are walked inside generation, and each phase counts its own
-  // seconds.
-  EXPECT_GT(ooc.generate_s, 0.0);
-  EXPECT_GT(ooc.analyze_s, 0.0);
+  // The budget is not part of the sample identity: every budget
+  // fingerprints identically.
+  EXPECT_EQ(validate::ManifestFingerprint(small),
+            validate::ManifestFingerprint(one_slice));
+  for (const validate::ValidationRun* run : {&one_slice, &small}) {
+    EXPECT_GT(run->sketch_bytes, 0u);
+    // The slices are walked inside generation, and each phase counts its
+    // own seconds.
+    EXPECT_GT(run->generate_s, 0.0);
+    EXPECT_GT(run->analyze_s, 0.0);
+  }
+}
+
+// With a budget above the whole trace the spill path is resident
+// generation: one slice whose columns, user table and dense ids are the
+// store GenerateColumnar builds, column for column.
+TEST(OutOfCore, OneSliceIsTheColumnarStore) {
+  for (const int threads : {1, 3}) {
+    workload::WorkloadConfig cfg = SmallConfig();
+    cfg.threads = threads;
+    const TraceStore want =
+        workload::WorkloadGenerator(cfg).GenerateColumnar().trace;
+    workload::SpillConfig spill;
+    spill.max_buffer_bytes = sizeof(LogRecord) * (want.rows() + 1);
+    spill.users_per_chunk = 64;
+    std::size_t slices = 0;
+    workload::GenTimings gt;
+    const workload::SpillSummary sum =
+        workload::WorkloadGenerator(cfg).GenerateToPartitions(
+            spill,
+            [&](const SealedSlice& slice, ThreadPool&) {
+              ++slices;
+              const RecordColumns& r = slice.records;
+              ASSERT_EQ(r.size(), want.rows());
+              EXPECT_TRUE(std::ranges::equal(r.timestamps, want.timestamps()));
+              EXPECT_TRUE(
+                  std::ranges::equal(r.device_types, want.device_types()));
+              EXPECT_TRUE(std::ranges::equal(r.device_ids, want.device_ids()));
+              EXPECT_TRUE(
+                  std::ranges::equal(r.request_types, want.request_types()));
+              EXPECT_TRUE(std::ranges::equal(r.directions, want.directions()));
+              EXPECT_TRUE(
+                  std::ranges::equal(r.data_volumes, want.data_volumes()));
+              EXPECT_TRUE(std::ranges::equal(r.processing_times,
+                                             want.processing_times()));
+              EXPECT_TRUE(
+                  std::ranges::equal(r.server_times, want.server_times()));
+              EXPECT_TRUE(std::ranges::equal(r.avg_rtts, want.avg_rtts()));
+              EXPECT_TRUE(std::ranges::equal(r.proxied, want.proxied()));
+              EXPECT_TRUE(std::ranges::equal(slice.user_ids, want.user_ids()));
+              EXPECT_TRUE(std::ranges::equal(slice.users, want.user_index()));
+              for (std::size_t i = 0; i < r.size(); ++i)
+                ASSERT_EQ(r.user_ids[i], slice.user_ids[slice.users[i]]);
+            },
+            &gt);
+    EXPECT_EQ(slices, 1u) << "threads=" << threads;
+    EXPECT_EQ(sum.spills, 1u);
+    EXPECT_EQ(sum.records, want.rows());
+    // Every path runs the count pass and the emit pass, and times both.
+    EXPECT_GT(gt.plan_s, 0.0);
+    EXPECT_GT(gt.emit_s, 0.0);
+    EXPECT_EQ(gt.record_buffer_growths, 0u);
+  }
 }
 
 TEST(OutOfCore, GenerateToPartitionsIsIdenticalAcrossThreadCounts) {

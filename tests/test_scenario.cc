@@ -218,38 +218,37 @@ TEST(Conformance, ThreadInvariantFingerprint) {
   EXPECT_EQ(scenario::ToJson(a), scenario::ToJson(b));
 }
 
-// The out-of-core conformance path (spill to a partitioned trace, analyze
-// with the streaming engine) is execution strategy, not sample identity:
-// same spec, same seed — same report, bit for bit. This is what lets a
-// spec declare a paper-scale population and still be conformance-checked.
-// The spill dir does not exist yet: RunConformance creates it, parents
-// included, as validate does.
-TEST(Conformance, OutOfCoreMatchesResident) {
+// The memory budget is execution strategy, not sample identity: the
+// default budget (one slice at this scale) and 64 MB (several) give the
+// same report, bit for bit. This is what lets a spec declare a paper-scale
+// population and still be conformance-checked. The spill dir does not
+// exist yet: RunConformance creates it, parents included, as validate
+// does.
+TEST(Conformance, SameReportAtEveryBudget) {
   const scenario::WorkloadSpec spec =
       scenario::LoadSpec("flash-crowd-restore");
   scenario::ConformanceOptions opts;
   opts.users_override = 1200;
-  const auto resident = scenario::RunConformance(spec, opts);
+  const auto one_slice = scenario::RunConformance(spec, opts);
   const std::filesystem::path root =
-      std::filesystem::temp_directory_path() / "mcloud-spec-ooc";
+      std::filesystem::temp_directory_path() / "mcloud-spec-budget";
   std::filesystem::remove_all(root);
-  opts.out_of_core = true;
+  opts.max_memory_mb = 64;
   opts.spill_dir = (root / "nested" / "spill").string();
-  const auto ooc = scenario::RunConformance(spec, opts);
-  EXPECT_TRUE(std::filesystem::exists(root / "nested" / "spill" / "MANIFEST"));
+  const auto small = scenario::RunConformance(spec, opts);
+  EXPECT_GT(PartitionedTrace::Open(opts.spill_dir).groups().size(), 1u);
   std::filesystem::remove_all(root);
-  EXPECT_EQ(ooc.report_fingerprint, resident.report_fingerprint);
-  EXPECT_EQ(scenario::ToJson(ooc), scenario::ToJson(resident));
+  EXPECT_EQ(small.report_fingerprint, one_slice.report_fingerprint);
+  EXPECT_EQ(scenario::ToJson(small), scenario::ToJson(one_slice));
 }
 
-// Out-of-core conformance spills under its memory budget, as generate and
-// validate do: 64 MB cuts the trace into more run files than 2048 MB, and
-// the report does not move.
-TEST(Conformance, OutOfCoreSpillFollowsTheBudget) {
+// Conformance spills under its memory budget, as generate and validate
+// do: 64 MB cuts the trace into more run files than 2048 MB, and the
+// report does not move.
+TEST(Conformance, SpillFollowsTheBudget) {
   const scenario::WorkloadSpec spec = scenario::LoadSpec("paper2016");
   scenario::ConformanceOptions opts;
   opts.users_override = 2000;
-  opts.out_of_core = true;
   std::size_t run_files[2] = {};
   std::uint64_t fingerprints[2] = {};
   const std::size_t budgets_mb[2] = {64, 2048};

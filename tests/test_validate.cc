@@ -302,14 +302,13 @@ TEST(Manifest, FingerprintIdenticalAcrossThreadCounts) {
 // Paper report
 // ---------------------------------------------------------------------------
 
-/// `validate --users 4000 --seed 42` at `threads`, resident or out of core
-/// under a 64 MB budget.
-validate::ValidationRun RunAt4k(int threads, bool out_of_core) {
+/// `validate --users 4000 --seed 42` at `threads` under a budget of
+/// `max_memory_mb` (the default: one slice).
+validate::ValidationRun RunAt4k(int threads, std::size_t max_memory_mb = 2048) {
   validate::ValidateOptions o;
   o.users = 4000;
   o.threads = threads;
-  o.out_of_core = out_of_core;
-  o.max_memory_mb = 64;
+  o.max_memory_mb = max_memory_mb;
   return validate::RunValidation(o);
 }
 
@@ -322,19 +321,17 @@ std::string ReportWithoutTimings(const validate::ValidationRun& run) {
   return out;
 }
 
-TEST(PaperReport, SameBytesAtEveryThreadCountAndMode) {
-  const std::string want = ReportWithoutTimings(RunAt4k(1, false));
+TEST(PaperReport, SameBytesAtEveryThreadCountAndBudget) {
+  const std::string want = ReportWithoutTimings(RunAt4k(1));
   EXPECT_NE(want.find("## Table 4:"), std::string::npos);
   EXPECT_NE(want.find("--- fleet:"), std::string::npos);
-  EXPECT_EQ(ReportWithoutTimings(RunAt4k(3, false)), want) << "threads 3";
-  EXPECT_EQ(ReportWithoutTimings(RunAt4k(1, true)), want)
-      << "out of core, threads 1";
-  EXPECT_EQ(ReportWithoutTimings(RunAt4k(3, true)), want)
-      << "out of core, threads 3";
+  EXPECT_EQ(ReportWithoutTimings(RunAt4k(3)), want) << "threads 3";
+  EXPECT_EQ(ReportWithoutTimings(RunAt4k(1, 64)), want) << "64 MB, threads 1";
+  EXPECT_EQ(ReportWithoutTimings(RunAt4k(3, 64)), want) << "64 MB, threads 3";
 }
 
 TEST(PaperReport, EveryCheckInExactlyOneSection) {
-  const std::string text = validate::RenderReport(RunAt4k(0, false));
+  const std::string text = validate::RenderReport(RunAt4k(0));
   std::vector<std::string> sections;
   std::istringstream in(text);
   for (std::string line; std::getline(in, line);) {

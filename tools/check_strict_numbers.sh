@@ -61,15 +61,17 @@ rejects "$daemon" --port 70000 --self-check --log "$out"
 rejects "$daemon" --port 1x --self-check --log "$out"
 
 # A flag the command does not take, misspelt or retired, exits 2 and names
-# the flag and the command. --analyze-while-generate and --concurrent are
-# retired: grow and validate --out-of-core take the one out-of-core path.
+# the flag and the command. Retired: --analyze-while-generate, --concurrent
+# and validate/conform --out-of-core (both always walk the slices).
 rejects "$ctl" generate --users 1000 --bogus 3 --thread 2 "$out"
 rejects "$ctl" generate --users 200 --thread 2 "$out"
 rejects "$ctl" analyze --users 5 "$trace"
 rejects "$ctl" sessions "$trace" --threads 2
 rejects "$ctl" grow --users 200 --analyze-while-generate --seed 3 "$out"
 rejects "$ctl" validate --users 200 --concurrent --json "$out"
-rejects "$ctl" validate --out-of-core --concurrent --users 200 --json "$out"
+rejects "$ctl" validate --users 200 --out-of-core --spill-dir "$out"
+rejects "$ctl" conform enterprise-sync --specs-dir "$specs" --users 200 \
+  --out-of-core --spill-dir "$out"
 "$ctl" generate --users 200 --bogus 3 "$out" 2>&1 |
   grep -q 'generate does not take --bogus' ||
   { echo "no message naming generate and --bogus"; failed=1; }
@@ -87,8 +89,8 @@ rejects "$ctl" anonymize "$trace" "$out" --key --json
 rejects "$ctl" generate --users 20 "$out" --anonymize
 rejects "$ctl" generate --users 20 --anonymize '' "$out"
 rejects "$ctl" validate --users 200 --flows 20 --json
-rejects "$ctl" validate --users 200 --flows 20 --json --out-of-core
-rejects "$ctl" validate --users 200 --out-of-core --spill-dir
+rejects "$ctl" validate --users 200 --flows 20 --json --max-memory-mb 64
+rejects "$ctl" validate --users 200 --flows 20 --spill-dir
 rejects "$daemon" --port 0 --log
 rejects "$daemon" --port 0 --self-check --stats-json ''
 rejects "$load" --users 5 --spawn "$daemon" --json
@@ -118,13 +120,13 @@ accepts sh -c '"$0" simulate --device ios --direction retrieve --file-mb 1 \
   --seed 2 --no-ssai --pace > "$1"' "$ctl" "$out"
 accepts sh -c '"$0" specs --specs-dir "$1" > "$2"' "$ctl" "$specs" "$out"
 parses "$ctl" validate --users 200 --seed 42 --seeds 1 --threads 2 \
-  --flows 20 --shards 2 --out-of-core --max-memory-mb 64 \
-  --spill-dir "$dir/spill" --json "$out"
+  --flows 20 --shards 2 --max-memory-mb 64 --spill-dir "$dir/spill" \
+  --json "$out"
 parses "$ctl" validate --users 200 --spec paper2016 --specs-dir "$specs" \
   --flows 20 --json "$out"
 parses "$ctl" conform enterprise-sync --specs-dir "$specs" --users 200 \
-  --seed 1 --threads 2 --out-of-core --max-memory-mb 64 \
-  --spill-dir "$dir/spill" --json "$out"
+  --seed 1 --threads 2 --max-memory-mb 64 --spill-dir "$dir/spill" \
+  --json "$out"
 parses "$ctl" matrix paper2016 --specs-dir "$specs" --grids none \
   --connections baseline --chunks paper --users 20 --seed 1 --threads 2 \
   --shards 2 --json "$out"

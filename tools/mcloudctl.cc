@@ -18,11 +18,11 @@
 //                       [--threads N] [--shards K]
 //   mcloudctl validate  [--users N] [--seed S] [--seeds K] [--threads N]
 //                       [--flows N] [--shards K] [--json FILE]
-//                       [--out-of-core [--max-memory-mb M] [--spill-dir D]]
+//                       [--max-memory-mb M] [--spill-dir D]
 //                       [--spec NAME] [--specs-dir D]
 //   mcloudctl specs     [--specs-dir D]
 //   mcloudctl conform   SPEC [--users N] [--seed S] [--threads N]
-//                       [--out-of-core [--max-memory-mb M] [--spill-dir D]]
+//                       [--max-memory-mb M] [--spill-dir D]
 //                       [--specs-dir D] [--json FILE]
 //   mcloudctl matrix    SPEC... [--grids A,B] [--connections A,B]
 //                       [--chunks A,B] [--users N] [--seed S] [--threads N]
@@ -54,12 +54,12 @@
 // streams such a directory through RunStreaming — same reports as the
 // resident paths, at any --max-memory-mb.
 //
-// `grow OUT`, `validate --out-of-core` and `conform --out-of-core` walk each
-// spill slice on the generator's pool as it seals (RunSlices) and read
-// nothing back; grow writes the slices into OUT, validate and conform only
-// into a given --spill-dir. Each command takes only its own flags
-// (kCommands, parsed by tools::Parse); any other flag, or a value flag
-// without its value, exits 2 before any output.
+// `grow OUT`, `validate` and `conform` walk each spill slice on the
+// generator's pool as it seals (RunSlices) and read nothing back; grow
+// writes the slices into OUT, validate and conform only into a given
+// --spill-dir. Each command takes only its own flags (kCommands, parsed by
+// tools::Parse); any other flag, or a value flag without its value, exits 2
+// before any output.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -147,11 +147,11 @@ int Usage() {
       "            [--shards K]\n"
       "  validate  [--users N] [--seed S] [--seeds K] [--threads N]\n"
       "            [--flows N] [--shards K] [--json FILE]\n"
-      "            [--out-of-core [--max-memory-mb M] [--spill-dir D]]\n"
+      "            [--max-memory-mb M] [--spill-dir D]\n"
       "            [--spec NAME] [--specs-dir D]\n"
       "  specs     [--specs-dir D]\n"
       "  conform   SPEC [--users N] [--seed S] [--threads N]\n"
-      "            [--out-of-core [--max-memory-mb M] [--spill-dir D]]\n"
+      "            [--max-memory-mb M] [--spill-dir D]\n"
       "            [--specs-dir D] [--json FILE]\n"
       "  matrix    SPEC... [--grids A,B] [--connections A,B] [--chunks A,B]\n"
       "            [--users N] [--seed S] [--threads N] [--shards K]\n"
@@ -170,13 +170,13 @@ int Usage() {
       "--max-memory-mb bounds the resident footprint. Only analyze reads\n"
       "a directory. grow writes a partitioned directory AND prints the\n"
       "findings report, walking each spill slice as it seals; validate and\n"
-      "conform --out-of-core walk the same way and write the slices only\n"
-      "into --spill-dir. analyze and grow print the stage timings with the\n"
+      "conform walk the same way and write the slices only into\n"
+      "--spill-dir. analyze and grow print the stage timings with the\n"
       "sketch footprint. --threads 0 (the default) uses all hardware\n"
-      "threads; output is identical for every thread count, memory budget,\n"
-      "and execution strategy. A flag the command does not take, or a\n"
-      "value flag without its value, exits 2. validate prints the paper\n"
-      "report: every figure and table of the paper with its checks.\n",
+      "threads; output is identical for every thread count and memory\n"
+      "budget. A flag the command does not take, or a value flag without\n"
+      "its value, exits 2. validate prints the paper report: every figure\n"
+      "and table of the paper with its checks.\n",
       stderr);
   return 2;
 }
@@ -600,7 +600,6 @@ int CmdConform(const Args& args) {
   opts.seed = args.GetU64("seed", opts.seed);
   opts.threads = args.GetU64<int>("threads", 0);
   opts.users_override = args.GetU64("users", 0);
-  opts.out_of_core = args.Has("out-of-core");
   opts.spill_dir = args.Get("spill-dir");
   opts.max_memory_mb =
       args.GetU64<std::size_t>("max-memory-mb", opts.max_memory_mb, kMaxMiB);
@@ -656,7 +655,6 @@ int CmdValidate(const Args& args) {
   opts.threads = args.GetU64<int>("threads", 0);
   opts.fleet_flows = args.GetU64("flows", opts.fleet_flows);
   opts.fleet_shards = args.GetU64<std::uint32_t>("shards", opts.fleet_shards);
-  opts.out_of_core = args.Has("out-of-core");
   opts.max_memory_mb =
       args.GetU64<std::size_t>("max-memory-mb", opts.max_memory_mb, kMaxMiB);
   opts.spill_dir = args.Get("spill-dir");
@@ -703,15 +701,14 @@ constexpr Command kCommands[] = {
       "no-ssai pace hedge no-retry"}},
     {"specs", CmdSpecs, {"specs-dir", ""}},
     {"conform", CmdConform,
-     {"users seed threads max-memory-mb spill-dir specs-dir json",
-      "out-of-core"}},
+     {"users seed threads max-memory-mb spill-dir specs-dir json", ""}},
     {"matrix", CmdMatrix,
      {"grids connections chunks users seed threads shards specs-dir json",
       ""}},
     {"validate", CmdValidate,
      {"users seed seeds threads flows shards json max-memory-mb spill-dir "
       "spec specs-dir",
-      "out-of-core"}},
+      ""}},
 };
 
 }  // namespace
