@@ -1,7 +1,8 @@
 // Tests for the sharded parallel fleet executor: the determinism contract
 // (output byte-identical at every thread count, because the shard count —
-// not the thread count — is the unit of decomposition), the single-shard
-// passthrough, and the canonical order of the merged result.
+// not the thread count — is the unit of decomposition, pinned by absolute
+// fingerprints at threads 1-4), the single-shard passthrough, and the
+// canonical order of the merged result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,6 +49,43 @@ std::vector<workload::SessionPlan> FleetFixture(int sessions = 240,
   return plans;
 }
 
+/// A fleet whose heaviest shards by planned file operations are 0 and 1:
+/// their users' sessions carry five ops each, every other session one. A
+/// schedule that runs the heaviest shards first claims them in an order
+/// other than the index order.
+std::vector<workload::SessionPlan> HeavyLowShardsFixture() {
+  std::vector<workload::SessionPlan> plans;
+  Rng rng(4242);
+  for (int i = 0; i < 160; ++i) {
+    workload::SessionPlan s;
+    s.user_id = static_cast<std::uint64_t>(i % 40 + 1);
+    s.device_id = s.user_id + 900;
+    s.device_type = (i % 4 == 0) ? DeviceType::kIos : DeviceType::kAndroid;
+    s.start = kTraceStart + static_cast<UnixSeconds>((i % 37) * 45);
+    const int ops = ShardOf(s.user_id, 8) <= 1 ? 5 : 1;
+    for (int k = 0; k < ops; ++k) {
+      workload::FileOp op;
+      op.direction = (k + i) % 2 == 0 ? Direction::kStore
+                                       : Direction::kRetrieve;
+      op.size = FromMB(0.3 + 1.5 * rng.Uniform());
+      op.offset = 20.0 * k;
+      s.ops.push_back(op);
+    }
+    plans.push_back(s);
+  }
+  return plans;
+}
+
+/// The fault-mode configuration the fault goldens run.
+FleetConfig FaultFleetConfig() {
+  FleetConfig cfg;
+  cfg.shards = 8;
+  cfg.service.faults.frontend_fail_rate = 0.05;
+  cfg.service.faults.degraded_rate = 0.10;
+  cfg.service.faults.loss_burst_rate = 0.05;
+  return cfg;
+}
+
 TEST(ShardOfFn, DeterministicAndInRange) {
   for (std::uint64_t uid = 1; uid <= 1000; ++uid) {
     const std::uint32_t s = ShardOf(uid, 8);
@@ -65,7 +103,7 @@ TEST(FleetGolden, ByteIdenticalAcrossThreadCounts) {
   const auto plans = FleetFixture();
   std::uint64_t first_fp = 0;
   std::vector<ShardTelemetry> first_shards;
-  for (const int threads : {1, 4, 0 /* hardware */}) {
+  for (const int threads : {1, 2, 3, 4, 0 /* hardware */}) {
     FleetConfig cfg;
     cfg.shards = 8;
     cfg.threads = threads;
@@ -96,23 +134,40 @@ TEST(FleetGolden, ByteIdenticalAcrossThreadCounts) {
 
 TEST(FleetGolden, FaultModeByteIdenticalAcrossThreadCounts) {
   // Per-shard fault schedules derive from shard-salted seeds, so the fault
-  // timeline is part of the deterministic surface too.
+  // timeline is part of the deterministic surface too. The value is
+  // absolute: every thread count must reproduce it, not only agree.
   const auto plans = FleetFixture();
-  FleetConfig cfg;
-  cfg.shards = 8;
-  cfg.service.faults.frontend_fail_rate = 0.05;
-  cfg.service.faults.degraded_rate = 0.10;
-  cfg.service.faults.loss_burst_rate = 0.05;
+  FleetConfig cfg = FaultFleetConfig();
   ASSERT_TRUE(cfg.service.faults.Any());
+  for (const int threads : {1, 2, 3, 4}) {
+    cfg.threads = threads;
+    const FleetResult fleet = ExecuteFleet(cfg, plans);
+    EXPECT_EQ(FingerprintServiceResult(fleet.result), 0xb951364d02a4b104ULL)
+        << "threads=" << threads;
+    EXPECT_GT(fleet.result.faults.chunk_attempts, 0u);
+  }
+}
 
-  cfg.threads = 1;
-  const FleetResult serial = ExecuteFleet(cfg, plans);
-  cfg.threads = 4;
-  const FleetResult parallel = ExecuteFleet(cfg, plans);
-  EXPECT_EQ(FingerprintServiceResult(serial.result),
-            FingerprintServiceResult(parallel.result));
-  EXPECT_GT(serial.result.faults.chunk_attempts,
-            serial.result.faults.goodput_bytes > 0 ? 0u : 1u);
+TEST(FleetGolden, HeaviestShardsFirstByteIdenticalAcrossThreadCounts) {
+  const auto plans = HeavyLowShardsFixture();
+  // The fixture's premise: shards 0 and 1 plan the most file operations.
+  std::vector<std::size_t> ops(8, 0);
+  for (const workload::SessionPlan& s : plans)
+    ops[ShardOf(s.user_id, 8)] += s.ops.size();
+  for (std::size_t s = 2; s < ops.size(); ++s) {
+    EXPECT_GT(ops[0], ops[s]) << "shard " << s;
+    EXPECT_GT(ops[1], ops[s]) << "shard " << s;
+  }
+  FleetConfig cfg = FaultFleetConfig();
+  for (const int threads : {1, 2, 3, 4}) {
+    cfg.threads = threads;
+    const FleetResult fleet = ExecuteFleet(cfg, plans);
+    EXPECT_EQ(FingerprintServiceResult(fleet.result), 0xe1424b63dd5888caULL)
+        << "threads=" << threads;
+    ASSERT_EQ(fleet.shards.size(), 8u);
+    for (std::uint32_t s = 0; s < 8; ++s)
+      EXPECT_EQ(fleet.shards[s].shard, s);  // results land by shard index
+  }
 }
 
 TEST(FleetPassthrough, SingleShardMatchesPlainExecute) {
