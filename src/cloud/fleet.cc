@@ -128,10 +128,12 @@ FleetResult ExecuteFleet(
   // in the serial run).
   std::vector<std::vector<workload::SessionPlan>> shard_plans(k);
   std::vector<std::vector<std::uint32_t>> shard_ranks(k);
+  std::vector<std::size_t> shard_ops(k, 0);
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     const std::uint32_t s = ShardOf(sessions[i].user_id, k);
     shard_plans[s].push_back(sessions[i]);
     shard_ranks[s].push_back(rank[i]);
+    shard_ops[s] += sessions[i].ops.size();
   }
   // A shard executes its sessions in (start, insertion) order, which is
   // exactly ascending canonical rank — rank is itself ordered by (start,
@@ -142,9 +144,19 @@ FleetResult ExecuteFleet(
   // Run every shard on its own service instance. Seeds (and the fault
   // schedule's seed) are shard-derived via ForStream-style stateless
   // hashing, so shard streams are disjoint and independent of scheduling.
+  // Threads claim the shards heaviest first — most planned file operations,
+  // ties by index — so a heavy shard starts at once instead of queueing
+  // behind a neighbour; results land by shard index either way.
+  std::vector<std::uint32_t> schedule(k);
+  std::iota(schedule.begin(), schedule.end(), 0U);
+  std::stable_sort(schedule.begin(), schedule.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return shard_ops[a] > shard_ops[b];
+                   });
   std::vector<ShardRun> runs(k);
   ThreadPool pool(config.threads);
-  ParallelFor(pool, k, [&](std::size_t s) {
+  RunTasks(&pool, k, [&](std::size_t j) {
+    const std::size_t s = schedule[j];
     ServiceConfig cfg = config.service;
     cfg.seed = SplitMix64(SplitMix64(config.service.seed) ^
                           (kShardSeedSalt + SplitMix64(s + 1)));
@@ -164,15 +176,11 @@ FleetResult ExecuteFleet(
   // --- Order-insensitive aggregates: elementwise sums (peak pending is a
   // max — it answers "how big must one shard's slot pool be").
   m.front_ends.resize(config.service.front_ends);
-  std::size_t total_logs = 0;
-  std::size_t total_retrievals = 0;
   std::size_t total_chunks = 0;
   std::size_t total_sessions = 0;
   for (std::uint32_t s = 0; s < k; ++s) {
     const ServiceResult& r = runs[s].result;
     out.shards.push_back(TelemetryFor(s, r, runs[s].wall_s));
-    total_logs += r.logs.size();
-    total_retrievals += r.retrievals.size();
     total_chunks += r.chunk_perf.size();
     total_sessions += r.session_outcomes.size();
     m.flows += r.flows;
@@ -206,13 +214,14 @@ FleetResult ExecuteFleet(
   MCLOUD_REQUIRE(total_sessions == sessions.size(),
                  "shard merge lost a session");
 
-  // --- Globally ordered streams: stable k-way merges (ties go to the
-  // lower shard index; within a shard order is preserved).
+  // --- Globally ordered streams: stable k-way merges on the pool (ties go
+  // to the lower shard index; within a shard order is preserved). One
+  // stream at a time, so the peak holds one stream's input and output.
   {
     std::vector<std::vector<LogRecord>> log_runs;
     log_runs.reserve(k);
     for (auto& run : runs) log_runs.push_back(std::move(run.result.logs));
-    m.logs = MergeSortedRuns(std::move(log_runs), LogRecordTimeOrder);
+    m.logs = MergeSortedRuns(std::move(log_runs), LogRecordTimeOrder, &pool);
   }
   {
     std::vector<std::vector<RetrievalEvent>> ret_runs;
@@ -223,12 +232,13 @@ FleetResult ExecuteFleet(
         std::move(ret_runs),
         [](const RetrievalEvent& a, const RetrievalEvent& b) {
           return a.at < b.at;
-        });
+        },
+        &pool);
   }
 
   // --- Session-indexed streams: interleave by canonical rank. Each rank
-  // maps to exactly one (shard, local ordinal); walking ranks 0..N-1 emits
-  // outcomes and chunk groups in the order the serial fleet run would.
+  // maps to exactly one (shard, local ordinal); ranks 0..N-1 in order are
+  // the outcomes and chunk groups the serial fleet run would emit.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> where(total_sessions);
   std::vector<std::vector<std::size_t>> chunk_offsets(k);
   for (std::uint32_t s = 0; s < k; ++s) {
@@ -242,20 +252,38 @@ FleetResult ExecuteFleet(
     for (const ChunkPerf& p : run.result.chunk_perf) ++off[p.session_seq + 1];
     for (std::size_t i = 1; i < off.size(); ++i) off[i] += off[i - 1];
   }
-  m.session_outcomes.reserve(total_sessions);
-  m.chunk_perf.reserve(total_chunks);
+  // first_chunk[r]: where rank r's chunk group starts in the merged stream.
+  std::vector<std::size_t> first_chunk(total_sessions + 1, 0);
   for (std::uint32_t r = 0; r < total_sessions; ++r) {
     const auto [s, l] = where[r];
-    m.session_outcomes.push_back(runs[s].result.session_outcomes[l]);
-    const std::vector<std::size_t>& off = chunk_offsets[s];
-    for (std::size_t i = off[l]; i < off[l + 1]; ++i) {
-      ChunkPerf p = runs[s].result.chunk_perf[i];
-      p.session_seq = r;  // local ordinal -> canonical global rank
-      m.chunk_perf.push_back(p);
-    }
+    first_chunk[r + 1] = first_chunk[r] + chunk_offsets[s][l + 1] -
+                         chunk_offsets[s][l];
   }
-  (void)total_logs;
-  (void)total_retrievals;
+  m.session_outcomes.resize(total_sessions);
+  m.chunk_perf.resize(total_chunks);
+  // One rank range per thread, cut where the chunks before it reach an
+  // equal share of all chunks; each range writes only its own slots.
+  const std::size_t parts = ShardCount(pool, total_sessions);
+  RunTasks(&pool, parts, [&](std::size_t part) {
+    const auto cut = [&](std::size_t p) -> std::uint32_t {
+      if (p == parts) return static_cast<std::uint32_t>(total_sessions);
+      return static_cast<std::uint32_t>(
+          std::lower_bound(first_chunk.begin(), first_chunk.end() - 1,
+                           total_chunks * p / parts) -
+          first_chunk.begin());
+    };
+    for (std::uint32_t r = cut(part), end = cut(part + 1); r < end; ++r) {
+      const auto [s, l] = where[r];
+      const ServiceResult& from = runs[s].result;
+      m.session_outcomes[r] = from.session_outcomes[l];
+      ChunkPerf* to = m.chunk_perf.data() + first_chunk[r];
+      for (std::size_t i = chunk_offsets[s][l]; i < chunk_offsets[s][l + 1];
+           ++i, ++to) {
+        *to = from.chunk_perf[i];
+        to->session_seq = r;  // local ordinal -> canonical global rank
+      }
+    }
+  });
   return out;
 }
 

@@ -9,12 +9,16 @@
 //
 // Determinism contract (the load-bearing part): sessions are partitioned
 // into a FIXED number of shards K by a hash of the user id. K is independent
-// of the thread count — threads only decide how many shards run at once, so
-// `--threads 1`, `--threads 4`, and `--threads <hw>` execute byte-identical
-// per-shard simulations and the shard-ordered merge below reassembles
-// byte-identical fleet output. Each shard runs a private StorageService +
-// EventQueue with a shard-derived seed (and shard-derived fault-schedule
-// seed), so no shard ever observes another's RNG stream or health timeline.
+// of the thread count — threads only decide how many shards run at once,
+// each thread claiming the heaviest shard left (most planned file
+// operations, ties by index) — so `--threads 1`, `--threads 4`, and
+// `--threads <hw>` execute byte-identical per-shard simulations, and the
+// merge below (a stable k-way merge cut into parts at splitter keys, and a
+// rank-ordered interleave cut into rank ranges, both on the same pool)
+// reassembles byte-identical fleet output. Each shard runs a private
+// StorageService + EventQueue with a shard-derived seed (and shard-derived
+// fault-schedule seed), so no shard ever observes another's RNG stream or
+// health timeline.
 //
 // With shards == 1 the executor degenerates to a single plain
 // StorageService::Execute over the unpartitioned input — exactly the
@@ -62,9 +66,10 @@ struct FleetResult {
                                     std::uint32_t shards);
 
 /// Execute `sessions` across `config.shards` deterministic shards on up to
-/// `config.threads` threads and merge per-chunk / per-flow / per-session
-/// results into canonical order (the order a serial event queue over the
-/// whole fleet would have produced).
+/// `config.threads` threads, heaviest shards first, and merge per-chunk /
+/// per-flow / per-session results on the same threads into canonical order
+/// (the order a serial event queue over the whole fleet would have
+/// produced).
 [[nodiscard]] FleetResult ExecuteFleet(
     const FleetConfig& config, std::span<const workload::SessionPlan> sessions);
 

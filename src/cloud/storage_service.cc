@@ -19,6 +19,7 @@ StorageService::StorageService(const ServiceConfig& config)
   // Popular shared contents (videos, packages) with Zipf popularity.
   popular_seeds_.reserve(config.popular_contents);
   zipf_weights_.reserve(config.popular_contents);
+  popular_manifests_.resize(config.popular_contents);
   for (std::size_t i = 0; i < config.popular_contents; ++i) {
     popular_seeds_.push_back(
         0xC0FFEEULL * (i + 1));  // disjoint from per-upload seeds
@@ -149,19 +150,19 @@ void StorageService::ExecuteSession(const workload::SessionPlan& session,
 
     // --- Resolve content identity and consult the metadata server. The
     // manifest is a pure function of (content seed, size); compute it once
-    // per op and reuse it everywhere below.
-    std::uint64_t content_seed;
+    // per op (or borrow a popular content's) and reuse it everywhere below.
     Bytes size = op.size;
     bool upload_needed = true;
     FrontEndId fe_id = 0;
-    FileManifest manifest;
+    FileManifest built;  // the op's own manifest unless it is popular
+    const FileManifest* resolved = &built;
 
     bool shared_content = false;
     if (op.direction == Direction::kStore) {
-      content_seed = next_content_seed_++;
-      manifest = chunker_.Manifest(content_seed, size);
+      const std::uint64_t content_seed = next_content_seed_++;
+      built = chunker_.Manifest(content_seed, size);
       const StoreDecision decision =
-          metadata_.QueryStore(session.user_id, manifest);
+          metadata_.QueryStore(session.user_id, built);
       fe_id = decision.front_end;
       upload_needed = !decision.already_stored;
       user_contents_[session.user_id].emplace_back(content_seed, size);
@@ -171,32 +172,29 @@ void StorageService::ExecuteSession(const workload::SessionPlan& session,
       const auto& own = user_contents_[session.user_id];
       if (!own.empty() && !rng.Bernoulli(config_.shared_content_prob)) {
         const auto& pick = own[rng.UniformInt(own.size())];
-        content_seed = pick.first;
         size = pick.second;
+        built = chunker_.Manifest(pick.first, size);
       } else {
-        content_seed = popular_seeds_[rng.PickWeighted(zipf_weights_)];
-        // Shared content is the large-object regime (Fig 5c): videos and
-        // packages; size keyed to the content so every downloader agrees.
-        Rng content_rng(content_seed);
-        size = FromMB(2.0 + content_rng.ExponentialMean(120.0));
+        resolved = &PopularManifest(rng.PickWeighted(zipf_weights_));
+        size = resolved->size;
         shared_content = true;
       }
-      manifest = chunker_.Manifest(content_seed, size);
       const StoreDecision registered =
-          metadata_.QueryStore(0 /* origin uploader */, manifest);
+          metadata_.QueryStore(0 /* origin uploader */, *resolved);
       const auto located =
-          metadata_.QueryRetrieve(session.user_id, manifest.file_md5);
+          metadata_.QueryRetrieve(session.user_id, resolved->file_md5);
       fe_id = located.value_or(registered.front_end);
 
       RetrievalEvent ev;
       ev.at = op_time;
       ev.user_id = session.user_id;
-      ev.file_md5 = manifest.file_md5;
+      ev.file_md5 = resolved->file_md5;
       ev.size = size;
       ev.shared = shared_content;
       result.retrievals.push_back(ev);
     }
 
+    const FileManifest& manifest = *resolved;
     const Seconds op_sim_time = sim_start + op.offset;
 
     // --- Health-checked dispatch (fault mode): the dispatcher's
@@ -312,6 +310,19 @@ void StorageService::ExecuteSession(const workload::SessionPlan& session,
   result.faults.failed_ops += outcome.failed_ops;
   if (!outcome.Success()) ++result.faults.failed_sessions;
   result.session_outcomes.push_back(outcome);
+}
+
+const FileManifest& StorageService::PopularManifest(std::size_t rank) {
+  std::optional<FileManifest>& m = popular_manifests_[rank];
+  if (!m) {
+    // Shared content is the large-object regime (Fig 5c): videos and
+    // packages; size keyed to the content so every downloader agrees.
+    const std::uint64_t content_seed = popular_seeds_[rank];
+    Rng content_rng(content_seed);
+    m = chunker_.Manifest(content_seed,
+                          FromMB(2.0 + content_rng.ExponentialMean(120.0)));
+  }
+  return *m;
 }
 
 std::optional<FrontEndId> StorageService::PickHealthyFrontEnd(

@@ -57,25 +57,27 @@ struct ServiceConfig {
   fault::RetryPolicy retry{};
 };
 
-/// Per-chunk performance sample (the unit of the §4 analyses).
+/// Per-chunk performance sample (the unit of the §4 analyses). The one-byte
+/// and four-byte fields lead, so the sample packs into 72 bytes.
 struct ChunkPerf {
   DeviceType device = DeviceType::kAndroid;
   Direction direction = Direction::kStore;
-  Bytes bytes = 0;
-  Seconds ttran = 0;        ///< transfer time (T_chunk − T_srv)
-  Seconds tsrv = 0;
-  Seconds tclt = 0;         ///< client processing before the next chunk
-  Seconds idle_before = 0;  ///< 0 for the first chunk of a connection
-  Seconds rto_at_idle = 0;
   bool restarted = false;
-  Seconds rtt = 0;          ///< flow average RTT
   bool proxied = false;
   std::uint32_t attempt = 1;  ///< which try delivered the chunk (1-based)
   /// Ordinal of the owning session in this run's execution order (== index
   /// into ServiceResult::session_outcomes). The sharded fleet executor
   /// rewrites it to the canonical global rank when merging shards.
   std::uint32_t session_seq = 0;
+  Bytes bytes = 0;
+  Seconds ttran = 0;        ///< transfer time (T_chunk − T_srv)
+  Seconds tsrv = 0;
+  Seconds tclt = 0;         ///< client processing before the next chunk
+  Seconds idle_before = 0;  ///< 0 for the first chunk of a connection
+  Seconds rto_at_idle = 0;
+  Seconds rtt = 0;          ///< flow average RTT
 };
+static_assert(sizeof(ChunkPerf) == 72);
 
 /// One file retrieval, as seen by a front-end cache: which content, how
 /// big, when. The §3.1.4 cache what-if replays this stream.
@@ -171,6 +173,10 @@ class StorageService {
   void ExecuteSession(const workload::SessionPlan& session, Seconds sim_start,
                       Rng& rng, ServiceResult& result);
 
+  /// The manifest of popular content `rank`, built on its first retrieval
+  /// and kept for every later one.
+  const FileManifest& PopularManifest(std::size_t rank);
+
   [[nodiscard]] bool FaultsOn() const { return schedule_ != nullptr; }
   /// First healthy front-end at `t`, probing from `preferred` and wrapping;
   /// nullopt when the whole fleet is down.
@@ -201,6 +207,10 @@ class StorageService {
   tcp::FlowResult flow_scratch_;
   std::vector<std::uint64_t> popular_seeds_;
   std::vector<double> zipf_weights_;
+  /// popular_manifests_[rank]: popular content `rank`'s manifest once it
+  /// has been retrieved (a pure function of its seed, size and the chunk
+  /// size, so a kept manifest is the one a rebuild would give).
+  std::vector<std::optional<FileManifest>> popular_manifests_;
   std::uint64_t next_content_seed_ = 1;
   /// Per-user list of previously stored content seeds (for self-retrieval).
   std::unordered_map<std::uint64_t, std::vector<std::pair<std::uint64_t, Bytes>>>

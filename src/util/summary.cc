@@ -37,6 +37,9 @@ double RunningStats::Max() const {
 }
 
 namespace {
+/// Type-7 quantile `q` of a sample whose order statistics of ranks lo and
+/// hi (the two it interpolates between) sit at their sorted positions; it
+/// reads no other element.
 double SortedQuantile(std::span<const double> sorted, double q) {
   const std::size_t n = sorted.size();
   if (n == 1) return sorted[0];
@@ -49,24 +52,38 @@ double SortedQuantile(std::span<const double> sorted, double q) {
 }  // namespace
 
 double Percentile(std::span<const double> xs, double p) {
-  MCLOUD_REQUIRE(!xs.empty(), "Percentile of empty sample");
-  MCLOUD_REQUIRE(p >= 0 && p <= 100, "percentile must be in [0,100]");
-  std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
-  return SortedQuantile(copy, p / 100.0);
+  return Percentiles(xs, std::span<const double>(&p, 1)).front();
 }
 
+// Places only the order statistics the cuts interpolate between, smallest
+// rank first, each with nth_element on the range above the one before, so
+// the doubles equal SortedQuantile over a full sort.
 std::vector<double> Percentiles(std::span<const double> xs,
                                 std::span<const double> ps) {
-  MCLOUD_REQUIRE(!xs.empty(), "Percentiles of empty sample");
-  std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
+  MCLOUD_REQUIRE(!xs.empty(), "Percentile of empty sample");
+  for (const double p : ps)
+    MCLOUD_REQUIRE(p >= 0 && p <= 100, "percentile must be in [0,100]");
+  std::vector<double> work(xs.begin(), xs.end());
+  const std::size_t n = work.size();
+  std::vector<std::size_t> ranks;
+  ranks.reserve(2 * ps.size());
+  for (const double p : ps) {
+    const auto lo = static_cast<std::size_t>(p / 100.0 *
+                                             static_cast<double>(n - 1));
+    ranks.push_back(lo);
+    ranks.push_back(std::min(lo + 1, n - 1));
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  auto from = work.begin();
+  for (const std::size_t k : ranks) {
+    const auto nth = work.begin() + static_cast<std::ptrdiff_t>(k);
+    std::nth_element(from, nth, work.end());
+    from = nth + 1;
+  }
   std::vector<double> out;
   out.reserve(ps.size());
-  for (double p : ps) {
-    MCLOUD_REQUIRE(p >= 0 && p <= 100, "percentile must be in [0,100]");
-    out.push_back(SortedQuantile(copy, p / 100.0));
-  }
+  for (const double p : ps) out.push_back(SortedQuantile(work, p / 100.0));
   return out;
 }
 

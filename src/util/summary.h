@@ -38,10 +38,14 @@ class RunningStats {
 
 /// Percentile of a sample using linear interpolation between order
 /// statistics (type-7 quantile, matching numpy/Matlab defaults). `p` in
-/// [0, 100]. Sorts a copy; use Percentiles() for many cut points.
+/// [0, 100]. Selects the two order statistics it needs in a copy
+/// (nth_element) instead of sorting it; use Percentiles() for many cuts.
 [[nodiscard]] double Percentile(std::span<const double> xs, double p);
 
-/// Percentiles of a sample for several cut points; sorts once.
+/// Percentiles of a sample for several cut points, in any order, repeats
+/// allowed: one copy, and only the order statistics the cuts need, each
+/// selected in the part of the copy above the previous one. The values
+/// equal a full sort's, bit for bit.
 [[nodiscard]] std::vector<double> Percentiles(std::span<const double> xs,
                                               std::span<const double> ps);
 

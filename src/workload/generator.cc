@@ -430,20 +430,26 @@ SpillSummary WorkloadGenerator::GenerateToPartitions(
   ThreadPool pool(config_.threads);
   std::optional<PartitionedTraceWriter> writer;
   if (!spill.dir.empty()) writer.emplace(spill.dir, config_.trace_start);
-  Producer producer(config_, pool);
-  producer.Count();
+  // Released, with its planning scratch, once the last slice is emitted:
+  // the last sort and visit run without it, as resident generation's do.
+  std::optional<Producer> producer(std::in_place, config_, pool);
+  producer->Count();
+  const auto release_producer = [&] {
+    if (timings) producer->AddTimings(*timings);
+    producer.reset();
+  };
 
   // Still accounted in AoS LogRecord bytes: flush boundaries are part of
   // the deterministic spill layout and must not shift with the emitter's
   // in-memory representation.
   const std::vector<std::size_t> cuts = CutSlices(
-      producer, std::max<std::size_t>(spill.users_per_chunk, 1),
+      *producer, std::max<std::size_t>(spill.users_per_chunk, 1),
       std::max<std::size_t>(spill.max_buffer_bytes / sizeof(LogRecord),
                             std::size_t{64} * 1024));
 
   SpillSummary sum;
-  sum.users = producer.users();
-  sum.records = producer.Rows(0, sum.users);
+  sum.users = producer->users();
+  sum.records = producer->Rows(0, sum.users);
   RecordColumns buffer;
   RecordColumnsScratch sort_scratch;
   std::vector<std::uint64_t> slice_users;  // the buffer's users with rows
@@ -451,21 +457,23 @@ SpillSummary WorkloadGenerator::GenerateToPartitions(
   std::size_t buffer_growths = 0;
   double visit_s = 0;
   for (std::size_t s = 0; s + 1 < cuts.size(); ++s) {
-    const std::size_t rows = producer.Rows(cuts[s], cuts[s + 1]);
+    const std::size_t rows = producer->Rows(cuts[s], cuts[s + 1]);
     if (rows == 0) continue;  // a population without records
     if (buffer.capacity() != 0 && rows > buffer.capacity()) ++buffer_growths;
-    producer.Emit(cuts[s], cuts[s + 1], buffer);
+    producer->Emit(cuts[s], cuts[s + 1], buffer);
+    if (visit) {
+      slice_users.clear();
+      producer->AppendUsersWithRows(cuts[s], cuts[s + 1], slice_users);
+    }
+    const bool last = s + 2 == cuts.size();
+    if (last) release_producer();
     auto f0 = Clock::now();
-    if (s + 2 == cuts.size()) {
+    if (last) {
       SortLast(buffer, sort_scratch, pool);
     } else {
       buffer.SortByTimeOrder(sort_scratch, pool);
     }
-    if (visit) {
-      slice_users.clear();
-      producer.AppendUsersWithRows(cuts[s], cuts[s + 1], slice_users);
-      ResolveRows(slice_users, buffer.user_ids, pool, dense);
-    }
+    if (visit) ResolveRows(slice_users, buffer.user_ids, pool, dense);
     if (timings) {
       const auto f1 = Clock::now();
       timings->sort_s += std::chrono::duration<double>(f1 - f0).count();
@@ -487,8 +495,8 @@ SpillSummary WorkloadGenerator::GenerateToPartitions(
     writer->Finish();
     sum.run_files = writer->run_files();
   }
+  if (producer) release_producer();  // no slice had records
   if (timings) {
-    producer.AddTimings(*timings);
     timings->write_s += Since(t0);
     timings->record_buffer_growths += buffer_growths;
     timings->total_s += Since(t_total) - visit_s;

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/rng.h"
 
@@ -66,6 +68,56 @@ TEST(Percentiles, ManyCutsSingleSort) {
   EXPECT_DOUBLE_EQ(out[0], 1.0);
   EXPECT_DOUBLE_EQ(out[1], 3.0);
   EXPECT_DOUBLE_EQ(out[2], 5.0);
+}
+
+/// Sort-based reference for Percentile(s): the type-7 quantile over a
+/// fully sorted copy, computed as the library computes it.
+double ReferencePercentile(std::vector<double> xs, double p) {
+  std::sort(xs.begin(), xs.end());
+  const std::size_t n = xs.size();
+  if (n == 1) return xs[0];
+  const double h = p / 100.0 * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(h);
+  const std::size_t hi = std::min(lo + 1, n - 1);
+  return xs[lo] + (h - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+}
+
+TEST(Percentiles, EqualSortBasedReferenceBitForBit) {
+  // Cuts at both ends, repeated and out of order; samples of one and two
+  // elements, and samples full of ties.
+  const std::vector<double> cuts = {99,  50, 0,   100, 50,   12.5, 99.9,
+                                    0.1, 25, 100, 75,  33.3, 0,    66.7};
+  Rng rng(2718);
+  for (const std::size_t n : {1, 2, 3, 7, 10, 101, 1000, 4096}) {
+    for (const bool ties : {false, true}) {
+      std::vector<double> xs(n);
+      for (double& x : xs)
+        x = ties ? std::floor(rng.Uniform() * 5) : rng.Uniform(-3, 40);
+      const std::vector<double> got = Percentiles(xs, cuts);
+      ASSERT_EQ(got.size(), cuts.size());
+      for (std::size_t i = 0; i < cuts.size(); ++i) {
+        const double want = ReferencePercentile(xs, cuts[i]);
+        EXPECT_EQ(got[i], want) << "n=" << n << " p=" << cuts[i];
+        EXPECT_EQ(Percentile(xs, cuts[i]), want) << "n=" << n
+                                                 << " p=" << cuts[i];
+      }
+    }
+  }
+  EXPECT_TRUE(Percentiles(std::vector<double>{1.0}, {}).empty());
+}
+
+TEST(Percentiles, TwoElementsInterpolate) {
+  const std::vector<double> xs = {9.0, -1.0};
+  const std::vector<double> ps = {100, 0, 50, 25, 50};
+  EXPECT_EQ(Percentiles(xs, ps),
+            (std::vector<double>{9.0, -1.0, 4.0, 1.5, 4.0}));
+}
+
+TEST(Percentiles, Errors) {
+  const std::vector<double> xs = {1.0, 2.0};
+  EXPECT_THROW((void)Percentiles({}, std::vector<double>{50}), Error);
+  EXPECT_THROW((void)Percentiles(xs, std::vector<double>{50, 100.5}), Error);
+  EXPECT_THROW((void)Percentiles(xs, std::vector<double>{-0.5}), Error);
 }
 
 TEST(Ecdf, EvaluateAndQuantile) {
