@@ -474,6 +474,37 @@ TEST(Fingerprint, MatchesByteSerialFnvAtEveryValueWidth) {
             ByteSerialFingerprint(records));
 }
 
+/// FNV-1a over every byte of the file at `path`.
+std::uint64_t FileHash(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::uint64_t h = kFnvOffset;
+  for (std::istreambuf_iterator<char> it(in), end; it != end; ++it)
+    h = (h ^ static_cast<unsigned char>(*it)) * kFnvPrime;
+  return h;
+}
+
+TEST(ColumnarIo, WritesAPartialStoreWithItsColumns) {
+  // A store read with the analysis columns only, written again: the file
+  // carries that mask and exactly those columns, in the v2 order.
+  const auto full = TempPath("trace_store_partial_src.v2");
+  const auto partial = TempPath("trace_store_partial.v2");
+  WriteColumnarTrace(full, TraceStore::FromRecords(MixedTrace()));
+  const TraceStore store = ReadColumnarTrace(full, kAnalysisColumns);
+  ASSERT_EQ(store.columns_present(), kAnalysisColumns);
+  WriteColumnarTrace(partial, store);
+
+  const detail::V2FileInfo info = detail::ReadV2FileInfo(partial);
+  EXPECT_EQ(info.mask, kAnalysisColumns);
+  EXPECT_EQ(std::filesystem::file_size(partial),
+            info.ColumnOffset(kColDataVolume) +
+                store.rows() * sizeof(std::uint64_t));
+  ExpectSameStore(ReadInlineAndOnPools(partial, kAllColumns), store);
+  // The layout's bytes: header, user table, then the seven columns.
+  EXPECT_EQ(FileHash(partial), 0x3db424dd94745ecaULL);
+  std::filesystem::remove(full);
+  std::filesystem::remove(partial);
+}
+
 void ExpectSameSessions(const std::vector<analysis::Session>& got,
                         const std::vector<analysis::Session>& want) {
   ASSERT_EQ(got.size(), want.size());
