@@ -172,20 +172,9 @@ Slice StoreSlice(const TraceStore& store) {
 Slice SealedSliceOf(const SealedSlice& slice, UnixSeconds day_base) {
   const auto read = [&slice, day_base](
                         const PartitionedTrace::BlockSink& sink) {
-    const RecordColumns& r = slice.records;
     for (const TraceStore::DayPartition& part :
-         TraceStore::DayPartitions(r.timestamps, day_base)) {
-      const std::size_t n = part.end - part.begin;
-      TraceRowBlock block;
-      block.timestamps = std::span(r.timestamps).subspan(part.begin, n);
-      block.device_types = std::span(r.device_types).subspan(part.begin, n);
-      block.device_ids = std::span(r.device_ids).subspan(part.begin, n);
-      block.users = slice.users.subspan(part.begin, n);
-      block.request_types = std::span(r.request_types).subspan(part.begin, n);
-      block.directions = std::span(r.directions).subspan(part.begin, n);
-      block.data_volumes = std::span(r.data_volumes).subspan(part.begin, n);
-      sink(part.day, block);
-    }
+         TraceStore::DayPartitions(slice.records.timestamps, day_base))
+      sink(part.day, BlockOf(slice.records, slice.users, part.begin, part.end));
   };
   return {{0, slice.user_ids.size()}, read};
 }

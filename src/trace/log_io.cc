@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -257,8 +258,8 @@ std::vector<LogRecord> ReadBinaryTrace(const std::filesystem::path& path) {
 
 namespace {
 
-/// The fixed on-disk column order of the v2 format. Element width in bytes;
-/// 0 marks the dense user column (uint32) handled specially.
+/// The fixed on-disk column order of the v2 format, with each column's
+/// element width in bytes (times as int64 µs, users as dense uint32).
 struct ColumnLayout {
   std::uint32_t mask;
   std::size_t width;
@@ -276,6 +277,13 @@ constexpr ColumnLayout kV2Columns[] = {
     {kColAvgRtt, sizeof(std::int64_t)},
     {kColProxied, sizeof(std::uint8_t)},
 };
+// The file's column order is the column index: entry c is ColumnMask bit c,
+// RecordColumns' column c.
+static_assert([] {
+  for (std::uint32_t c = 0; c < std::size(kV2Columns); ++c)
+    if (kV2Columns[c].mask != 1u << c) return false;
+  return std::size(kV2Columns) == RecordColumns::kColumnCount;
+}());
 
 void WriteRaw(std::ofstream& out, const void* data, std::size_t bytes) {
   out.write(reinterpret_cast<const char*>(data),
@@ -309,6 +317,47 @@ void WriteMicrosColumn(std::ofstream& out, std::span<const double> seconds,
   WriteConvertedColumn(out, seconds.size(), block, [&](std::size_t i) {
     return detail::ToMicros(seconds[i]);
   });
+}
+
+/// The one v2 writer: rows [begin, end) of `cols` as one file — the header,
+/// the user table, then each column in `mask` in column order, doubles as
+/// int64 µs staged in `micros`. `cols.user_ids` is not written: the dense
+/// user column is whatever `write_users(out)` writes.
+template <typename WriteUsers>
+void WriteV2(const std::filesystem::path& path, const RecordColumns& cols,
+             std::size_t begin, std::size_t end, std::uint32_t mask,
+             UnixSeconds day_base, std::span<const std::uint64_t> user_table,
+             std::vector<std::int64_t>& micros, WriteUsers&& write_users) {
+  std::ofstream out = OpenForWrite(path, /*binary=*/true);
+  out.write(kMagicV2.data(), kMagicV2.size());
+  const std::uint64_t n_rows = end - begin;
+  const std::uint64_t n_users = user_table.size();
+  const std::int64_t base = day_base;
+  const std::uint32_t reserved = 0;
+  WriteRaw(out, &n_rows, sizeof(n_rows));
+  WriteRaw(out, &n_users, sizeof(n_users));
+  WriteRaw(out, &base, sizeof(base));
+  WriteRaw(out, &mask, sizeof(mask));
+  WriteRaw(out, &reserved, sizeof(reserved));
+  WriteColumn(out, user_table);
+
+  for (std::size_t c = 0; c < RecordColumns::kColumnCount; ++c) {
+    if (!(mask & (1u << c))) continue;
+    if ((1u << c) == kColUser) {
+      write_users(out);
+      continue;
+    }
+    RecordColumns::VisitColumn(c, [&](auto column) {
+      const auto rows = std::span(cols.*column).subspan(begin, end - begin);
+      if constexpr (std::is_same_v<typename decltype(rows)::element_type,
+                                   const double>) {
+        WriteMicrosColumn(out, rows, micros);
+      } else {
+        WriteColumn(out, rows);
+      }
+    });
+  }
+  if (!out) throw Error("write failed: " + path.string());
 }
 
 }  // namespace
@@ -388,49 +437,16 @@ bool IsColumnarTrace(const std::filesystem::path& path) {
 
 void WriteColumnarTrace(const std::filesystem::path& path,
                         const TraceStore& store) {
-  std::ofstream out = OpenForWrite(path, /*binary=*/true);
-  out.write(kMagicV2.data(), kMagicV2.size());
-  const std::uint64_t n_rows = store.rows();
-  const std::uint64_t n_users = store.users();
-  const std::int64_t day_base = store.day_base();
-  const std::uint32_t mask = store.columns_present();
-  const std::uint32_t reserved = 0;
-  WriteRaw(out, &n_rows, sizeof(n_rows));
-  WriteRaw(out, &n_users, sizeof(n_users));
-  WriteRaw(out, &day_base, sizeof(day_base));
-  WriteRaw(out, &mask, sizeof(mask));
-  WriteRaw(out, &reserved, sizeof(reserved));
-  WriteColumn(out, store.user_ids());
-
   std::vector<std::int64_t> micros;
-  for (const auto& col : kV2Columns) {
-    if (!(mask & col.mask)) continue;
-    switch (col.mask) {
-      case kColTimestamp: WriteColumn(out, store.timestamps()); break;
-      case kColDeviceType: WriteColumn(out, store.device_types()); break;
-      case kColDeviceId: WriteColumn(out, store.device_ids()); break;
-      case kColUser: WriteColumn(out, store.user_index()); break;
-      case kColRequestType: WriteColumn(out, store.request_types()); break;
-      case kColDirection: WriteColumn(out, store.directions()); break;
-      case kColDataVolume: WriteColumn(out, store.data_volumes()); break;
-      case kColProcessingTime:
-        WriteMicrosColumn(out, store.processing_times(), micros);
-        break;
-      case kColServerTime:
-        WriteMicrosColumn(out, store.server_times(), micros);
-        break;
-      case kColAvgRtt: WriteMicrosColumn(out, store.avg_rtts(), micros); break;
-      case kColProxied: WriteColumn(out, store.proxied()); break;
-    }
-  }
-  if (!out) throw Error("write failed: " + path.string());
+  WriteV2(path, store.columns(), 0, store.rows(), store.columns_present(),
+          store.day_base(), store.user_ids(), micros,
+          [&](std::ofstream& out) { WriteColumn(out, store.user_index()); });
 }
 
 void WriteColumnarRun(const std::filesystem::path& path,
                       const RecordColumns& cols, std::size_t begin,
                       std::size_t end, UnixSeconds day_base,
                       V2RunScratch& scratch) {
-  const std::size_t n = end - begin;
   // Per-run user table: sorted unique raw ids; dense ids are ascending-id
   // ranks — the exact remap TraceStore::FromRecords would assign.
   auto& table = scratch.user_table;
@@ -439,42 +455,16 @@ void WriteColumnarRun(const std::filesystem::path& path,
   std::sort(table.begin(), table.end());
   table.erase(std::unique(table.begin(), table.end()), table.end());
 
-  std::ofstream out = OpenForWrite(path, /*binary=*/true);
-  out.write(kMagicV2.data(), kMagicV2.size());
-  const std::uint64_t n_rows = n;
-  const std::uint64_t n_users = table.size();
-  const std::int64_t base = day_base;
-  const std::uint32_t mask = kAllColumns;
-  const std::uint32_t reserved = 0;
-  WriteRaw(out, &n_rows, sizeof(n_rows));
-  WriteRaw(out, &n_users, sizeof(n_users));
-  WriteRaw(out, &base, sizeof(base));
-  WriteRaw(out, &mask, sizeof(mask));
-  WriteRaw(out, &reserved, sizeof(reserved));
-  WriteColumn<std::uint64_t>(out, table);
-
-  // Column payloads in the fixed kV2Columns order.
-  const auto sub = [&](const auto& col) {
-    using T = typename std::remove_reference_t<decltype(col)>::value_type;
-    return std::span<const T>(col).subspan(begin, n);
-  };
-  WriteColumn<std::int64_t>(out, sub(cols.timestamps));
-  WriteColumn<std::uint8_t>(out, sub(cols.device_types));
-  WriteColumn<std::uint64_t>(out, sub(cols.device_ids));
-  WriteConvertedColumn(out, n, scratch.dense_users, [&](std::size_t i) {
-    return static_cast<std::uint32_t>(
-        std::lower_bound(table.begin(), table.end(),
-                         cols.user_ids[begin + i]) -
-        table.begin());
-  });
-  WriteColumn<std::uint8_t>(out, sub(cols.request_types));
-  WriteColumn<std::uint8_t>(out, sub(cols.directions));
-  WriteColumn<std::uint64_t>(out, sub(cols.data_volumes));
-  WriteMicrosColumn(out, sub(cols.processing_times), scratch.micros);
-  WriteMicrosColumn(out, sub(cols.server_times), scratch.micros);
-  WriteMicrosColumn(out, sub(cols.avg_rtts), scratch.micros);
-  WriteColumn<std::uint8_t>(out, sub(cols.proxied));
-  if (!out) throw Error("write failed: " + path.string());
+  WriteV2(path, cols, begin, end, kAllColumns, day_base, table,
+          scratch.micros, [&](std::ofstream& out) {
+            WriteConvertedColumn(
+                out, end - begin, scratch.dense_users, [&](std::size_t i) {
+                  return static_cast<std::uint32_t>(
+                      std::lower_bound(table.begin(), table.end(),
+                                       cols.user_ids[begin + i]) -
+                      table.begin());
+                });
+          });
 }
 
 namespace {
@@ -547,18 +537,6 @@ TraceStore ReadColumnarTrace(const std::filesystem::path& path,
     column.resize(static_cast<std::size_t>(n));
     fd.ReadAt(column.data(), column.size() * sizeof(column[0]), offset, path);
   };
-  // Times are int64 microseconds on disk: read into the double column's
-  // own storage (same width), then convert in place.
-  const auto read_micros = [&](std::vector<double>& column,
-                               std::uint64_t offset) {
-    static_assert(sizeof(double) == sizeof(std::int64_t));
-    read(column, n_rows, offset);
-    for (double& x : column) {
-      std::int64_t us = 0;
-      std::memcpy(&us, &x, sizeof(us));
-      x = detail::FromMicros(us);
-    }
-  };
   RunTasks(pool, tasks.size(), [&](std::size_t t) {
     const std::uint32_t col = tasks[t].col;
     if (col == kUserTable) {
@@ -566,19 +544,24 @@ TraceStore ReadColumnarTrace(const std::filesystem::path& path,
       return;
     }
     const std::uint64_t at = info.ColumnOffset(col);
-    switch (col) {
-      case kColTimestamp: read(b.timestamps, n_rows, at); break;
-      case kColDeviceType: read(b.device_types, n_rows, at); break;
-      case kColDeviceId: read(b.device_ids, n_rows, at); break;
-      case kColUser: read(b.dense_users, n_rows, at); break;
-      case kColRequestType: read(b.request_types, n_rows, at); break;
-      case kColDirection: read(b.directions, n_rows, at); break;
-      case kColDataVolume: read(b.data_volumes, n_rows, at); break;
-      case kColProcessingTime: read_micros(b.processing_times, at); break;
-      case kColServerTime: read_micros(b.server_times, at); break;
-      case kColAvgRtt: read_micros(b.avg_rtts, at); break;
-      case kColProxied: read(b.proxied, n_rows, at); break;
+    if (col == kColUser) {
+      read(b.dense_users, n_rows, at);
+      return;
     }
+    RecordColumns::VisitColumn(std::countr_zero(col), [&](auto column) {
+      auto& values = b.columns.*column;
+      read(values, n_rows, at);
+      // Times are int64 microseconds on disk: read into the double column's
+      // own storage (same width), then convert in place.
+      if constexpr (std::is_same_v<decltype(values), std::vector<double>&>) {
+        static_assert(sizeof(double) == sizeof(std::int64_t));
+        for (double& x : values) {
+          std::int64_t us = 0;
+          std::memcpy(&us, &x, sizeof(us));
+          x = detail::FromMicros(us);
+        }
+      }
+    });
   });
   try {
     return std::move(b).Build(pool);

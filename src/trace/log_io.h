@@ -88,8 +88,10 @@ namespace detail {
 /// of ReadTrace. Returns false (never throws) for missing or short files.
 [[nodiscard]] bool IsColumnarTrace(const std::filesystem::path& path);
 
-/// Write a trace in the v2 columnar format (all columns the store carries).
-/// Overwrites `path`.
+/// Write a trace in the v2 columnar format (all columns the store carries,
+/// so a store read with a column subset writes that subset). Overwrites
+/// `path`. This and WriteColumnarRun share one writer body, which walks the
+/// columns in ColumnMask order; they differ only in the dense user column.
 void WriteColumnarTrace(const std::filesystem::path& path,
                         const TraceStore& store);
 
@@ -107,7 +109,8 @@ struct V2RunScratch {
 /// TraceStore::FromRecords(<those rows>, day_base)) without materializing
 /// the records or the store (the run's user table is the sorted unique raw
 /// ids of the range; dense ids are the ascending-id ranks, exactly the
-/// remap TraceStore assigns).
+/// remap TraceStore assigns, resolved by binary search in blocks of
+/// `scratch.dense_users`).
 void WriteColumnarRun(const std::filesystem::path& path,
                       const RecordColumns& cols, std::size_t begin,
                       std::size_t end, UnixSeconds day_base,
@@ -119,8 +122,10 @@ void WriteColumnarRun(const std::filesystem::path& path,
 /// does not carry are simply absent from the result (check
 /// columns_present()). Each loaded column is one task on `pool` (inline
 /// when null) that preads it at its header-derived offset straight into
-/// the store's vector; TraceStore::Builder::Build then checks the rows on
-/// the same pool. The store and any error are the same for every pool.
+/// the builder's column, named by RecordColumns::VisitColumn (the user
+/// table and the dense user column are the two special cases);
+/// TraceStore::Builder::Build then checks the rows on the same pool. The
+/// store and any error are the same for every pool.
 /// Throws ParseError on a bad magic/version, a truncated file or invalid
 /// rows.
 [[nodiscard]] TraceStore ReadColumnarTrace(const std::filesystem::path& path,

@@ -28,20 +28,26 @@ constexpr std::uint32_t kScanColumns[7] = {
 
 }  // namespace
 
+TraceRowBlock BlockOf(const RecordColumns& cols,
+                      std::span<const std::uint32_t> users, std::size_t begin,
+                      std::size_t end) {
+  const std::size_t n = end - begin;
+  TraceRowBlock b;
+  b.timestamps = std::span(cols.timestamps).subspan(begin, n);
+  b.device_types = std::span(cols.device_types).subspan(begin, n);
+  b.device_ids = std::span(cols.device_ids).subspan(begin, n);
+  b.users = users.subspan(begin, n);
+  b.request_types = std::span(cols.request_types).subspan(begin, n);
+  b.directions = std::span(cols.directions).subspan(begin, n);
+  b.data_volumes = std::span(cols.data_volumes).subspan(begin, n);
+  return b;
+}
+
 TraceRowBlock BlockOf(const TraceStore& store, std::size_t begin,
                       std::size_t end) {
   if (!store.has(kAnalysisColumns))
     throw Error("trace store is missing analysis columns");
-  const std::size_t n = end - begin;
-  TraceRowBlock b;
-  b.timestamps = store.timestamps().subspan(begin, n);
-  b.device_types = store.device_types().subspan(begin, n);
-  b.device_ids = store.device_ids().subspan(begin, n);
-  b.users = store.user_index().subspan(begin, n);
-  b.request_types = store.request_types().subspan(begin, n);
-  b.directions = store.directions().subspan(begin, n);
-  b.data_volumes = store.data_volumes().subspan(begin, n);
-  return b;
+  return BlockOf(store.columns(), store.user_index(), begin, end);
 }
 
 PartitionedTraceWriter::PartitionedTraceWriter(std::filesystem::path dir,

@@ -54,9 +54,16 @@ struct TraceRowBlock {
   [[nodiscard]] std::size_t rows() const { return timestamps.size(); }
 };
 
-/// View of rows [begin, end) of a resident store as a TraceRowBlock — how a
-/// resident store feeds the same streaming cores a partitioned trace feeds.
-/// Requires kAnalysisColumns.
+/// View of rows [begin, end) of `cols` as a TraceRowBlock, each row's dense
+/// user from `users` (`cols.user_ids` is not read) — how a sealed spill
+/// slice feeds the streaming cores a partitioned trace feeds. Requires the
+/// analysis columns.
+[[nodiscard]] TraceRowBlock BlockOf(const RecordColumns& cols,
+                                    std::span<const std::uint32_t> users,
+                                    std::size_t begin, std::size_t end);
+
+/// BlockOf a resident store's columns and dense users. Throws Error unless
+/// it has kAnalysisColumns.
 [[nodiscard]] TraceRowBlock BlockOf(const TraceStore& store, std::size_t begin,
                                     std::size_t end);
 

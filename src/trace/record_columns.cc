@@ -1,5 +1,6 @@
 #include "trace/record_columns.h"
 
+#include <bit>
 #include <span>
 #include <tuple>
 #include <type_traits>
@@ -15,6 +16,36 @@ namespace mcloud {
 // sizing.
 static_assert(sizeof(RecordColumns) ==
               RecordColumns::kColumnCount * sizeof(std::vector<std::uint8_t>));
+
+namespace {
+
+/// Whether VisitColumn's column at ColumnMask bit `bit` is `member`.
+template <typename Member>
+constexpr bool VisitsAt(std::uint32_t bit, Member member) {
+  bool same = false;
+  RecordColumns::VisitColumn(std::countr_zero(bit), [&](auto column) {
+    if constexpr (std::is_same_v<decltype(column), Member>)
+      same = column == member;
+  });
+  return same;
+}
+
+}  // namespace
+
+// ColumnMask bit c is column c: a store's mask, the builder's length check
+// and the v2 writer and reader all name a column by that one index.
+static_assert(VisitsAt(kColTimestamp, &RecordColumns::timestamps) &&
+              VisitsAt(kColDeviceType, &RecordColumns::device_types) &&
+              VisitsAt(kColDeviceId, &RecordColumns::device_ids) &&
+              VisitsAt(kColUser, &RecordColumns::user_ids) &&
+              VisitsAt(kColRequestType, &RecordColumns::request_types) &&
+              VisitsAt(kColDirection, &RecordColumns::directions) &&
+              VisitsAt(kColDataVolume, &RecordColumns::data_volumes) &&
+              VisitsAt(kColProcessingTime, &RecordColumns::processing_times) &&
+              VisitsAt(kColServerTime, &RecordColumns::server_times) &&
+              VisitsAt(kColAvgRtt, &RecordColumns::avg_rtts) &&
+              VisitsAt(kColProxied, &RecordColumns::proxied) &&
+              kAllColumns == (1u << RecordColumns::kColumnCount) - 1);
 
 void RecordColumns::reserve(std::size_t n) {
   ForEachColumn([this, n](auto column) { (this->*column).reserve(n); });

@@ -1,16 +1,24 @@
-// Columnar (structure-of-arrays) staging buffer for emitted log records.
+// The Table 1 columns, declared once (structure-of-arrays).
+//
+// Every record of the paper's HTTP request log has the same eleven fields,
+// and RecordColumns is the one declaration of them: the generator emits
+// into it, TraceStore holds one (with its user column resolved to dense
+// indices), TraceStore::Builder stages one, the v2 writer and reader walk
+// one column at a time through VisitColumn, and a spill slice is one. The
+// column index c of VisitColumn is the ColumnMask bit 1 << c and the v2
+// file's column order (trace/trace_store.h, trace/log_io.cc).
 //
 // The generator fast path emits records straight into these columns instead
 // of building `std::vector<LogRecord>` and transposing later: an emitted
 // record costs ~59 bytes of sequential column stores instead of a 112-byte
 // AoS struct copy, the time-order sort runs as a radix permutation over
-// 16-byte pairs plus one gather per column, and the buffer moves directly
-// into TraceStore::Builder (resident path) or the partitioned run writer
-// (spill path) without another transpose. `user_ids` holds the *original*
-// 64-bit ids. The generator resolves them to dense ids itself, for its
-// resident store and for each spill slice it hands to a SliceVisitor;
-// every other path remaps where it always did (TraceStore build / per-run
-// v2 writer).
+// 16-byte pairs plus one gather per column, and the sorted buffer moves
+// whole into TraceStore::Builder (resident path) or goes to the partitioned
+// run writer (spill path) without another transpose. `user_ids` holds the
+// *original* 64-bit ids. The generator resolves them to dense ids itself,
+// for its resident store and for each spill slice it hands to a
+// SliceVisitor; every other path remaps where it always did (TraceStore
+// build / per-run v2 writer).
 //
 // The resilience tags (outcome, attempt) are runtime-only and not staged,
 // exactly as in the on-disk formats (trace/log_io.cc).
@@ -104,9 +112,10 @@ struct RecordColumns {
 
   static constexpr std::size_t kColumnCount = 11;
   /// fn(&RecordColumns::<column c>) for c in [0, kColumnCount), in
-  /// declaration order: the dispatch of one pool task per column.
+  /// declaration order: the dispatch of one pool task per column, and of
+  /// the v2 writer and reader per column.
   template <typename Fn>
-  static void VisitColumn(std::size_t c, Fn&& fn) {
+  static constexpr void VisitColumn(std::size_t c, Fn&& fn) {
     switch (c) {
       case 0: return fn(&RecordColumns::timestamps);
       case 1: return fn(&RecordColumns::device_types);

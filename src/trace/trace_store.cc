@@ -9,47 +9,8 @@
 
 namespace mcloud {
 
-void TraceStore::Builder::Reserve(std::size_t n) {
-  timestamps.reserve(n);
-  device_types.reserve(n);
-  device_ids.reserve(n);
-  raw_users.reserve(n);
-  request_types.reserve(n);
-  directions.reserve(n);
-  data_volumes.reserve(n);
-  if (present & kColProcessingTime) processing_times.reserve(n);
-  if (present & kColServerTime) server_times.reserve(n);
-  if (present & kColAvgRtt) avg_rtts.reserve(n);
-  if (present & kColProxied) proxied.reserve(n);
-}
+namespace detail {
 
-void TraceStore::Builder::Append(const LogRecord& r) {
-  timestamps.push_back(r.timestamp);
-  device_types.push_back(static_cast<std::uint8_t>(r.device_type));
-  device_ids.push_back(r.device_id);
-  raw_users.push_back(r.user_id);
-  request_types.push_back(static_cast<std::uint8_t>(r.request_type));
-  directions.push_back(static_cast<std::uint8_t>(r.direction));
-  data_volumes.push_back(r.data_volume);
-  if (present & kColProcessingTime) processing_times.push_back(r.processing_time);
-  if (present & kColServerTime) server_times.push_back(r.server_time);
-  if (present & kColAvgRtt) avg_rtts.push_back(r.avg_rtt);
-  if (present & kColProxied) proxied.push_back(r.proxied ? 1 : 0);
-}
-
-namespace {
-
-/// Per-row check failures, one bit each, in the order Build reports them.
-enum RowCheck : std::uint8_t {
-  kUnsorted = 1u << 0,
-  kBadDeviceType = 1u << 1,
-  kBadRequestType = 1u << 2,
-  kBadDirection = 1u << 3,
-  kBadDenseUser = 1u << 4,
-};
-
-/// The RowCheck bits rows [begin, end) fail. Each check is its own
-/// branch-free OR reduction over one column.
 std::uint8_t CheckRows(std::span<const std::int64_t> ts,
                        std::span<const std::uint8_t> device_types,
                        std::span<const std::uint8_t> request_types,
@@ -78,45 +39,40 @@ std::uint8_t CheckRows(std::span<const std::int64_t> ts,
   return failed;
 }
 
-}  // namespace
+const char* RowCheckMessage(std::uint8_t failed) {
+  if (failed & kUnsorted) return "trace must be time-sorted";
+  if (failed & kBadDeviceType) return "bad device type";
+  if (failed & kBadRequestType) return "bad request type";
+  if (failed & kBadDirection) return "bad direction";
+  if (failed & kBadDenseUser) return "dense user index out of range";
+  return "";
+}
+
+}  // namespace detail
 
 TraceStore TraceStore::Builder::Build(ThreadPool* pool) && {
   TraceStore s;
   s.present_ = present;
   s.day_base_ = day_base;
-  s.timestamps_ = std::move(timestamps);
-  s.device_types_ = std::move(device_types);
-  s.device_ids_ = std::move(device_ids);
-  s.request_types_ = std::move(request_types);
-  s.directions_ = std::move(directions);
-  s.data_volumes_ = std::move(data_volumes);
-  s.processing_times_ = std::move(processing_times);
-  s.server_times_ = std::move(server_times);
-  s.avg_rtts_ = std::move(avg_rtts);
-  s.proxied_ = std::move(proxied);
+  s.columns_ = std::move(columns);
+  // The store keeps dense users only; the raw ids live until the remap.
+  const std::vector<std::uint64_t> raw_users = std::move(s.columns_.user_ids);
+  const RecordColumns& cols = s.columns_;
 
-  const std::size_t n = s.timestamps_.size();
+  const std::size_t n = cols.size();
   MCLOUD_REQUIRE(n <= UINT32_MAX, "trace too large for TraceStore");
   MCLOUD_REQUIRE((present & kColTimestamp) && (present & kColUser),
                  "timestamp and user columns are mandatory");
-  const auto column_sized = [n](std::size_t size, std::uint32_t col,
-                                std::uint32_t mask) {
-    return (mask & col) ? size == n : size == 0;
-  };
-  MCLOUD_REQUIRE(column_sized(s.device_types_.size(), kColDeviceType, present) &&
-                     column_sized(s.device_ids_.size(), kColDeviceId, present) &&
-                     column_sized(s.request_types_.size(), kColRequestType,
-                                  present) &&
-                     column_sized(s.directions_.size(), kColDirection, present) &&
-                     column_sized(s.data_volumes_.size(), kColDataVolume,
-                                  present) &&
-                     column_sized(s.processing_times_.size(),
-                                  kColProcessingTime, present) &&
-                     column_sized(s.server_times_.size(), kColServerTime,
-                                  present) &&
-                     column_sized(s.avg_rtts_.size(), kColAvgRtt, present) &&
-                     column_sized(s.proxied_.size(), kColProxied, present),
-                 "column length mismatch");
+  // Each column in the mask holds a row per row, the others none; the
+  // user column is checked below, after the rows.
+  bool sized = true;
+  for (std::size_t c = 0; c < RecordColumns::kColumnCount; ++c) {
+    if ((1u << c) == kColUser) continue;
+    RecordColumns::VisitColumn(c, [&](auto column) {
+      sized &= (cols.*column).size() == ((present >> c) & 1 ? n : 0);
+    });
+  }
+  MCLOUD_REQUIRE(sized, "column length mismatch");
 
   // Each shard runs every row check over its rows; the shards' failures
   // are OR-ed and reported in one fixed order, so the error never depends
@@ -129,17 +85,15 @@ TraceStore TraceStore::Builder::Build(ThreadPool* pool) && {
   std::vector<std::uint8_t> shard_failed(ShardCount(pool, n), 0);
   ParallelForShards(pool, n,
                     [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                      shard_failed[shard] = CheckRows(
-                          s.timestamps_, s.device_types_, s.request_types_,
-                          s.directions_, checked_dense, user_ids.size(),
-                          begin, end);
+                      shard_failed[shard] = detail::CheckRows(
+                          cols.timestamps, cols.device_types,
+                          cols.request_types, cols.directions, checked_dense,
+                          user_ids.size(), begin, end);
                     });
   std::uint8_t failed = 0;
   for (const std::uint8_t f : shard_failed) failed |= f;
-  MCLOUD_REQUIRE(!(failed & kUnsorted), "trace must be time-sorted");
-  MCLOUD_REQUIRE(!(failed & kBadDeviceType), "bad device type");
-  MCLOUD_REQUIRE(!(failed & kBadRequestType), "bad request type");
-  MCLOUD_REQUIRE(!(failed & kBadDirection), "bad direction");
+  const std::uint8_t bad_rows = failed & ~detail::kBadDenseUser;
+  MCLOUD_REQUIRE(bad_rows == 0, detail::RowCheckMessage(bad_rows));
 
   MCLOUD_REQUIRE(user_rows == n, "user column length mismatch");
   if (pre_resolved) {
@@ -148,13 +102,14 @@ TraceStore TraceStore::Builder::Build(ThreadPool* pool) && {
                        std::adjacent_find(user_ids.begin(), user_ids.end()) ==
                            user_ids.end(),
                    "user id table must be sorted and unique");
-    MCLOUD_REQUIRE(!(failed & kBadDenseUser), "dense user index out of range");
+    MCLOUD_REQUIRE(!(failed & detail::kBadDenseUser),
+                   "dense user index out of range");
     s.user_ids_ = std::move(user_ids);
     s.user_index_ = std::move(dense_users);
   } else {
     s.FinalizeFromRawUsers(raw_users);
   }
-  s.partitions_ = DayPartitions(s.timestamps_, s.day_base_);
+  s.partitions_ = DayPartitions(cols.timestamps, s.day_base_);
   return s;
 }
 
@@ -213,29 +168,31 @@ TraceStore TraceStore::FromRecords(std::span<const LogRecord> records,
                                    UnixSeconds day_base) {
   Builder b;
   b.day_base = day_base;
-  b.Reserve(records.size());
-  for (const LogRecord& r : records) b.Append(r);
+  b.columns.reserve(records.size());
+  for (const LogRecord& r : records) b.columns.Append(r);
   return std::move(b).Build();
 }
 
 std::vector<LogRecord> TraceStore::ToRecords() const {
+  const RecordColumns& c = columns_;
   std::vector<LogRecord> out(rows());
   for (std::size_t i = 0; i < out.size(); ++i) {
     LogRecord& r = out[i];
-    r.timestamp = timestamps_[i];
-    if (!device_types_.empty())
-      r.device_type = static_cast<DeviceType>(device_types_[i]);
-    if (!device_ids_.empty()) r.device_id = device_ids_[i];
+    r.timestamp = c.timestamps[i];
+    if (!c.device_types.empty())
+      r.device_type = static_cast<DeviceType>(c.device_types[i]);
+    if (!c.device_ids.empty()) r.device_id = c.device_ids[i];
     r.user_id = user_ids_[user_index_[i]];
-    if (!request_types_.empty())
-      r.request_type = static_cast<RequestType>(request_types_[i]);
-    if (!directions_.empty())
-      r.direction = static_cast<Direction>(directions_[i]);
-    if (!data_volumes_.empty()) r.data_volume = data_volumes_[i];
-    if (!processing_times_.empty()) r.processing_time = processing_times_[i];
-    if (!server_times_.empty()) r.server_time = server_times_[i];
-    if (!avg_rtts_.empty()) r.avg_rtt = avg_rtts_[i];
-    if (!proxied_.empty()) r.proxied = proxied_[i] != 0;
+    if (!c.request_types.empty())
+      r.request_type = static_cast<RequestType>(c.request_types[i]);
+    if (!c.directions.empty())
+      r.direction = static_cast<Direction>(c.directions[i]);
+    if (!c.data_volumes.empty()) r.data_volume = c.data_volumes[i];
+    if (!c.processing_times.empty())
+      r.processing_time = c.processing_times[i];
+    if (!c.server_times.empty()) r.server_time = c.server_times[i];
+    if (!c.avg_rtts.empty()) r.avg_rtt = c.avg_rtts[i];
+    if (!c.proxied.empty()) r.proxied = c.proxied[i] != 0;
   }
   return out;
 }

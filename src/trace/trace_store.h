@@ -3,14 +3,17 @@
 // The AoS `std::vector<LogRecord>` layout spends ~80 bytes per record and
 // forces every analysis stage to re-discover per-user structure through
 // `unordered_map` probes on sparse 64-bit user ids. TraceStore holds the same
-// Table 1 trace as one contiguous column per field, plus two indexes built
-// once and shared by every stage:
+// Table 1 trace as one RecordColumns (trace/record_columns.h, the one
+// declaration of the columns), plus two indexes built once and shared by
+// every stage:
 //
 //   * a dense user-id remap: `user_index()[row]` ∈ [0, users()), with
 //     `user_ids()[dense]` recovering the original 64-bit id. Dense ids are
 //     assigned in ascending original-id order, so iterating dense ids yields
 //     users in a canonical, thread-count-independent order, and per-user
-//     state can live in dense arrays instead of hash maps.
+//     state can live in dense arrays instead of hash maps. The held
+//     columns' own `user_ids` column stays empty: a row's user is its
+//     dense index.
 //   * per-day time partitions: contiguous [begin, end) row ranges of equal
 //     calendar day (relative to `day_base`), so day-windowed stages skip
 //     out-of-window rows wholesale and can shard deterministically.
@@ -20,8 +23,9 @@
 // exactly as in the binary trace formats (see trace/log_io.cc).
 //
 // Columns may be selectively absent (see ColumnMask and the v2 columnar
-// reader in trace/log_io.h): an absent column reads back as zeros through
-// ToRecords(). The analysis pipeline needs only kAnalysisColumns.
+// reader in trace/log_io.h): an absent column is empty, and reads back as
+// zeros through ToRecords(). The analysis pipeline needs only
+// kAnalysisColumns.
 #pragma once
 
 #include <cstdint>
@@ -29,13 +33,15 @@
 #include <vector>
 
 #include "trace/log_record.h"
+#include "trace/record_columns.h"
 #include "util/timeutil.h"
 
 namespace mcloud {
 
 class ThreadPool;
 
-/// Bitmask naming the Table 1 columns of a TraceStore.
+/// Bitmask naming the Table 1 columns of a TraceStore: bit c is column c of
+/// RecordColumns::VisitColumn, which is also the v2 file's column order.
 enum ColumnMask : std::uint32_t {
   kColTimestamp = 1u << 0,
   kColDeviceType = 1u << 1,
@@ -92,8 +98,8 @@ class TraceStore {
   [[nodiscard]] std::vector<LogRecord> ToRecords() const;
 
   // ---- dimensions ----
-  [[nodiscard]] std::size_t rows() const { return timestamps_.size(); }
-  [[nodiscard]] bool empty() const { return timestamps_.empty(); }
+  [[nodiscard]] std::size_t rows() const { return columns_.size(); }
+  [[nodiscard]] bool empty() const { return columns_.empty(); }
   [[nodiscard]] std::size_t users() const { return user_ids_.size(); }
   [[nodiscard]] UnixSeconds day_base() const { return day_base_; }
   [[nodiscard]] std::uint32_t columns_present() const { return present_; }
@@ -101,15 +107,19 @@ class TraceStore {
     return (present_ & mask) == mask;
   }
 
+  /// The held Table 1 columns (absent ones empty). Their `user_ids` column
+  /// is empty: each row's user is user_index().
+  [[nodiscard]] const RecordColumns& columns() const { return columns_; }
+
   // ---- columns (empty when absent) ----
   [[nodiscard]] std::span<const std::int64_t> timestamps() const {
-    return timestamps_;
+    return columns_.timestamps;
   }
   [[nodiscard]] std::span<const std::uint8_t> device_types() const {
-    return device_types_;
+    return columns_.device_types;
   }
   [[nodiscard]] std::span<const std::uint64_t> device_ids() const {
-    return device_ids_;
+    return columns_.device_ids;
   }
   /// Dense user index per row (uint32, ∈ [0, users())).
   [[nodiscard]] std::span<const std::uint32_t> user_index() const {
@@ -120,27 +130,25 @@ class TraceStore {
     return user_ids_;
   }
   [[nodiscard]] std::span<const std::uint8_t> request_types() const {
-    return request_types_;
+    return columns_.request_types;
   }
   [[nodiscard]] std::span<const std::uint8_t> directions() const {
-    return directions_;
+    return columns_.directions;
   }
   [[nodiscard]] std::span<const std::uint64_t> data_volumes() const {
-    return data_volumes_;
+    return columns_.data_volumes;
   }
   [[nodiscard]] std::span<const double> processing_times() const {
-    return processing_times_;
+    return columns_.processing_times;
   }
   [[nodiscard]] std::span<const double> server_times() const {
-    return server_times_;
+    return columns_.server_times;
   }
-  [[nodiscard]] std::span<const double> avg_rtts() const { return avg_rtts_; }
+  [[nodiscard]] std::span<const double> avg_rtts() const {
+    return columns_.avg_rtts;
+  }
   [[nodiscard]] std::span<const std::uint8_t> proxied() const {
-    return proxied_;
-  }
-
-  [[nodiscard]] bool IsMobileRow(std::size_t row) const {
-    return device_types_[row] != static_cast<std::uint8_t>(DeviceType::kPc);
+    return columns_.proxied;
   }
 
   // ---- indexes ----
@@ -160,56 +168,67 @@ class TraceStore {
   std::uint32_t present_ = 0;
   UnixSeconds day_base_ = kTraceStart;
 
-  std::vector<std::int64_t> timestamps_;
-  std::vector<std::uint8_t> device_types_;
-  std::vector<std::uint64_t> device_ids_;
+  RecordColumns columns_;  ///< `user_ids` stays empty
   std::vector<std::uint32_t> user_index_;
   std::vector<std::uint64_t> user_ids_;
-  std::vector<std::uint8_t> request_types_;
-  std::vector<std::uint8_t> directions_;
-  std::vector<std::uint64_t> data_volumes_;
-  std::vector<double> processing_times_;
-  std::vector<double> server_times_;
-  std::vector<double> avg_rtts_;
-  std::vector<std::uint8_t> proxied_;
 
   std::vector<DayPartition> partitions_;
 };
 
 /// Mutable staging area used by FromRecords, the v2 reader, and the columnar
-/// workload emitter: raw columns (original 64-bit user ids) go in, a
+/// workload generator: raw columns (original 64-bit user ids) go in, a
 /// validated + indexed TraceStore comes out.
 struct TraceStore::Builder {
   std::uint32_t present = kAllColumns;
   UnixSeconds day_base = kTraceStart;
 
-  std::vector<std::int64_t> timestamps;
-  std::vector<std::uint8_t> device_types;
-  std::vector<std::uint64_t> device_ids;
-  std::vector<std::uint64_t> raw_users;  ///< original ids; remapped on Build
-  std::vector<std::uint8_t> request_types;
-  std::vector<std::uint8_t> directions;
-  std::vector<std::uint64_t> data_volumes;
-  std::vector<double> processing_times;
-  std::vector<double> server_times;
-  std::vector<double> avg_rtts;
-  std::vector<std::uint8_t> proxied;
+  /// Every column in `present` holds one value per row; the others stay
+  /// empty. `columns.user_ids` holds the original ids, remapped on Build,
+  /// unless the users come pre-resolved below.
+  RecordColumns columns;
 
   /// Optional pre-resolved dense mapping (v2 files store it, and resident
   /// generation resolves it from its count pass): when either
   /// is non-empty, `dense_users` holds each row's index into the `user_ids`
-  /// table, `raw_users` is unused, and no remap pass runs (the table must
-  /// be sorted ascending and unique).
+  /// table, `columns.user_ids` is unused, and no remap pass runs (the table
+  /// must be sorted ascending and unique).
   std::vector<std::uint64_t> user_ids;
   std::vector<std::uint32_t> dense_users;
 
-  void Reserve(std::size_t n);
-  void Append(const LogRecord& r);
   /// Validate, remap users, build the day partitions. Consumes the builder.
   /// The per-row checks (time order, enum ranges, dense user range) run
   /// over row shards of `pool` (inline when null); whatever the pool, the
   /// error thrown is the first failed check in that order.
   [[nodiscard]] TraceStore Build(ThreadPool* pool = nullptr) &&;
 };
+
+namespace detail {
+
+/// The per-row checks of TraceStore::Builder::Build, one bit each, in the
+/// order it reports them.
+enum RowCheck : std::uint8_t {
+  kUnsorted = 1u << 0,
+  kBadDeviceType = 1u << 1,
+  kBadRequestType = 1u << 2,
+  kBadDirection = 1u << 3,
+  kBadDenseUser = 1u << 4,
+};
+
+/// The RowCheck bits rows [begin, end) of these columns fail (dense user
+/// indices must be below `users`). Each check is its own branch-free OR
+/// reduction over one column; an empty column is absent and passes.
+[[nodiscard]] std::uint8_t CheckRows(
+    std::span<const std::int64_t> ts,
+    std::span<const std::uint8_t> device_types,
+    std::span<const std::uint8_t> request_types,
+    std::span<const std::uint8_t> directions,
+    std::span<const std::uint32_t> dense_users, std::size_t users,
+    std::size_t begin, std::size_t end);
+
+/// What Build says of the first check that `failed` names, in RowCheck
+/// order ("" when it names none).
+[[nodiscard]] const char* RowCheckMessage(std::uint8_t failed);
+
+}  // namespace detail
 
 }  // namespace mcloud

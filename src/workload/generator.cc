@@ -375,7 +375,7 @@ ColumnarWorkload WorkloadGenerator::GenerateColumnar(
   RecordColumnsScratch sort_scratch;
   SortLast(cols, sort_scratch, pool);
 
-  // The sorted columns move straight into the store builder — no
+  // The sorted columns move whole into the store builder — no
   // record-by-record append, no AoS copy — with the users already
   // resolved, so Build only validates them.
   TraceStore::Builder b;
@@ -384,16 +384,7 @@ ColumnarWorkload WorkloadGenerator::GenerateColumnar(
   ResolveRows(b.user_ids, cols.user_ids, pool, b.dense_users);
   cols.user_ids = std::vector<std::uint64_t>();
   if (timings) timings->sort_s += Since(s0);
-  b.timestamps = std::move(cols.timestamps);
-  b.device_types = std::move(cols.device_types);
-  b.device_ids = std::move(cols.device_ids);
-  b.request_types = std::move(cols.request_types);
-  b.directions = std::move(cols.directions);
-  b.data_volumes = std::move(cols.data_volumes);
-  b.processing_times = std::move(cols.processing_times);
-  b.server_times = std::move(cols.server_times);
-  b.avg_rtts = std::move(cols.avg_rtts);
-  b.proxied = std::move(cols.proxied);
+  b.columns = std::move(cols);
 
   ColumnarWorkload out;
   out.users = std::move(e.users);

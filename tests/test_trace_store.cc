@@ -348,19 +348,20 @@ std::string BuildErrorInlineAndOnPools(const TraceStore::Builder& builder) {
 TEST(TraceStore, BuildReportsTheFirstFailedCheckAtEveryPoolSize) {
   TraceStore::Builder b;
   for (int i = 0; i < 300; ++i) {
-    b.Append(MakeRecord(kTraceStart + i, 1 + i % 5, Direction::kStore));
+    b.columns.Append(
+        MakeRecord(kTraceStart + i, 1 + i % 5, Direction::kStore));
   }
   EXPECT_EQ(BuildErrorInlineAndOnPools(b), "");
 
   // A bad direction in the first shard, a bad device type in the last.
   TraceStore::Builder two = b;
-  two.directions[2] = 9;
-  two.device_types[297] = 5;
+  two.columns.directions[2] = 9;
+  two.columns.device_types[297] = 5;
   const std::string device = BuildErrorInlineAndOnPools(two);
   EXPECT_NE(device.find("bad device type"), std::string::npos) << device;
 
   // Unsorted rows outrank every enum check, wherever they are.
-  two.timestamps[290] = kTraceStart - kDay;
+  two.columns.timestamps[290] = kTraceStart - kDay;
   const std::string order = BuildErrorInlineAndOnPools(two);
   EXPECT_NE(order.find("trace must be time-sorted"), std::string::npos)
       << order;
