@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -294,6 +295,10 @@ void PartitionedTrace::ReadGroup(std::size_t g, std::size_t block_rows,
       if (!in) throw ParseError("truncated columnar trace: " + r.path.string());
       return std::span(std::as_const(column)).first(n);
     };
+    const auto invalid = [&r](const std::string& what) {
+      return ParseError("invalid partition " + r.path.string() + ": " + what);
+    };
+    std::int64_t last = std::numeric_limits<std::int64_t>::min();
     for (; first < r.rows; first += n) {
       n = static_cast<std::size_t>(
           std::min<std::uint64_t>(r.rows - first, cap));
@@ -301,16 +306,24 @@ void PartitionedTrace::ReadGroup(std::size_t g, std::size_t block_rows,
       b.timestamps = read(0, ts);
       b.device_types = read(1, dev);
       b.device_ids = read(2, dev_id);
-      (void)read(3, user);
-      for (std::size_t k = 0; k < n; ++k) {
-        if (user[k] >= r.local_to_global.size())
-          throw ParseError("bad user index in partition: " + r.path.string());
-        user[k] = r.local_to_global[user[k]];
-      }
-      b.users = std::span(std::as_const(user)).first(n);
+      const std::span<const std::uint32_t> local_users = read(3, user);
       b.request_types = read(4, req);
       b.directions = read(5, dir);
       b.data_volumes = read(6, vol);
+      // The checks Build makes of a v2 file's rows, plus the time order
+      // across the run's blocks and the run's MANIFEST day: sorted rows
+      // lie in that day when the block's first and last do.
+      std::uint8_t failed = detail::CheckRows(
+          b.timestamps, b.device_types, b.request_types, b.directions,
+          local_users, r.local_to_global.size(), 0, n);
+      if (b.timestamps.front() < last) failed |= detail::kUnsorted;
+      if (failed) throw invalid(detail::RowCheckMessage(failed));
+      if (FloorDayIndex(b.timestamps.front() - day_base_) != r.day ||
+          FloorDayIndex(b.timestamps.back() - day_base_) != r.day)
+        throw invalid("row outside the run's day " + std::to_string(r.day));
+      last = b.timestamps.back();
+      for (std::size_t k = 0; k < n; ++k) user[k] = r.local_to_global[user[k]];
+      b.users = std::span(std::as_const(user)).first(n);
       sink(r.day, b);
     }
   }

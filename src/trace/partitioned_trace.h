@@ -21,7 +21,10 @@
 // Truncation safety: Open() validates every run file against its MANIFEST
 // entry through detail::ReadV2FileInfo (magic + column mask + full expected
 // byte length), so a missing or short partition fails loudly instead of
-// silently dropping a day.
+// silently dropping a day. ReadGroup() checks every row it reads as the v2
+// reader checks a file's (TraceStore::Builder::Build), and that each run's
+// rows stay in time order and inside the run's MANIFEST day, so a corrupt
+// run fails as the same bytes read as one file would.
 #pragma once
 
 #include <cstdint>
@@ -160,6 +163,11 @@ class PartitionedTrace {
   /// blocks of at most `block_rows` rows with global dense user ids. Every
   /// user's rows arrive in time order. One block buffer serves all of the
   /// group's runs. Safe to call concurrently, on the same group or not.
+  /// Each block is checked before the sink sees it, as ReadColumnarTrace
+  /// checks a file: device, request and direction bytes in range, user
+  /// indices inside the run's table, and timestamps non-decreasing across
+  /// the run and inside its MANIFEST day. A failed check throws ParseError
+  /// naming the run.
   void ReadGroup(std::size_t g, std::size_t block_rows,
                  const BlockSink& sink) const;
 

@@ -9,6 +9,7 @@
 #include <stdlib.h>
 
 #include <algorithm>
+#include <cstring>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,7 @@
 
 #include "core/pipeline.h"
 #include "core/report.h"
+#include "net/replay.h"
 #include "trace/partitioned_trace.h"
 #include "trace/record_columns.h"
 #include "trace/trace_store.h"
@@ -246,6 +248,86 @@ TEST(OutOfCore, RunSlicesRejectsUsersThatDoNotAscend) {
   EXPECT_TRUE(rejected({{rows, seven, zeros}, {rows, three, zeros}}));
   EXPECT_TRUE(rejected({{rows, seven, zeros}, {rows, seven, zeros}}));
   EXPECT_TRUE(rejected({{rows, seven_three, zero_one}}));
+}
+
+/// The ParseError message `fn` throws, or "" when it throws none.
+template <typename Fn>
+std::string ParseErrorOf(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A run whose rows a v2 file could not hold fails both readers of the
+// directory, naming the run, as the same bytes read as one file fail:
+// an enum byte out of range, rows out of time order, a row outside the
+// run's MANIFEST day.
+TEST(OutOfCore, CorruptRunsFailEveryReader) {
+  const workload::WorkloadConfig cfg = SmallConfig();
+  const std::uint64_t want_fp =
+      core::FingerprintReport(core::AnalysisPipeline(core::PipelineOptions{})
+                                  .Run(workload::WorkloadGenerator(cfg)
+                                           .GenerateColumnar()
+                                           .trace));
+  const auto dir = SpillDir("mcloud_ooc_corrupt_test");
+  workload::SpillConfig spill;
+  spill.dir = dir;
+  (void)workload::WorkloadGenerator(cfg).GenerateToPartitions(spill);
+  core::PipelineOptions opts;
+  opts.threads = 3;
+  const auto stream = [&] {
+    return core::FingerprintReport(
+        core::AnalysisPipeline(opts).RunStreaming(PartitionedTrace::Open(dir)));
+  };
+  EXPECT_EQ(stream(), want_fp);
+
+  const auto run = dir / "run-000002.v2";
+  const detail::V2FileInfo info = detail::ReadV2FileInfo(run);
+  ASSERT_GE(info.rows, 2u);
+  std::string clean;
+  {
+    std::ifstream in(run, std::ios::binary);
+    clean.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const auto patched = [&clean](std::string bytes, std::uint64_t offset,
+                                auto value) {
+    std::memcpy(bytes.data() + offset, &value, sizeof(value));
+    return bytes;
+  };
+  const auto expect_rejected = [&](const std::string& bytes,
+                                   const std::string& want) {
+    std::ofstream(run, std::ios::binary | std::ios::trunc) << bytes;
+    for (const std::string& message :
+         {ParseErrorOf([&] { (void)stream(); }),
+          ParseErrorOf([&] { (void)net::LoadTraceForReplay(dir); })}) {
+      EXPECT_NE(message.find(want), std::string::npos) << message;
+      EXPECT_NE(message.find(run.filename().string()), std::string::npos)
+          << message;
+    }
+  };
+
+  expect_rejected(
+      patched(clean, info.ColumnOffset(kColDeviceType), std::uint8_t{7}),
+      "bad device type");
+  const std::uint64_t first = info.ColumnOffset(kColTimestamp);
+  const std::uint64_t last = first + (info.rows - 1) * sizeof(std::int64_t);
+  std::int64_t first_ts = 0;
+  std::int64_t last_ts = 0;
+  std::memcpy(&first_ts, clean.data() + first, sizeof(first_ts));
+  std::memcpy(&last_ts, clean.data() + last, sizeof(last_ts));
+  ASSERT_LT(first_ts, last_ts);
+  expect_rejected(patched(patched(clean, first, last_ts), last, first_ts),
+                  "trace must be time-sorted");
+  expect_rejected(patched(clean, first, first_ts - std::int64_t{86400}),
+                  "row outside the run's day");
+
+  std::ofstream(run, std::ios::binary | std::ios::trunc) << clean;
+  EXPECT_EQ(stream(), want_fp);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(OutOfCore, ValidatorFingerprintSameAtEveryBudget) {
