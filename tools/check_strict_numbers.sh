@@ -60,6 +60,13 @@ rejects "$ctl" simulate --fail-rate 0.01 --shards 4294967297 --users 20
 rejects "$daemon" --port 70000 --self-check --log "$out"
 rejects "$daemon" --port 1x --self-check --log "$out"
 
+# simulate's --device and --direction take only their values: an unknown
+# device used to run Android's numbers, and any direction but retrieve a
+# store.
+rejects "$ctl" simulate --device iphone --file-mb 1
+rejects "$ctl" simulate --direction sideways --file-mb 1
+rejects "$ctl" simulate --device iphone --fail-rate 0.01 --users 20
+
 # A flag the command does not take, misspelt or retired, exits 2 and names
 # the flag and the command. Retired: --analyze-while-generate, --concurrent
 # and validate/conform --out-of-core (both always walk the slices).
@@ -118,6 +125,10 @@ accepts sh -c '"$0" simulate --fail-rate 0.01 --loss-burst 0.01 --hedge \
   --shards 4 --seed 1 > "$1"' "$ctl" "$out"
 accepts sh -c '"$0" simulate --device ios --direction retrieve --file-mb 1 \
   --seed 2 --no-ssai --pace > "$1"' "$ctl" "$out"
+for device in android pc; do
+  accepts sh -c '"$0" simulate --device "$1" --direction store --file-mb 1 \
+    > "$2"' "$ctl" "$device" "$out"
+done
 accepts sh -c '"$0" specs --specs-dir "$1" > "$2"' "$ctl" "$specs" "$out"
 parses "$ctl" validate --users 200 --seed 42 --seeds 1 --threads 2 \
   --flows 20 --shards 2 --max-memory-mb 64 --spill-dir "$dir/spill" \

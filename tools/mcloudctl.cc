@@ -519,22 +519,23 @@ int CmdSimulateFleet(const Args& args) {
 }
 
 int CmdSimulate(const Args& args) {
+  const std::string device = args.Get("device", "android");
+  const std::string direction = args.Get("direction", "store");
+  if (device != "android" && device != "ios" && device != "pc")
+    args.Reject("device", "android, ios or pc");
+  if (direction != "store" && direction != "retrieve")
+    args.Reject("direction", "store or retrieve");
   if (args.Has("fail-rate") || args.Has("loss-burst") ||
       args.Has("degraded") || args.Has("hedge") || args.Has("no-retry")) {
     return CmdSimulateFleet(args);
   }
-  const std::string device = args.Get("device", "android");
   cloud::ServiceConfig cfg;
   cfg.ssai_enabled = !args.Has("no-ssai");
   cfg.pace_after_idle = args.Has("pace");
   const cloud::StorageService service(cfg);
 
-  const DeviceType dev = device == "ios"  ? DeviceType::kIos
-                         : device == "pc" ? DeviceType::kPc
-                                          : DeviceType::kAndroid;
-  const Direction dir = args.Get("direction", "store") == "retrieve"
-                            ? Direction::kRetrieve
-                            : Direction::kStore;
+  const DeviceType dev = DeviceTypeFromString(device);
+  const Direction dir = DirectionFromString(direction);
   const Bytes size = args.GetU64("file-mb", 8, kMaxMiB) * kMiB;
   const auto flow =
       service.SimulateFlow(dev, dir, size, args.GetU64("seed", 1));
