@@ -1,13 +1,12 @@
 #include "cloud/fleet.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cstring>
 #include <numeric>
 #include <utility>
 
 #include "util/error.h"
+#include "util/fnv.h"
 #include "util/merge.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -27,27 +26,6 @@ double WallSeconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
-
-class Fnv {
- public:
-  void MixU64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFF;
-      h_ *= 1099511628211ULL;
-    }
-  }
-  void MixDouble(double v) { MixU64(std::bit_cast<std::uint64_t>(v)); }
-  void MixBytes(const std::uint8_t* p, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= 1099511628211ULL;
-    }
-  }
-  [[nodiscard]] std::uint64_t Value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 14695981039346656037ULL;
-};
 
 struct ShardRun {
   ServiceResult result;
@@ -288,94 +266,94 @@ FleetResult ExecuteFleet(
 }
 
 std::uint64_t FingerprintServiceResult(const ServiceResult& r) {
-  Fnv f;
-  f.MixU64(r.logs.size());
+  Fnv1a f;
+  f.U64(r.logs.size());
   for (const LogRecord& l : r.logs) {
-    f.MixU64(static_cast<std::uint64_t>(l.timestamp));
-    f.MixU64(static_cast<std::uint64_t>(l.device_type));
-    f.MixU64(l.device_id);
-    f.MixU64(l.user_id);
-    f.MixU64(static_cast<std::uint64_t>(l.request_type));
-    f.MixU64(static_cast<std::uint64_t>(l.direction));
-    f.MixU64(l.data_volume);
-    f.MixDouble(l.processing_time);
-    f.MixDouble(l.server_time);
-    f.MixDouble(l.avg_rtt);
-    f.MixU64(l.proxied ? 1 : 0);
-    f.MixU64(static_cast<std::uint64_t>(l.outcome));
-    f.MixU64(l.attempt);
+    f.U64(static_cast<std::uint64_t>(l.timestamp));
+    f.U64(static_cast<std::uint64_t>(l.device_type));
+    f.U64(l.device_id);
+    f.U64(l.user_id);
+    f.U64(static_cast<std::uint64_t>(l.request_type));
+    f.U64(static_cast<std::uint64_t>(l.direction));
+    f.U64(l.data_volume);
+    f.Double(l.processing_time);
+    f.Double(l.server_time);
+    f.Double(l.avg_rtt);
+    f.U64(l.proxied ? 1 : 0);
+    f.U64(static_cast<std::uint64_t>(l.outcome));
+    f.U64(l.attempt);
   }
-  f.MixU64(r.retrievals.size());
+  f.U64(r.retrievals.size());
   for (const RetrievalEvent& e : r.retrievals) {
-    f.MixU64(static_cast<std::uint64_t>(e.at));
-    f.MixU64(e.user_id);
-    f.MixBytes(e.file_md5.bytes.data(), e.file_md5.bytes.size());
-    f.MixU64(e.size);
-    f.MixU64(e.shared ? 1 : 0);
+    f.U64(static_cast<std::uint64_t>(e.at));
+    f.U64(e.user_id);
+    f.Bytes(e.file_md5.bytes.data(), e.file_md5.bytes.size());
+    f.U64(e.size);
+    f.U64(e.shared ? 1 : 0);
   }
-  f.MixU64(r.chunk_perf.size());
+  f.U64(r.chunk_perf.size());
   for (const ChunkPerf& p : r.chunk_perf) {
-    f.MixU64(static_cast<std::uint64_t>(p.device));
-    f.MixU64(static_cast<std::uint64_t>(p.direction));
-    f.MixU64(p.bytes);
-    f.MixDouble(p.ttran);
-    f.MixDouble(p.tsrv);
-    f.MixDouble(p.tclt);
-    f.MixDouble(p.idle_before);
-    f.MixDouble(p.rto_at_idle);
-    f.MixU64(p.restarted ? 1 : 0);
-    f.MixDouble(p.rtt);
-    f.MixU64(p.proxied ? 1 : 0);
-    f.MixU64(p.attempt);
-    f.MixU64(p.session_seq);
+    f.U64(static_cast<std::uint64_t>(p.device));
+    f.U64(static_cast<std::uint64_t>(p.direction));
+    f.U64(p.bytes);
+    f.Double(p.ttran);
+    f.Double(p.tsrv);
+    f.Double(p.tclt);
+    f.Double(p.idle_before);
+    f.Double(p.rto_at_idle);
+    f.U64(p.restarted ? 1 : 0);
+    f.Double(p.rtt);
+    f.U64(p.proxied ? 1 : 0);
+    f.U64(p.attempt);
+    f.U64(p.session_seq);
   }
-  f.MixU64(r.session_outcomes.size());
+  f.U64(r.session_outcomes.size());
   for (const SessionOutcome& o : r.session_outcomes) {
-    f.MixU64(static_cast<std::uint64_t>(o.start));
-    f.MixU64(static_cast<std::uint64_t>(o.device));
-    f.MixU64(o.user_id);
-    f.MixU64(o.ops);
-    f.MixU64(o.failed_ops);
+    f.U64(static_cast<std::uint64_t>(o.start));
+    f.U64(static_cast<std::uint64_t>(o.device));
+    f.U64(o.user_id);
+    f.U64(o.ops);
+    f.U64(o.failed_ops);
   }
-  f.MixU64(r.metadata.store_queries);
-  f.MixU64(r.metadata.dedup_hits);
-  f.MixU64(r.metadata.retrieve_queries);
-  f.MixU64(r.metadata.retrieve_misses);
-  f.MixU64(r.front_ends.size());
+  f.U64(r.metadata.store_queries);
+  f.U64(r.metadata.dedup_hits);
+  f.U64(r.metadata.retrieve_queries);
+  f.U64(r.metadata.retrieve_misses);
+  f.U64(r.front_ends.size());
   for (const FrontEndStats& s : r.front_ends) {
-    f.MixU64(s.file_operations);
-    f.MixU64(s.chunk_stores);
-    f.MixU64(s.chunk_retrievals);
-    f.MixU64(s.bytes_stored);
-    f.MixU64(s.bytes_served);
-    f.MixU64(s.chunk_dedup_hits);
-    f.MixU64(s.missing_chunks);
+    f.U64(s.file_operations);
+    f.U64(s.chunk_stores);
+    f.U64(s.chunk_retrievals);
+    f.U64(s.bytes_stored);
+    f.U64(s.bytes_served);
+    f.U64(s.chunk_dedup_hits);
+    f.U64(s.missing_chunks);
   }
-  f.MixU64(r.faults.sessions);
-  f.MixU64(r.faults.failed_sessions);
-  f.MixU64(r.faults.ops);
-  f.MixU64(r.faults.failed_ops);
-  f.MixU64(r.faults.chunk_attempts);
-  f.MixU64(r.faults.chunk_timeouts);
-  f.MixU64(r.faults.chunk_server_failures);
-  f.MixU64(r.faults.chunk_disconnects);
-  f.MixU64(r.faults.retries);
-  f.MixU64(r.faults.failovers);
-  f.MixU64(r.faults.relocations);
-  f.MixU64(r.faults.hedges_issued);
-  f.MixU64(r.faults.hedge_wins);
-  f.MixU64(r.faults.resume_skipped_chunks);
-  f.MixU64(r.faults.goodput_bytes);
-  f.MixU64(r.faults.wasted_bytes);
-  f.MixU64(r.flows);
-  f.MixU64(r.slow_start_restarts);
-  f.MixU64(r.skipped_uploads);
-  f.MixU64(r.missing_chunk_serves);
-  f.MixU64(r.queue.scheduled);
-  f.MixU64(r.queue.executed);
-  f.MixU64(r.queue.cancelled);
-  f.MixU64(r.queue.peak_pending);
-  return f.Value();
+  f.U64(r.faults.sessions);
+  f.U64(r.faults.failed_sessions);
+  f.U64(r.faults.ops);
+  f.U64(r.faults.failed_ops);
+  f.U64(r.faults.chunk_attempts);
+  f.U64(r.faults.chunk_timeouts);
+  f.U64(r.faults.chunk_server_failures);
+  f.U64(r.faults.chunk_disconnects);
+  f.U64(r.faults.retries);
+  f.U64(r.faults.failovers);
+  f.U64(r.faults.relocations);
+  f.U64(r.faults.hedges_issued);
+  f.U64(r.faults.hedge_wins);
+  f.U64(r.faults.resume_skipped_chunks);
+  f.U64(r.faults.goodput_bytes);
+  f.U64(r.faults.wasted_bytes);
+  f.U64(r.flows);
+  f.U64(r.slow_start_restarts);
+  f.U64(r.skipped_uploads);
+  f.U64(r.missing_chunk_serves);
+  f.U64(r.queue.scheduled);
+  f.U64(r.queue.executed);
+  f.U64(r.queue.cancelled);
+  f.U64(r.queue.peak_pending);
+  return f.value();
 }
 
 }  // namespace mcloud::cloud

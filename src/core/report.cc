@@ -1,9 +1,9 @@
 #include "core/report.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "model/paper_params.h"
+#include "util/fnv.h"
 #include "util/summary.h"
 
 namespace mcloud::core {
@@ -122,132 +122,109 @@ std::string RenderFindings(const FullReport& r) {
 
 namespace {
 
-/// Incremental FNV-1a over 64-bit words; every scalar is widened to one
-/// word (doubles by bit pattern) so the stream is unambiguous, and vector
-/// lengths are hashed before their elements.
-class Fnv {
- public:
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void Size(std::size_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void Bool(bool v) { U64(v ? 1 : 0); }
-  void D(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  void Doubles(const std::vector<double>& v) {
-    Size(v.size());
-    for (const double x : v) D(x);
-  }
-  [[nodiscard]] std::uint64_t hash() const { return h_; }
+// Every scalar is hashed as one 64-bit word (doubles by bit pattern), so
+// the stream is unambiguous, and vector lengths before their elements.
+void HashDoubles(Fnv1a& f, const std::vector<double>& v) {
+  f.U64(v.size());
+  for (const double x : v) f.Double(x);
+}
 
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
-void HashMixtureExponential(Fnv& f, const MixtureExponentialFit& fit) {
-  f.Size(fit.mixture.components().size());
+void HashMixtureExponential(Fnv1a& f, const MixtureExponentialFit& fit) {
+  f.U64(fit.mixture.components().size());
   for (const auto& c : fit.mixture.components()) {
-    f.D(c.weight);
-    f.D(c.mean);
+    f.Double(c.weight);
+    f.Double(c.mean);
   }
-  f.D(fit.log_likelihood);
-  f.I64(fit.iterations);
-  f.Bool(fit.converged);
+  f.Double(fit.log_likelihood);
+  f.U64(static_cast<std::uint64_t>(fit.iterations));
+  f.U64(fit.converged ? 1 : 0);
 }
 
-void HashFileSizeModel(Fnv& f, const analysis::FileSizeModel& m) {
+void HashFileSizeModel(Fnv1a& f, const analysis::FileSizeModel& m) {
   HashMixtureExponential(f, m.selection.fit);
-  f.Size(m.selection.selected_n);
-  f.D(m.selection.rejected_weight);
-  f.D(m.chi_square.statistic);
-  f.D(m.chi_square.dof);
-  f.D(m.chi_square.p_value);
-  f.Size(m.chi_square.bins);
-  f.Bool(m.chi_square_valid);
-  f.Doubles(m.grid_mb);
-  f.Doubles(m.empirical_ccdf);
-  f.Doubles(m.model_ccdf);
+  f.U64(m.selection.selected_n);
+  f.Double(m.selection.rejected_weight);
+  f.Double(m.chi_square.statistic);
+  f.Double(m.chi_square.dof);
+  f.Double(m.chi_square.p_value);
+  f.U64(m.chi_square.bins);
+  f.U64(m.chi_square_valid ? 1 : 0);
+  HashDoubles(f, m.grid_mb);
+  HashDoubles(f, m.empirical_ccdf);
+  HashDoubles(f, m.model_ccdf);
 }
 
-void HashUserTypeColumn(Fnv& f, const analysis::UserTypeColumn& c) {
-  f.Size(c.users);
-  for (const double v : c.user_share) f.D(v);
-  for (const double v : c.store_share) f.D(v);
-  for (const double v : c.retrieve_share) f.D(v);
+void HashUserTypeColumn(Fnv1a& f, const analysis::UserTypeColumn& c) {
+  f.U64(c.users);
+  for (const double v : c.user_share) f.Double(v);
+  for (const double v : c.store_share) f.Double(v);
+  for (const double v : c.retrieve_share) f.Double(v);
 }
 
-void HashSessionSizes(Fnv& f,
+void HashSessionSizes(Fnv1a& f,
                       const std::vector<analysis::SessionSizeBin>& bins) {
-  f.Size(bins.size());
+  f.U64(bins.size());
   for (const analysis::SessionSizeBin& b : bins) {
-    f.Size(b.file_ops);
-    f.Size(b.sessions);
-    f.D(b.avg_mb);
-    f.D(b.median_mb);
-    f.D(b.p25_mb);
-    f.D(b.p75_mb);
+    f.U64(b.file_ops);
+    f.U64(b.sessions);
+    f.Double(b.avg_mb);
+    f.Double(b.median_mb);
+    f.Double(b.p25_mb);
+    f.Double(b.p75_mb);
   }
 }
 
-void HashActivity(Fnv& f, const analysis::ActivityModelResult& a) {
-  f.D(a.se.c);
-  f.D(a.se.a);
-  f.D(a.se.b);
-  f.D(a.se.x0);
-  f.D(a.se.r_squared);
-  f.D(a.power_law.slope);
-  f.D(a.power_law.intercept);
-  f.D(a.power_law.r_squared);
-  f.Size(a.power_law.n);
-  f.Size(a.active_users);
-  f.Doubles(a.ranked);
+void HashActivity(Fnv1a& f, const analysis::ActivityModelResult& a) {
+  f.Double(a.se.c);
+  f.Double(a.se.a);
+  f.Double(a.se.b);
+  f.Double(a.se.x0);
+  f.Double(a.se.r_squared);
+  f.Double(a.power_law.slope);
+  f.Double(a.power_law.intercept);
+  f.Double(a.power_law.r_squared);
+  f.U64(a.power_law.n);
+  f.U64(a.active_users);
+  HashDoubles(f, a.ranked);
 }
 
-void HashLogBins(Fnv& f, const LogBins& b) {
-  f.D(b.log10_lo());
-  f.D(b.log10_hi());
-  f.Size(b.bins());
+void HashLogBins(Fnv1a& f, const LogBins& b) {
+  f.Double(b.log10_lo());
+  f.Double(b.log10_hi());
+  f.U64(b.bins());
   for (std::size_t i = 0; i < b.bins(); ++i) {
     f.U64(b.Count(i));
-    f.D(b.Sum(i));
+    f.Double(b.Sum(i));
   }
   f.U64(b.Total());
-  f.D(b.Min());
-  f.D(b.Max());
+  f.Double(b.Min());
+  f.Double(b.Max());
 }
 
-void HashTDigest(Fnv& f, const TDigest& d) {
+void HashTDigest(Fnv1a& f, const TDigest& d) {
   const std::vector<Centroid> cs = d.CanonicalCentroids();
-  f.Size(cs.size());
+  f.U64(cs.size());
   for (const Centroid& c : cs) {
-    f.D(c.mean);
+    f.Double(c.mean);
     f.U64(c.weight);
   }
   f.U64(d.Count());
-  f.D(d.Min());
-  f.D(d.Max());
+  f.Double(d.Min());
+  f.Double(d.Max());
 }
 
 }  // namespace
 
 std::uint64_t FingerprintReport(const FullReport& r) {
-  Fnv f;
-  f.Size(r.records);
-  f.Size(r.mobile_users);
-  f.Size(r.mobile_devices);
-  f.D(r.android_access_share);
+  Fnv1a f;
+  f.U64(r.records);
+  f.U64(r.mobile_users);
+  f.U64(r.mobile_devices);
+  f.Double(r.android_access_share);
 
-  f.Size(r.timeseries.hours.size());
+  f.U64(r.timeseries.hours.size());
   for (const auto& h : r.timeseries.hours) {
-    f.I64(h.hour);
+    f.U64(static_cast<std::uint64_t>(h.hour));
     f.U64(h.store_volume_bytes);
     f.U64(h.retrieve_volume_bytes);
     f.U64(h.stored_files);
@@ -255,36 +232,36 @@ std::uint64_t FingerprintReport(const FullReport& r) {
   }
 
   const auto& im = r.interval_model;
-  f.D(im.log10_histogram.lo());
-  f.D(im.log10_histogram.hi());
-  f.Size(im.log10_histogram.bins());
+  f.Double(im.log10_histogram.lo());
+  f.Double(im.log10_histogram.hi());
+  f.U64(im.log10_histogram.bins());
   for (std::size_t i = 0; i < im.log10_histogram.bins(); ++i)
     f.U64(im.log10_histogram.Count(i));
   f.U64(im.log10_histogram.Underflow());
   f.U64(im.log10_histogram.Overflow());
-  f.Size(im.gmm.mixture.components().size());
+  f.U64(im.gmm.mixture.components().size());
   for (const auto& c : im.gmm.mixture.components()) {
-    f.D(c.weight);
-    f.D(c.mean);
-    f.D(c.stddev);
+    f.Double(c.weight);
+    f.Double(c.mean);
+    f.Double(c.stddev);
   }
-  f.D(im.gmm.log_likelihood);
-  f.I64(im.gmm.iterations);
-  f.Bool(im.gmm.converged);
-  f.D(im.valley_tau);
-  f.D(im.gmm_tau);
-  f.D(im.intra_mean_seconds);
-  f.D(im.inter_mean_seconds);
+  f.Double(im.gmm.log_likelihood);
+  f.U64(static_cast<std::uint64_t>(im.gmm.iterations));
+  f.U64(im.gmm.converged ? 1 : 0);
+  f.Double(im.valley_tau);
+  f.Double(im.gmm_tau);
+  f.Double(im.intra_mean_seconds);
+  f.Double(im.inter_mean_seconds);
 
-  f.Size(r.session_split.total);
-  f.Size(r.session_split.store_only);
-  f.Size(r.session_split.retrieve_only);
-  f.Size(r.session_split.mixed);
+  f.U64(r.session_split.total);
+  f.U64(r.session_split.store_only);
+  f.U64(r.session_split.retrieve_only);
+  f.U64(r.session_split.mixed);
 
-  f.Size(r.burstiness.size());
+  f.U64(r.burstiness.size());
   for (const auto& g : r.burstiness) {
-    f.Size(g.min_ops_exclusive);
-    f.Doubles(g.normalized_times);
+    f.U64(g.min_ops_exclusive);
+    HashDoubles(f, g.normalized_times);
   }
 
   HashFileSizeModel(f, r.store_size_model);
@@ -294,19 +271,19 @@ std::uint64_t FingerprintReport(const FullReport& r) {
   HashUserTypeColumn(f, r.mobile_pc_column);
   HashUserTypeColumn(f, r.pc_only_column);
 
-  f.Size(r.engagement.size());
+  f.U64(r.engagement.size());
   for (const auto& e : r.engagement) {
     f.U64(static_cast<std::uint64_t>(e.group));
-    f.Size(e.day1_users);
-    f.Doubles(e.active_on_day);
-    f.D(e.never_returned);
+    f.U64(e.day1_users);
+    HashDoubles(f, e.active_on_day);
+    f.Double(e.never_returned);
   }
-  f.Size(r.retrieval_returns.size());
+  f.U64(r.retrieval_returns.size());
   for (const auto& e : r.retrieval_returns) {
     f.U64(static_cast<std::uint64_t>(e.group));
-    f.Size(e.day1_uploaders);
-    f.Doubles(e.retrieved_by_day);
-    f.D(e.never_retrieved);
+    f.U64(e.day1_uploaders);
+    HashDoubles(f, e.retrieved_by_day);
+    f.Double(e.never_retrieved);
   }
 
   HashActivity(f, r.store_activity);
@@ -328,7 +305,7 @@ std::uint64_t FingerprintReport(const FullReport& r) {
     f.U64(c.users);
     for (const std::uint64_t n : c.at_or_below) f.U64(n);
   }
-  return f.hash();
+  return f.value();
 }
 
 }  // namespace mcloud::core

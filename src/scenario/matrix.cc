@@ -1,7 +1,6 @@
 #include "scenario/matrix.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "cloud/fleet.h"
 #include "scenario/workload_spec.h"
 #include "util/error.h"
+#include "util/fnv.h"
 #include "workload/generator.h"
 
 namespace mcloud::scenario {
@@ -20,30 +20,6 @@ std::string Fmt(const char* fmt, auto... args) {
   char buf[256];
   std::snprintf(buf, sizeof(buf), fmt, args...);
   return std::string(buf);
-}
-
-// FNV-1a over the deterministic cell fields (same constants as the fleet /
-// manifest fingerprints).
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void HashBytes(std::uint64_t& h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-void HashU64(std::uint64_t& h, std::uint64_t v) { HashBytes(h, &v, 8); }
-
-void HashDouble(std::uint64_t& h, double v) {
-  HashU64(h, std::bit_cast<std::uint64_t>(v));
-}
-
-void HashStr(std::uint64_t& h, const std::string& s) {
-  HashU64(h, s.size());
-  HashBytes(h, s.data(), s.size());
 }
 
 double MedianOf(std::vector<double> xs) {
@@ -200,32 +176,38 @@ MatrixReport RunMatrix(const MatrixOptions& options) {
     }
   }
 
-  std::uint64_t h = kFnvOffset;
-  HashU64(h, report.users);
-  HashU64(h, report.seed);
-  HashU64(h, report.shards);
-  HashU64(h, report.cells.size());
+  // FNV-1a over the deterministic cell fields; a string hashes as its
+  // length, then its bytes.
+  Fnv1a f;
+  const auto hash_str = [&f](const std::string& s) {
+    f.U64(s.size());
+    f.Bytes(s.data(), s.size());
+  };
+  f.U64(report.users);
+  f.U64(report.seed);
+  f.U64(report.shards);
+  f.U64(report.cells.size());
   for (const MatrixCell& c : report.cells) {
-    HashStr(h, c.spec);
-    HashStr(h, c.fault);
-    HashStr(h, c.connection);
-    HashStr(h, c.chunk);
-    HashU64(h, c.fingerprint);
-    HashU64(h, c.sessions);
-    HashU64(h, c.ops);
-    HashU64(h, c.failed_sessions);
-    HashU64(h, c.failed_ops);
-    HashU64(h, c.flows);
-    HashU64(h, c.slow_start_restarts);
-    HashU64(h, c.chunk_requests);
-    HashDouble(h, c.goodput_mb);
-    HashDouble(h, c.wasted_mb);
-    HashDouble(h, c.median_ttran_s);
-    HashDouble(h, c.session_success_rate);
+    hash_str(c.spec);
+    hash_str(c.fault);
+    hash_str(c.connection);
+    hash_str(c.chunk);
+    f.U64(c.fingerprint);
+    f.U64(c.sessions);
+    f.U64(c.ops);
+    f.U64(c.failed_sessions);
+    f.U64(c.failed_ops);
+    f.U64(c.flows);
+    f.U64(c.slow_start_restarts);
+    f.U64(c.chunk_requests);
+    f.Double(c.goodput_mb);
+    f.Double(c.wasted_mb);
+    f.Double(c.median_ttran_s);
+    f.Double(c.session_success_rate);
     // wall_s intentionally excluded: the report fingerprint must be
     // byte-identical across thread counts and machines.
   }
-  report.fingerprint = h;
+  report.fingerprint = f.value();
   return report;
 }
 

@@ -8,6 +8,7 @@
 #include "trace/log_io.h"
 #include "trace/trace_store.h"
 #include "util/error.h"
+#include "util/fnv.h"
 
 namespace mcloud {
 
@@ -138,79 +139,52 @@ void RecordColumns::Permute(std::span<const std::uint32_t> perm,
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-// An FNV-1a step on a zero byte, (h ^ 0) * P, is a bare multiply, so a run
-// of k zero bytes is one multiply by P^k (mod 2^64).
-constexpr std::uint64_t kFnvPrime4 =
-    kFnvPrime * kFnvPrime * kFnvPrime * kFnvPrime;
-constexpr std::uint64_t kFnvPrime8 = kFnvPrime4 * kFnvPrime4;
-
-/// FNV-1a over the 8 little-endian bytes of `v`. When the top four bytes
-/// are zero — every generated field but the PC device ids — they fold as
-/// one multiply instead of four steps; the hash is unchanged.
-inline std::uint64_t Fnv(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 4; ++b) h = (h ^ ((v >> (8 * b)) & 0xff)) * kFnvPrime;
-  if ((v >> 32) == 0) return h * kFnvPrime4;
-  for (int b = 4; b < 8; ++b) h = (h ^ ((v >> (8 * b)) & 0xff)) * kFnvPrime;
-  return h;
-}
-
-/// Fnv of a one-byte field widened to 64 bits: one byte step, then the
-/// seven zero bytes as one multiply.
-inline std::uint64_t FnvU8(std::uint64_t h, std::uint8_t v) {
-  return (h ^ v) * kFnvPrime8;
-}
-
 /// One record's Table 1 fields folded in canonical field order; times as
 /// the on-disk microsecond integers so AoS/columnar/file agree bit-exact.
-inline std::uint64_t FoldRecord(std::uint64_t h, std::int64_t ts,
-                                std::uint8_t dev, std::uint64_t dev_id,
-                                std::uint64_t user, std::uint8_t req,
-                                std::uint8_t dir, std::uint64_t vol,
-                                double proc, double srv, double rtt,
-                                std::uint8_t prox) {
-  h = Fnv(h, static_cast<std::uint64_t>(ts));
-  h = FnvU8(h, dev);
-  h = Fnv(h, dev_id);
-  h = Fnv(h, user);
-  h = FnvU8(h, req);
-  h = FnvU8(h, dir);
-  h = Fnv(h, vol);
-  h = Fnv(h, static_cast<std::uint64_t>(detail::ToMicros(proc)));
-  h = Fnv(h, static_cast<std::uint64_t>(detail::ToMicros(srv)));
-  h = Fnv(h, static_cast<std::uint64_t>(detail::ToMicros(rtt)));
-  h = FnvU8(h, prox);
-  return h;
+inline void FoldRecord(Fnv1a& f, std::int64_t ts, std::uint8_t dev,
+                       std::uint64_t dev_id, std::uint64_t user,
+                       std::uint8_t req, std::uint8_t dir, std::uint64_t vol,
+                       double proc, double srv, double rtt,
+                       std::uint8_t prox) {
+  f.U64(static_cast<std::uint64_t>(ts));
+  f.U8(dev);
+  f.U64(dev_id);
+  f.U64(user);
+  f.U8(req);
+  f.U8(dir);
+  f.U64(vol);
+  f.U64(static_cast<std::uint64_t>(detail::ToMicros(proc)));
+  f.U64(static_cast<std::uint64_t>(detail::ToMicros(srv)));
+  f.U64(static_cast<std::uint64_t>(detail::ToMicros(rtt)));
+  f.U8(prox);
 }
 
 }  // namespace
 
 std::uint64_t TraceFingerprint(std::span<const LogRecord> records) {
-  std::uint64_t h = kFnvOffset;
+  Fnv1a f;
   for (const LogRecord& r : records) {
-    h = FoldRecord(h, r.timestamp, static_cast<std::uint8_t>(r.device_type),
-                   r.device_id, r.user_id,
-                   static_cast<std::uint8_t>(r.request_type),
-                   static_cast<std::uint8_t>(r.direction), r.data_volume,
-                   r.processing_time, r.server_time, r.avg_rtt,
-                   r.proxied ? 1 : 0);
+    FoldRecord(f, r.timestamp, static_cast<std::uint8_t>(r.device_type),
+               r.device_id, r.user_id,
+               static_cast<std::uint8_t>(r.request_type),
+               static_cast<std::uint8_t>(r.direction), r.data_volume,
+               r.processing_time, r.server_time, r.avg_rtt,
+               r.proxied ? 1 : 0);
   }
-  return h;
+  return f.value();
 }
 
 std::uint64_t TraceFingerprint(const TraceStore& store) {
-  std::uint64_t h = kFnvOffset;
+  Fnv1a f;
   for (std::size_t i = 0; i < store.rows(); ++i) {
-    h = FoldRecord(h, store.timestamps()[i], store.device_types()[i],
-                   store.device_ids()[i],
-                   store.user_ids()[store.user_index()[i]],
-                   store.request_types()[i], store.directions()[i],
-                   store.data_volumes()[i], store.processing_times()[i],
-                   store.server_times()[i], store.avg_rtts()[i],
-                   store.proxied()[i]);
+    FoldRecord(f, store.timestamps()[i], store.device_types()[i],
+               store.device_ids()[i], store.user_ids()[store.user_index()[i]],
+               store.request_types()[i], store.directions()[i],
+               store.data_volumes()[i], store.processing_times()[i],
+               store.server_times()[i], store.avg_rtts()[i],
+               store.proxied()[i]);
   }
-  return h;
+  return f.value();
 }
 
 }  // namespace mcloud

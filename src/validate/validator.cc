@@ -1,7 +1,6 @@
 #include "validate/validator.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -11,6 +10,7 @@
 #include "cloud/storage_service.h"
 #include "core/pipeline.h"
 #include "model/paper_params.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -249,53 +249,41 @@ SeedSweep RunSeedSweep(const ValidateOptions& options, std::size_t seeds) {
 }
 
 std::uint64_t ManifestFingerprint(const ValidationRun& run) {
-  // FNV-1a, byte-wise, matching the constants in cloud/fleet.cc. Everything
-  // here is a pure function of (options minus threads, build); no wall
-  // clocks, so --threads 1 and --threads N runs fingerprint identically.
-  std::uint64_t h = 14695981039346656037ULL;
-  const auto mix_u64 = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  };
-  const auto mix_double = [&mix_u64](double d) {
-    mix_u64(std::bit_cast<std::uint64_t>(d));
-  };
-  const auto mix_str = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    h ^= 0xFF;  // length delimiter
-    h *= 1099511628211ULL;
+  // Everything here is a pure function of (options minus threads, build);
+  // no wall clocks, so --threads 1 and --threads N runs fingerprint
+  // identically.
+  Fnv1a f;
+  const auto mix_str = [&f](const std::string& s) {
+    const unsigned char delimiter = 0xFF;
+    f.Bytes(s.data(), s.size());
+    f.Bytes(&delimiter, 1);
   };
 
-  mix_u64(run.options.users);
-  mix_u64(run.options.seed);
-  mix_u64(run.options.fleet_flows);
-  mix_u64(run.options.flow_file_size);
-  mix_u64(run.options.fleet_shards);
-  mix_u64(run.fleet_fingerprint);
-  mix_u64(run.outcomes.size());
+  f.U64(run.options.users);
+  f.U64(run.options.seed);
+  f.U64(run.options.fleet_flows);
+  f.U64(run.options.flow_file_size);
+  f.U64(run.options.fleet_shards);
+  f.U64(run.fleet_fingerprint);
+  f.U64(run.outcomes.size());
   for (const CheckOutcome& o : run.outcomes) {
     mix_str(o.id);
-    mix_double(o.result.statistic);
-    mix_double(o.result.threshold);
-    mix_double(o.result.p_value);
-    mix_u64(o.result.n);
-    mix_u64(o.passed ? 1 : 0);
+    f.Double(o.result.statistic);
+    f.Double(o.result.threshold);
+    f.Double(o.result.p_value);
+    f.U64(o.result.n);
+    f.U64(o.passed ? 1 : 0);
   }
-  mix_u64(run.fleet_shards.size());
+  f.U64(run.fleet_shards.size());
   for (const cloud::ShardTelemetry& t : run.fleet_shards) {
-    mix_u64(t.shard);
-    mix_u64(t.sessions);
-    mix_u64(t.queue.scheduled);
-    mix_u64(t.queue.executed);
-    mix_u64(t.queue.cancelled);
-    mix_u64(t.queue.peak_pending);
+    f.U64(t.shard);
+    f.U64(t.sessions);
+    f.U64(t.queue.scheduled);
+    f.U64(t.queue.executed);
+    f.U64(t.queue.cancelled);
+    f.U64(t.queue.peak_pending);
   }
-  return h;
+  return f.value();
 }
 
 std::string ToJson(const ValidationRun& run) {
