@@ -9,7 +9,6 @@
 #include <map>
 #include <vector>
 
-#include "trace/filters.h"
 #include "util/summary.h"
 
 int main(int argc, char** argv) {

@@ -1,14 +1,13 @@
-// Record-level filters and per-user grouping over traces.
+// Record-level filters over AoS traces.
 //
-// The paper's analyses slice the trace several ways: mobile-only records for
-// §3.1, proxied requests removed for §4, per-user request streams everywhere.
-// These helpers are the shared slicing vocabulary; `Filter` materializes a
-// new vector (exact-sized: it counts before it copies).
+// The paper's §3.1 analyses read the mobile-only records. MobileOnly and
+// CountDistinctDevices are the plain AoS forms the streaming per-user pass
+// is checked against; `Filter` materializes a new vector (exact-sized: it
+// counts before it copies).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/log_record.h"
@@ -36,32 +35,8 @@ template <typename Pred>
 [[nodiscard]] std::vector<LogRecord> MobileOnly(
     std::span<const LogRecord> trace);
 
-/// Records not behind an HTTP proxy — required before any RTT/throughput
-/// analysis (§4: "we filtered out those requests that were proxied").
-[[nodiscard]] std::vector<LogRecord> Unproxied(
-    std::span<const LogRecord> trace);
-
-/// Chunk requests only / file operations only.
-[[nodiscard]] std::vector<LogRecord> ChunksOnly(
-    std::span<const LogRecord> trace);
-[[nodiscard]] std::vector<LogRecord> FileOperationsOnly(
-    std::span<const LogRecord> trace);
-
-/// Group a time-sorted trace by user; each user's records stay time-sorted.
-[[nodiscard]] std::unordered_map<std::uint64_t, std::vector<LogRecord>>
-GroupByUser(std::span<const LogRecord> trace);
-
-/// Distinct users / devices in a trace.
-[[nodiscard]] std::size_t CountDistinctUsers(std::span<const LogRecord> trace);
+/// Distinct devices in a trace.
 [[nodiscard]] std::size_t CountDistinctDevices(
-    std::span<const LogRecord> trace);
-
-/// Per-user sets of device types seen, for the mobile&PC splits of §3.2.
-struct UserDevices {
-  std::size_t mobile_devices = 0;  ///< distinct mobile device ids
-  bool uses_pc = false;
-};
-[[nodiscard]] std::unordered_map<std::uint64_t, UserDevices> DevicesPerUser(
     std::span<const LogRecord> trace);
 
 }  // namespace mcloud

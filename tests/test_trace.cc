@@ -226,38 +226,7 @@ TEST(Filters, SliceByDeviceProxyAndType) {
   trace.push_back(proxied);
 
   EXPECT_EQ(MobileOnly(trace).size(), 3u);
-  EXPECT_EQ(Unproxied(trace).size(), 3u);
-  EXPECT_EQ(ChunksOnly(trace).size(), 3u);
-  EXPECT_EQ(FileOperationsOnly(trace).size(), 1u);
-  EXPECT_EQ(CountDistinctUsers(trace), 3u);
   EXPECT_EQ(CountDistinctDevices(trace), 3u);
-}
-
-TEST(Filters, GroupByUserPreservesOrder) {
-  std::vector<LogRecord> trace;
-  for (int i = 0; i < 10; ++i)
-    trace.push_back(MakeRecord(kTraceStart + i, i % 2 + 1, Direction::kStore));
-  const auto groups = GroupByUser(trace);
-  ASSERT_EQ(groups.size(), 2u);
-  for (const auto& [user, records] : groups) {
-    for (std::size_t i = 1; i < records.size(); ++i)
-      EXPECT_LT(records[i - 1].timestamp, records[i].timestamp);
-  }
-}
-
-TEST(Filters, DevicesPerUser) {
-  std::vector<LogRecord> trace;
-  LogRecord a = MakeRecord(1, 1, Direction::kStore);
-  a.device_id = 100;
-  LogRecord b = MakeRecord(2, 1, Direction::kStore);
-  b.device_id = 101;
-  LogRecord c = MakeRecord(3, 1, Direction::kRetrieve,
-                           RequestType::kChunkRequest, DeviceType::kPc);
-  trace = {a, b, c};
-  const auto per_user = DevicesPerUser(trace);
-  ASSERT_EQ(per_user.size(), 1u);
-  EXPECT_EQ(per_user.at(1).mobile_devices, 2u);
-  EXPECT_TRUE(per_user.at(1).uses_pc);
 }
 
 TEST(Anonymizer, DeterministicAndKeyDependent) {
