@@ -215,8 +215,8 @@ enum RowCheck : std::uint8_t {
 };
 
 /// The RowCheck bits rows [begin, end) of these columns fail (dense user
-/// indices must be below `users`). Each check is its own branch-free OR
-/// reduction over one column; an empty column is absent and passes.
+/// indices must be below `users`). Each check is its own reduction over one
+/// column with no branch per row; an empty column is absent and passes.
 [[nodiscard]] std::uint8_t CheckRows(
     std::span<const std::int64_t> ts,
     std::span<const std::uint8_t> device_types,
