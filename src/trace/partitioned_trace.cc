@@ -27,6 +27,14 @@ constexpr std::uint32_t kScanColumns[7] = {
     kColRequestType, kColDirection, kColDataVolume,
 };
 
+/// Whether `ts` lies in calendar day `day` of `day_base`. A row whose
+/// offset from the day base does not fit 64 bits lies in no day.
+bool InDay(std::int64_t ts, std::int64_t day_base, std::int64_t day) {
+  std::int64_t offset = 0;
+  return !__builtin_sub_overflow(ts, day_base, &offset) &&
+         FloorDayIndex(offset) == day;
+}
+
 }  // namespace
 
 TraceRowBlock BlockOf(const RecordColumns& cols,
@@ -318,8 +326,8 @@ void PartitionedTrace::ReadGroup(std::size_t g, std::size_t block_rows,
           local_users, r.local_to_global.size(), 0, n);
       if (b.timestamps.front() < last) failed |= detail::kUnsorted;
       if (failed) throw invalid(detail::RowCheckMessage(failed));
-      if (FloorDayIndex(b.timestamps.front() - day_base_) != r.day ||
-          FloorDayIndex(b.timestamps.back() - day_base_) != r.day)
+      if (!InDay(b.timestamps.front(), day_base_, r.day) ||
+          !InDay(b.timestamps.back(), day_base_, r.day))
         throw invalid("row outside the run's day " + std::to_string(r.day));
       last = b.timestamps.back();
       for (std::size_t k = 0; k < n; ++k) user[k] = r.local_to_global[user[k]];

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -324,6 +325,10 @@ TEST(OutOfCore, CorruptRunsFailEveryReader) {
                   "trace must be time-sorted");
   expect_rejected(patched(clean, first, first_ts - std::int64_t{86400}),
                   "row outside the run's day");
+  // So far before the day base that the offset does not fit 64 bits.
+  expect_rejected(
+      patched(clean, first, std::numeric_limits<std::int64_t>::min()),
+      "row outside the run's day");
 
   std::ofstream(run, std::ios::binary | std::ios::trunc) << clean;
   EXPECT_EQ(stream(), want_fp);
