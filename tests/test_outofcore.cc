@@ -264,8 +264,8 @@ std::string ParseErrorOf(Fn&& fn) {
 
 // A run whose rows a v2 file could not hold fails both readers of the
 // directory, naming the run, as the same bytes read as one file fail:
-// an enum byte out of range, rows out of time order, a row outside the
-// run's MANIFEST day.
+// an enum byte or a user index out of range, rows out of time order, a
+// row outside the run's MANIFEST day.
 TEST(OutOfCore, CorruptRunsFailEveryReader) {
   const workload::WorkloadConfig cfg = SmallConfig();
   const std::uint64_t want_fp =
@@ -314,6 +314,10 @@ TEST(OutOfCore, CorruptRunsFailEveryReader) {
   expect_rejected(
       patched(clean, info.ColumnOffset(kColDeviceType), std::uint8_t{7}),
       "bad device type");
+  // A local user index one past the run's user table.
+  expect_rejected(patched(clean, info.ColumnOffset(kColUser),
+                          static_cast<std::uint32_t>(info.users)),
+                  "dense user index out of range");
   const std::uint64_t first = info.ColumnOffset(kColTimestamp);
   const std::uint64_t last = first + (info.rows - 1) * sizeof(std::int64_t);
   std::int64_t first_ts = 0;
