@@ -81,6 +81,7 @@
 #include "scenario/matrix.h"
 #include "scenario/workload_spec.h"
 #include "trace/partitioned_trace.h"
+#include "util/error.h"
 #include "util/parallel.h"
 #include "validate/paper_report.h"
 #include "validate/validator.h"
@@ -519,12 +520,19 @@ int CmdSimulateFleet(const Args& args) {
 }
 
 int CmdSimulate(const Args& args) {
-  const std::string device = args.Get("device", "android");
-  const std::string direction = args.Get("direction", "store");
-  if (device != "android" && device != "ios" && device != "pc")
-    args.Reject("device", "android, ios or pc");
-  if (direction != "store" && direction != "retrieve")
-    args.Reject("direction", "store or retrieve");
+  // --key through the record's own parser; a value it does not know exits 2.
+  const auto parse = [&args](const char* key, const char* fallback,
+                             const char* what, auto from_string) {
+    try {
+      return from_string(args.Get(key, fallback));
+    } catch (const ParseError&) {
+      args.Reject(key, what);
+    }
+  };
+  const DeviceType dev =
+      parse("device", "android", "android, ios or pc", DeviceTypeFromString);
+  const Direction dir =
+      parse("direction", "store", "store or retrieve", DirectionFromString);
   if (args.Has("fail-rate") || args.Has("loss-burst") ||
       args.Has("degraded") || args.Has("hedge") || args.Has("no-retry")) {
     return CmdSimulateFleet(args);
@@ -534,15 +542,13 @@ int CmdSimulate(const Args& args) {
   cfg.pace_after_idle = args.Has("pace");
   const cloud::StorageService service(cfg);
 
-  const DeviceType dev = DeviceTypeFromString(device);
-  const Direction dir = DirectionFromString(direction);
   const Bytes size = args.GetU64("file-mb", 8, kMaxMiB) * kMiB;
   const auto flow =
       service.SimulateFlow(dev, dir, size, args.GetU64("seed", 1));
 
   std::printf("%s %s of %.0f MB: %.2f s total, %llu slow-start restarts, "
               "%llu timeouts\n",
-              device.c_str(),
+              std::string(ToString(dev)).c_str(),
               dir == Direction::kStore ? "upload" : "download", ToMB(size),
               flow.duration,
               static_cast<unsigned long long>(flow.restarts),
